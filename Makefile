@@ -1,7 +1,7 @@
 # Convenience entry points mirroring the CI gates. Each target is a
 # plain go/gofmt one-liner, so everything here also works without make.
 
-.PHONY: lint lint-json lint-sarif fmt test bench profile verify
+.PHONY: lint lint-json lint-sarif fmt test bench profile verify loc
 
 # The compile-time invariant gate: formatting, go vet, plus the
 # hybridlint analyzer suite (same as CI's lint job, minus govulncheck
@@ -43,6 +43,10 @@ profile:
 		-cpuprofile out/pprof/cpu.out -memprofile out/pprof/mem.out \
 		-o out/pprof/bench.test .
 	@echo "profiles written to out/pprof/ (cpu.out, mem.out; binary bench.test)"
+
+# Tracked Go source size: non-test and test line counts, perfbench/ excluded.
+loc:
+	@git ls-files '*.go' ':!:perfbench/*' | xargs wc -l | awk '$$2 != "total" { if ($$2 ~ /_test\.go$$/) t += $$1; else n += $$1 } END { printf "non-test %d\ntest %d\n", n, t }'
 
 # Everything CI checks, in order.
 verify: lint test

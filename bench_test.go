@@ -166,11 +166,11 @@ func recordWarmCellCache(b *testing.B) {
 	b.ReportMetric(rec.Speedup, "warmSpeedupX")
 }
 
-// BenchmarkStreamMemory compares the engine's materialized path
-// (engine.Run: every outcome held until the sweep ends) against the
-// streaming path (engine.Reduce folding into a mean aggregator) on a
-// synthetic 1024x1024-cell grid of cheap cells, and records the heap
-// each retains after the run in BENCH_sweep.json. The two must agree
+// BenchmarkStreamMemory compares a materialized sweep (engine.Stream
+// collecting every outcome into a caller-owned grid held until the
+// sweep ends) against the streaming path (engine.Reduce folding into a
+// mean aggregator) on a synthetic 1024x1024-cell grid of cheap cells,
+// and records the heap each retains after the run in BENCH_sweep.json. The two must agree
 // bit for bit on every per-point mean; the streaming run's retained
 // heap stays O(points) however many cells the grid has, which is the
 // point of the streaming core.
@@ -200,11 +200,17 @@ func BenchmarkStreamMemory(b *testing.B) {
 	var matBytes, streamBytes uint64
 	for i := 0; i < b.N; i++ {
 		matBytes = retained(func() func() {
-			outs := engine.Run(context.Background(), grid, cell)
+			outs := make([]engine.Outcome[float64], points*seeds)
+			err := engine.Stream(context.Background(), grid, cell, func(p, s int, out engine.Outcome[float64]) {
+				outs[p*seeds+s] = out
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
 			return func() {
-				for p := range outs {
+				for p := 0; p < points; p++ {
 					sum := 0.0
-					for _, o := range outs[p] {
+					for _, o := range outs[p*seeds : (p+1)*seeds] {
 						sum += o.Value
 					}
 					matMeans[p] = sum / seeds

@@ -1,15 +1,16 @@
 // Package engine is the deterministic grid-execution engine behind
 // every experiment: a bounded worker pool evaluating the cells of a
-// points x seeds grid, with outcomes merged back in grid order so the
+// points x seeds grid, with outcomes streamed back in grid order so the
 // result is byte-identical to a serial run for every worker count.
 //
 // The engine owns the three properties every sweep in this repository
 // must share:
 //
-//   - determinism: cells are self-contained (seeds are pre-derived by
-//     the caller), workers only write their own outcome slot, and all
-//     merging and hook delivery happens in grid order;
-//   - bounded concurrency: at most Workers goroutines run at once, the
+//   - determinism: cells are self-contained (seeds are derived by the
+//     caller from the cell's coordinates), and every outcome and
+//     observation is delivered in grid order on the caller's goroutine;
+//   - bounded concurrency and memory: at most Workers goroutines run at
+//     once, at most 2×Workers completed cells wait for delivery, the
 //     pool never outlives a run, and a panicking cell is converted to
 //     an error instead of tearing the pool down;
 //   - phase-tagged failures: a failed cell says whether instance
@@ -18,10 +19,8 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -65,93 +64,12 @@ func Phase(err error) string {
 	return ""
 }
 
-// ForEachIndex runs fn(0..n-1) on a bounded pool of workers goroutines
-// and returns when every dispatched call has finished. Each index is
-// dispatched at most once; fn writes its result into a caller-owned
-// slot for that index, so no further synchronization is needed and the
-// caller can merge results in index order regardless of scheduling.
-// With workers <= 1 (or a single index) the calls run inline on the
-// caller's goroutine, making the serial path identical to a plain loop.
-//
-// Cancellation: once ctx is done, no new index is dispatched;
-// already-running calls finish normally and the pool drains before
-// ForEachIndex returns, so no goroutine outlives the call. The return
-// value is ctx.Err() when the context ended before every index was
-// handled, nil otherwise. A nil ctx never cancels.
-func ForEachIndex(ctx context.Context, workers, n int, fn func(i int)) error {
-	if ctx == nil {
-		//lint:ignore ctxflow documented nil-ctx fallback: a nil ctx means "never cancel", and Background is exactly that
-		ctx = context.Background()
-	}
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return ctx.Err()
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
 // Outcome is the result of evaluating one cell. Cells fail
 // independently; the caller's merge decides whether a failed cell sinks
 // its point or the whole run.
 type Outcome[T any] struct {
 	Value T
 	Err   error
-}
-
-// Map evaluates fn over the indices 0..n-1 on a bounded pool of workers
-// and returns the outcomes in index order. A panicking fn is converted
-// to an error outcome for its index, so one broken cell cannot tear
-// down the run.
-//
-// When ctx is canceled mid-run, indices that already evaluated keep
-// their outcomes (still in index order) and every index that was never
-// dispatched carries a PhaseCanceled-tagged ctx error, so callers can
-// tell completed work from preempted work without extra bookkeeping.
-func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) []Outcome[T] {
-	outs := make([]Outcome[T], n)
-	// The outcome slice is materialized anyway, so the reorder window is
-	// unbounded: backpressure would only serialize the pool for nothing.
-	// The return is redundant here: cancellation already lands in the
-	// undispatched outcomes as PhaseCanceled errors, and a plain grid
-	// has no shard spec to mis-resolve.
-	_ = streamCells(ctx, Grid{Points: n, Seeds: 1, Workers: workers}, 0,
-		func(point, _ int) (T, error) { return fn(point) },
-		func(point, _ int, r cellOut[T]) { outs[point] = r.out })
-	return outs
 }
 
 // guard runs fn with panics converted to errors.
@@ -173,8 +91,8 @@ type Clock interface {
 }
 
 // CellObserver receives every cell's outcome and measured duration. The
-// engine delivers observations in grid order after the whole grid has
-// been evaluated, never from worker goroutines, so an observer may feed
+// engine delivers observations per cell, in grid order, on the caller's
+// goroutine — never from worker goroutines — so an observer may feed
 // metrics registries, span trees or progress counters without
 // re-introducing scheduling into the observed output.
 type CellObserver interface {
@@ -210,16 +128,11 @@ type Grid struct {
 	Points, Seeds int
 	// Workers bounds the evaluating pool; <= 1 runs serially.
 	Workers int
-	// OnCell, if set, observes every cell outcome in grid order (point
-	// varying slowest) after the whole grid has been evaluated. Hook
-	// delivery order is deterministic regardless of Workers, so hooks
-	// may feed progress counters or benchmark metrics without
-	// re-introducing scheduling into the results.
-	OnCell func(point, seed int, err error)
 	// Obs, if set, receives every cell's outcome plus its duration in
-	// grid order after the run (the observability sink). Durations are
-	// measured with Clock around each cell evaluation; a nil Clock
-	// reports zero durations.
+	// grid order (point varying slowest), just before the cell is
+	// delivered — the observability sink. Durations are measured with
+	// Clock around each cell evaluation; a nil Clock reports zero
+	// durations.
 	Obs CellObserver
 	// Clock times cells for Obs. It is only consulted when Obs is set.
 	Clock Clock
@@ -239,153 +152,4 @@ type Grid struct {
 	// merges byte-identically to an unsharded run. ShardCount <= 0 runs
 	// the whole grid.
 	ShardIndex, ShardCount int
-	// Lookahead bounds how far evaluation may run ahead of in-order
-	// delivery on the streaming path (Stream/Reduce/Each): at most
-	// Workers + Lookahead completed cells are ever buffered. <= 0
-	// defaults to Workers. The materializing paths (Run/Map) hold every
-	// outcome anyway and ignore it.
-	Lookahead int
-}
-
-// Run evaluates cell over every covered grid coordinate and returns the
-// outcomes indexed [point][seed], spanning the whole grid. Results are
-// byte-identical for every worker count: cells only depend on their
-// coordinates, and merging is in grid order. OnCell hooks all fire
-// before any Obs observation, both passes in grid order over the
-// covered cells. A canceled ctx stops scheduling new cells promptly;
-// cells that already ran keep their outcomes and the rest carry
-// PhaseCanceled-tagged errors (see Map).
-//
-// Under a shard spec, cells outside the shard's block are neither
-// evaluated nor observed; their slots carry ErrOutsideShard. Run has no
-// error return, so a malformed shard spec is reported through the data:
-// every slot carries the range error and no cell runs.
-func Run[T any](ctx context.Context, g Grid, cell func(point, seed int) (T, error)) [][]Outcome[T] {
-	if g.Points <= 0 || g.Seeds <= 0 {
-		return nil
-	}
-	n := g.Points * g.Seeds
-	flat := make([]Outcome[T], n)
-	outs := make([][]Outcome[T], g.Points)
-	for p := range outs {
-		outs[p] = flat[p*g.Seeds : (p+1)*g.Seeds]
-	}
-	lo, hi, err := g.shardRange(n)
-	if err != nil {
-		for i := range flat {
-			flat[i] = Outcome[T]{Err: err}
-		}
-		return outs
-	}
-	for i := 0; i < lo; i++ {
-		flat[i] = Outcome[T]{Err: ErrOutsideShard}
-	}
-	for i := hi; i < n; i++ {
-		flat[i] = Outcome[T]{Err: ErrOutsideShard}
-	}
-	var durations []time.Duration
-	if g.Obs != nil && g.Clock != nil {
-		durations = make([]time.Duration, n)
-	}
-	var fromCache []bool
-	if g.Cache != nil {
-		fromCache = make([]bool, n)
-	}
-	// The outcome slice is materialized anyway, so the reorder window is
-	// unbounded (0); delivery only files each cell into its slot. The
-	// return is redundant: cancellation lands in the undispatched
-	// outcomes, and the shard spec was already resolved above.
-	_ = streamCells(ctx, g, 0, cell, func(p, s int, r cellOut[T]) {
-		i := p*g.Seeds + s
-		flat[i] = r.out
-		if durations != nil {
-			durations[i] = r.d
-		}
-		if fromCache != nil {
-			fromCache[i] = r.cached
-		}
-	})
-	if g.OnCell != nil {
-		for i := lo; i < hi; i++ {
-			g.OnCell(i/g.Seeds, i%g.Seeds, flat[i].Err)
-		}
-	}
-	if g.Obs != nil {
-		cobs, _ := g.Obs.(CachedCellObserver)
-		for i := lo; i < hi; i++ {
-			var d time.Duration
-			if durations != nil {
-				d = durations[i]
-			}
-			g.Obs.ObserveCell(i/g.Seeds, i%g.Seeds, d, flat[i].Err)
-			if cobs != nil && fromCache != nil && fromCache[i] {
-				cobs.ObserveCachedCell(i/g.Seeds, i%g.Seeds)
-			}
-		}
-	}
-	return outs
-}
-
-// Mean aggregates one point's outcomes tolerantly: the mean over the
-// surviving seeds, the survivor count, and the first failure by seed
-// order (with its seed index) for error reporting. ok == 0 means every
-// seed failed and the point is dead.
-func Mean(outs []Outcome[float64]) (mean float64, ok int, firstErr error, firstSeed int) {
-	sum := 0.0
-	firstSeed = -1
-	for s, out := range outs {
-		if out.Err != nil {
-			if firstErr == nil {
-				firstErr, firstSeed = out.Err, s
-			}
-			continue
-		}
-		sum += out.Value
-		ok++
-	}
-	if ok == 0 {
-		return 0, 0, firstErr, firstSeed
-	}
-	return sum / float64(ok), ok, firstErr, firstSeed
-}
-
-// FirstErr returns the first failed outcome in index order, or nil.
-// Strict consumers (every cell must succeed) abort on it.
-func FirstErr[T any](outs []Outcome[T]) error {
-	for _, out := range outs {
-		if out.Err != nil {
-			return out.Err
-		}
-	}
-	return nil
-}
-
-// Values extracts the outcome values in index order. It must only be
-// called after FirstErr returned nil (failed cells carry zero values).
-func Values[T any](outs []Outcome[T]) []T {
-	vals := make([]T, len(outs))
-	for i, out := range outs {
-		vals[i] = out.Value
-	}
-	return vals
-}
-
-// Stats summarizes a run for progress and benchmark reporting.
-type Stats struct {
-	// Cells is the number of evaluated cells, OK of which succeeded.
-	Cells, OK int
-}
-
-// Count tallies a grid's outcomes.
-func Count[T any](outs [][]Outcome[T]) Stats {
-	var st Stats
-	for _, row := range outs {
-		for _, out := range row {
-			st.Cells++
-			if out.Err == nil {
-				st.OK++
-			}
-		}
-	}
-	return st
 }

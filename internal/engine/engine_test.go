@@ -25,37 +25,62 @@ func (f observerFunc) ObserveCell(point, seed int, d time.Duration, err error) {
 	f(point, seed, d, err)
 }
 
-// The pool must dispatch every index exactly once for any worker count,
-// including more workers than indices and the inline serial path.
-func TestForEachIndexDispatchesEveryIndexOnce(t *testing.T) {
+// Each must evaluate and deliver every index exactly once for any
+// worker count, including more workers than indices and the inline
+// serial path.
+func TestEachDispatchesEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		n := 37
 		counts := make([]int32, n)
-		ForEachIndex(context.Background(), workers, n, func(i int) {
+		delivered := make([]int, n)
+		err := Each(context.Background(), workers, n, func(i int) (int, error) {
 			atomic.AddInt32(&counts[i], 1)
-		})
-		for i, c := range counts {
-			if c != 1 {
-				t.Errorf("workers=%d: index %d dispatched %d times", workers, i, c)
+			return i, nil
+		}, func(i int, out Outcome[int]) { delivered[i]++ })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range counts {
+			if counts[i] != 1 || delivered[i] != 1 {
+				t.Errorf("workers=%d: index %d evaluated %d times, delivered %d times", workers, i, counts[i], delivered[i])
 			}
 		}
 	}
 	// n <= 0 must be a no-op.
-	ForEachIndex(context.Background(), 4, 0, func(i int) { t.Errorf("dispatched index %d of empty range", i) })
+	err := Each(context.Background(), 4, 0, func(i int) (int, error) {
+		t.Errorf("dispatched index %d of empty range", i)
+		return 0, nil
+	}, func(i int, out Outcome[int]) { t.Errorf("delivered index %d of empty range", i) })
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
-// Map must return outcomes in index order, identical for every worker
+// eachOutcomes collects Each's deliveries into an index-ordered slice.
+func eachOutcomes[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]Outcome[T], error) {
+	outs := make([]Outcome[T], n)
+	err := Each(ctx, workers, n, fn, func(i int, out Outcome[T]) { outs[i] = out })
+	return outs, err
+}
+
+// Each must deliver outcomes in index order, identical for every worker
 // count, with errors kept per cell.
-func TestMapDeterministicAcrossWorkers(t *testing.T) {
+func TestEachDeterministicAcrossWorkers(t *testing.T) {
 	fn := func(i int) (float64, error) {
 		if i%5 == 3 {
 			return 0, fmt.Errorf("cell %d failed", i)
 		}
 		return float64(i * i), nil
 	}
-	ref := Map(context.Background(), 1, 23, fn)
+	ref, err := eachOutcomes(context.Background(), 1, 23, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{2, 8, 32} {
-		got := Map(context.Background(), workers, 23, fn)
+		got, err := eachOutcomes(context.Background(), workers, 23, fn)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		if !reflect.DeepEqual(got, ref) {
 			t.Errorf("workers=%d: outcomes differ from serial", workers)
 		}
@@ -63,17 +88,20 @@ func TestMapDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // A panicking cell becomes an error outcome; the other cells survive.
-func TestMapGuardsPanics(t *testing.T) {
-	outs := Map(context.Background(), 4, 6, func(i int) (int, error) {
+func TestEachGuardsPanics(t *testing.T) {
+	outs, err := eachOutcomes(context.Background(), 4, 6, func(i int) (int, error) {
 		if i == 2 {
 			panic("boom")
 		}
 		return i, nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, out := range outs {
 		if i == 2 {
-			if out.Err == nil {
-				t.Fatal("panicking cell reported no error")
+			if out.Err == nil || !strings.Contains(out.Err.Error(), "panicked: boom") {
+				t.Fatalf("panicking cell reported %v", out.Err)
 			}
 			continue
 		}
@@ -83,59 +111,85 @@ func TestMapGuardsPanics(t *testing.T) {
 	}
 }
 
-// Run must shape outcomes as [point][seed] with point varying slowest,
-// and deliver OnCell hooks in grid order regardless of worker count.
+// An already-dead context dispatches no cell, yet every index still gets
+// a PhaseCanceled outcome that keeps the ctx cause, serial and pooled.
+func TestEachCanceledBeforeStart(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		outs, err := eachOutcomes(ctx, workers, 10, func(i int) (int, error) {
+			t.Errorf("workers=%d: cell %d dispatched after cancel", workers, i)
+			return 0, nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: returned %v", workers, err)
+		}
+		if len(outs) != 10 {
+			t.Fatalf("workers=%d: %d outcomes, want 10", workers, len(outs))
+		}
+		for i, out := range outs {
+			if Phase(out.Err) != PhaseCanceled {
+				t.Errorf("workers=%d: cell %d error %v, want canceled tag", workers, i, out.Err)
+			}
+			if !errors.Is(out.Err, context.Canceled) {
+				t.Errorf("workers=%d: cell %d lost the ctx cause: %v", workers, i, out.Err)
+			}
+		}
+	}
+}
+
+// A run delivers cells with point varying slowest, and observes each
+// cell just before delivering it, in grid order regardless of worker
+// count.
 func TestRunGridOrderAndHooks(t *testing.T) {
 	g := Grid{Points: 3, Seeds: 2, Workers: 8}
-	var hookOrder []string
-	g.OnCell = func(point, seed int, err error) {
-		hookOrder = append(hookOrder, fmt.Sprintf("%d/%d:%v", point, seed, err != nil))
-	}
-	outs := Run(context.Background(), g, func(point, seed int) (int, error) {
+	var events []string
+	g.Obs = observerFunc(func(point, seed int, d time.Duration, err error) {
+		events = append(events, fmt.Sprintf("obs %d/%d:%v", point, seed, err != nil))
+	})
+	err := Stream(context.Background(), g, func(point, seed int) (int, error) {
 		if point == 1 && seed == 1 {
 			return 0, errors.New("dead cell")
 		}
 		return 10*point + seed, nil
-	})
-	if len(outs) != 3 || len(outs[0]) != 2 {
-		t.Fatalf("grid shape %dx%d", len(outs), len(outs[0]))
-	}
-	for p := 0; p < 3; p++ {
-		for s := 0; s < 2; s++ {
-			if p == 1 && s == 1 {
-				if outs[p][s].Err == nil {
-					t.Error("dead cell has no error")
-				}
-				continue
+	}, func(point, seed int, out Outcome[int]) {
+		events = append(events, fmt.Sprintf("cell %d/%d", point, seed))
+		if point == 1 && seed == 1 {
+			if out.Err == nil {
+				t.Error("dead cell has no error")
 			}
-			if outs[p][s].Value != 10*p+s {
-				t.Errorf("cell %d/%d value %d", p, s, outs[p][s].Value)
-			}
+			return
 		}
+		if out.Value != 10*point+seed {
+			t.Errorf("cell %d/%d value %d", point, seed, out.Value)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := []string{"0/0:false", "0/1:false", "1/0:false", "1/1:true", "2/0:false", "2/1:false"}
-	if !reflect.DeepEqual(hookOrder, want) {
-		t.Errorf("hook order %v, want %v", hookOrder, want)
+	want := []string{
+		"obs 0/0:false", "cell 0/0", "obs 0/1:false", "cell 0/1",
+		"obs 1/0:false", "cell 1/0", "obs 1/1:true", "cell 1/1",
+		"obs 2/0:false", "cell 2/0", "obs 2/1:false", "cell 2/1",
+	}
+	if !reflect.DeepEqual(events, want) {
+		t.Errorf("event order %v, want %v", events, want)
 	}
 }
 
-// Run must deliver OnCell hooks and Obs observations with identical
+// A run must deliver Obs observations and outcomes with identical
 // content and order for every worker count — including panicking and
 // phase-tagged failing cells — because metrics registries and span
-// recorders consume the delivery stream, not the outcome slice. All
-// hooks fire before any observation, both passes in grid order.
+// recorders consume the observation stream.
 func TestRunObserverParityAcrossWorkers(t *testing.T) {
 	const points, seeds = 4, 3
 	run := func(workers int) []string {
 		var events []string
 		g := Grid{Points: points, Seeds: seeds, Workers: workers, Clock: fixedClock{}}
-		g.OnCell = func(point, seed int, err error) {
-			events = append(events, fmt.Sprintf("hook %d/%d failed=%v", point, seed, err != nil))
-		}
 		g.Obs = observerFunc(func(point, seed int, d time.Duration, err error) {
 			events = append(events, fmt.Sprintf("obs %d/%d phase=%q d=%d", point, seed, Phase(err), d))
 		})
-		Run(context.Background(), g, func(point, seed int) (int, error) {
+		err := Stream(context.Background(), g, func(point, seed int) (int, error) {
 			switch {
 			case point == 1 && seed == 0:
 				panic("boom")
@@ -145,7 +199,12 @@ func TestRunObserverParityAcrossWorkers(t *testing.T) {
 				return 0, EvaluateErr(errors.New("bad eval"))
 			}
 			return point*10 + seed, nil
+		}, func(point, seed int, out Outcome[int]) {
+			events = append(events, fmt.Sprintf("cell %d/%d failed=%v", point, seed, out.Err != nil))
 		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		return events
 	}
 
@@ -155,18 +214,21 @@ func TestRunObserverParityAcrossWorkers(t *testing.T) {
 	}
 	for i := 0; i < points*seeds; i++ {
 		p, s := i/seeds, i%seeds
-		if want := fmt.Sprintf("hook %d/%d ", p, s); !strings.HasPrefix(ref[i], want) {
-			t.Errorf("event %d = %q, want prefix %q", i, ref[i], want)
+		if want := fmt.Sprintf("obs %d/%d ", p, s); !strings.HasPrefix(ref[2*i], want) {
+			t.Errorf("event %d = %q, want prefix %q", 2*i, ref[2*i], want)
 		}
-		if want := fmt.Sprintf("obs %d/%d ", p, s); !strings.HasPrefix(ref[points*seeds+i], want) {
-			t.Errorf("event %d = %q, want prefix %q", points*seeds+i, ref[points*seeds+i], want)
+		if want := fmt.Sprintf("cell %d/%d ", p, s); !strings.HasPrefix(ref[2*i+1], want) {
+			t.Errorf("event %d = %q, want prefix %q", 2*i+1, ref[2*i+1], want)
 		}
 	}
-	if want := `obs 0/1 phase="construct instance" d=0`; ref[points*seeds+1] != want {
-		t.Errorf("construct-failed observation %q, want %q", ref[points*seeds+1], want)
+	if want := `obs 0/1 phase="construct instance" d=0`; ref[2*1] != want {
+		t.Errorf("construct-failed observation %q, want %q", ref[2*1], want)
 	}
-	if want := `obs 1/0 phase="" d=0`; ref[points*seeds+3] != want {
-		t.Errorf("panicked-cell observation %q, want %q", ref[points*seeds+3], want)
+	if want := `obs 1/0 phase="" d=0`; ref[2*3] != want {
+		t.Errorf("panicked-cell observation %q, want %q", ref[2*3], want)
+	}
+	if want := "cell 1/0 failed=true"; ref[2*3+1] != want {
+		t.Errorf("panicked-cell delivery %q, want %q", ref[2*3+1], want)
 	}
 	for _, workers := range []int{2, 8} {
 		if got := run(workers); !reflect.DeepEqual(got, ref) {
@@ -186,7 +248,9 @@ func TestRunObserverWithoutClock(t *testing.T) {
 			t.Errorf("cell %d/%d reported duration %v without a clock", point, seed, d)
 		}
 	})
-	Run(context.Background(), g, func(point, seed int) (int, error) { return 0, nil })
+	if err := Stream(context.Background(), g, func(point, seed int) (int, error) { return 0, nil }, nil); err != nil {
+		t.Fatal(err)
+	}
 	if n != 4 {
 		t.Errorf("observed %d cells, want 4", n)
 	}
@@ -211,35 +275,46 @@ func TestPhaseClassifier(t *testing.T) {
 	}
 }
 
-// An empty grid returns nil without invoking anything.
+// An empty grid evaluates, observes and delivers nothing.
 func TestRunEmptyGrid(t *testing.T) {
-	outs := Run(context.Background(), Grid{Points: 0, Seeds: 3}, func(point, seed int) (int, error) {
-		t.Error("cell invoked on empty grid")
-		return 0, nil
-	})
-	if outs != nil {
-		t.Errorf("empty grid returned %v", outs)
+	for _, g := range []Grid{{Points: 0, Seeds: 3, Workers: 4}, {Points: 3, Seeds: 0}} {
+		g.Obs = observerFunc(func(point, seed int, d time.Duration, err error) {
+			t.Errorf("%+v: cell %d/%d observed on empty grid", g, point, seed)
+		})
+		err := Stream(context.Background(), g, func(point, seed int) (int, error) {
+			t.Errorf("%+v: cell invoked on empty grid", g)
+			return 0, nil
+		}, func(point, seed int, out Outcome[int]) {
+			t.Errorf("%+v: cell %d/%d delivered on empty grid", g, point, seed)
+		})
+		if err != nil {
+			t.Errorf("%+v: %v", g, err)
+		}
 	}
 }
 
-// Mean tolerates failed seeds, reports survivor coverage, and surfaces
-// the first failure by seed order.
+// MeanAgg tolerates failed seeds, reports survivor coverage, and
+// surfaces the first failure by seed order.
 func TestMean(t *testing.T) {
-	outs := []Outcome[float64]{
+	agg := NewMeanAgg(2)
+	for s, out := range []Outcome[float64]{
 		{Value: 2},
 		{Err: errors.New("seed 1 broke")},
 		{Value: 4},
+	} {
+		agg.Cell(0, s, out)
 	}
-	mean, ok, firstErr, firstSeed := Mean(outs)
-	if mean != 3 || ok != 2 {
-		t.Errorf("mean=%v ok=%d", mean, ok)
+	mean, ok, firstErr, firstSeed := agg.Point(0)
+	if mean != 3 || ok != 2 || agg.Covered(0) != 3 {
+		t.Errorf("mean=%v ok=%d covered=%d", mean, ok, agg.Covered(0))
 	}
 	if firstErr == nil || firstSeed != 1 {
 		t.Errorf("first failure %v at seed %d", firstErr, firstSeed)
 	}
 
-	dead := []Outcome[float64]{{Err: errors.New("a")}, {Err: errors.New("b")}}
-	mean, ok, firstErr, firstSeed = Mean(dead)
+	agg.Cell(1, 0, Outcome[float64]{Err: errors.New("a")})
+	agg.Cell(1, 1, Outcome[float64]{Err: errors.New("b")})
+	mean, ok, firstErr, firstSeed = agg.Point(1)
 	if mean != 0 || ok != 0 || firstErr == nil || firstErr.Error() != "a" || firstSeed != 0 {
 		t.Errorf("dead point: mean=%v ok=%d err=%v seed=%d", mean, ok, firstErr, firstSeed)
 	}
@@ -262,85 +337,43 @@ func TestPhaseTags(t *testing.T) {
 	}
 }
 
-func TestFirstErrAndValues(t *testing.T) {
-	ok := []Outcome[int]{{Value: 1}, {Value: 2}}
-	if err := FirstErr(ok); err != nil {
-		t.Errorf("unexpected error %v", err)
-	}
-	if got := Values(ok); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Errorf("values %v", got)
-	}
-	bad := []Outcome[int]{{Value: 1}, {Err: errors.New("x")}, {Err: errors.New("y")}}
-	if err := FirstErr(bad); err == nil || err.Error() != "x" {
-		t.Errorf("first error %v", err)
-	}
-}
-
-func TestCount(t *testing.T) {
-	outs := [][]Outcome[int]{
-		{{Value: 1}, {Err: errors.New("dead")}},
-		{{Value: 2}, {Value: 3}},
-	}
-	st := Count(outs)
-	if st.Cells != 4 || st.OK != 3 {
-		t.Errorf("stats %+v", st)
-	}
-}
-
-// A context canceled before the run starts must dispatch nothing: every
-// outcome carries a PhaseCanceled tag and fn is never invoked, for both
-// the serial and the pooled path.
-func TestMapCanceledBeforeStart(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		outs := Map(ctx, workers, 10, func(i int) (int, error) {
-			t.Errorf("workers=%d: cell %d dispatched after cancel", workers, i)
-			return 0, nil
-		})
-		if len(outs) != 10 {
-			t.Fatalf("workers=%d: %d outcomes, want 10", workers, len(outs))
-		}
-		for i, out := range outs {
-			if Phase(out.Err) != PhaseCanceled {
-				t.Errorf("workers=%d: cell %d error %v, want canceled tag", workers, i, out.Err)
-			}
-			if !errors.Is(out.Err, context.Canceled) {
-				t.Errorf("workers=%d: cell %d lost the ctx cause: %v", workers, i, out.Err)
-			}
-		}
-	}
-}
-
 // Canceling mid-run stops scheduling promptly: the cells in flight at
 // cancellation finish and keep their index-order outcomes, every
 // undispatched cell carries a PhaseCanceled tag, and no cell starts
 // after the cancel. The gate makes the cut deterministic: exactly
 // `workers` cells are in flight when the context ends.
-func TestMapCancellationStopsScheduling(t *testing.T) {
+func TestEachCancellationStopsScheduling(t *testing.T) {
 	const workers, n = 3, 40
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, n)
 	release := make(chan struct{})
 	var startedTotal atomic.Int32
-	outCh := make(chan []Outcome[int], 1)
+	type result struct {
+		outs []Outcome[int]
+		err  error
+	}
+	resCh := make(chan result, 1)
 	go func() {
-		outCh <- Map(ctx, workers, n, func(i int) (int, error) {
+		outs, err := eachOutcomes(ctx, workers, n, func(i int) (int, error) {
 			startedTotal.Add(1)
 			started <- struct{}{}
 			<-release
 			return i * i, nil
 		})
+		resCh <- result{outs, err}
 	}()
 	for i := 0; i < workers; i++ {
 		<-started
 	}
 	cancel()
 	close(release)
-	outs := <-outCh
+	res := <-resCh
+	if !errors.Is(res.err, context.Canceled) {
+		t.Errorf("Each returned %v, want context.Canceled", res.err)
+	}
 
 	var done, canceled int
-	for i, out := range outs {
+	for i, out := range res.outs {
 		switch Phase(out.Err) {
 		case "":
 			done++
@@ -367,69 +400,69 @@ func TestMapCancellationStopsScheduling(t *testing.T) {
 	}
 }
 
-// A canceled Run keeps the grid shape and grid-order merge: completed
-// cells sit at their own [point][seed] coordinates with correct values,
-// canceled cells are tagged, and hooks still fire for every cell in
-// grid order.
+// A canceled run keeps grid-order delivery: completed cells arrive at
+// their own (point, seed) coordinates with correct values, canceled
+// cells are tagged, and every cell is still observed and delivered.
 func TestRunCanceledKeepsGridOrder(t *testing.T) {
 	const points, seeds = 5, 4
 	ctx, cancel := context.WithCancel(context.Background())
-	var hooks int
+	var observed int
 	g := Grid{Points: points, Seeds: seeds, Workers: 2}
-	g.OnCell = func(point, seed int, err error) { hooks++ }
-	outs := Run(ctx, g, func(point, seed int) (int, error) {
+	g.Obs = observerFunc(func(point, seed int, d time.Duration, err error) { observed++ })
+	var next, done, canceled int
+	err := Stream(ctx, g, func(point, seed int) (int, error) {
 		if point == 0 && seed == 1 {
 			cancel()
 		}
 		return 100*point + seed, nil
-	})
-	if len(outs) != points || len(outs[0]) != seeds {
-		t.Fatalf("grid shape %dx%d", len(outs), len(outs[0]))
-	}
-	var done, canceled int
-	for p := 0; p < points; p++ {
-		for s := 0; s < seeds; s++ {
-			out := outs[p][s]
-			if out.Err == nil {
-				done++
-				if out.Value != 100*p+s {
-					t.Errorf("cell %d/%d value %d, want %d", p, s, out.Value, 100*p+s)
-				}
-				continue
-			}
-			if Phase(out.Err) != PhaseCanceled {
-				t.Errorf("cell %d/%d unexpected error %v", p, s, out.Err)
-			}
-			canceled++
+	}, func(p, s int, out Outcome[int]) {
+		if idx := p*seeds + s; idx != next {
+			t.Errorf("delivery %d carried cell %d", next, idx)
 		}
+		next++
+		if out.Err == nil {
+			done++
+			if out.Value != 100*p+s {
+				t.Errorf("cell %d/%d value %d, want %d", p, s, out.Value, 100*p+s)
+			}
+			return
+		}
+		if Phase(out.Err) != PhaseCanceled {
+			t.Errorf("cell %d/%d unexpected error %v", p, s, out.Err)
+		}
+		canceled++
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("Stream returned %v, want context.Canceled", err)
 	}
 	if done == 0 || canceled == 0 {
 		t.Errorf("done=%d canceled=%d: cancel mid-run should split the grid", done, canceled)
 	}
-	if hooks != points*seeds {
-		t.Errorf("%d hooks fired, want %d: canceled cells must still be observed", hooks, points*seeds)
+	if next != points*seeds || observed != points*seeds {
+		t.Errorf("%d cells delivered, %d observed, want %d: canceled cells must still arrive", next, observed, points*seeds)
 	}
 }
 
-// ForEachIndex must drain its pool before returning even when canceled:
+// A run must drain its pool before returning even when canceled:
 // repeated canceled runs leave no goroutines behind.
-func TestForEachIndexCanceledNoGoroutineLeak(t *testing.T) {
+func TestStreamCanceledNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 25; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		err := ForEachIndex(ctx, 8, 64, func(i int) {
-			if i == 0 {
+		err := Stream(ctx, Grid{Points: 64, Seeds: 1, Workers: 8}, func(point, _ int) (int, error) {
+			if point == 0 {
 				cancel()
 			}
-		})
+			return point, nil
+		}, nil)
 		cancel()
 		if err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatalf("round %d: unexpected error %v", round, err)
 		}
 	}
-	// The pool joins via wg.Wait before ForEachIndex returns, so any
-	// surplus goroutines here are leaks, not stragglers; allow a little
-	// slack for the runtime's own background goroutines.
+	// The pool joins before Stream returns, so any surplus goroutines
+	// here are leaks, not stragglers; allow a little slack for the
+	// runtime's own background goroutines.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if runtime.NumGoroutine() <= baseline+3 {
@@ -442,20 +475,27 @@ func TestForEachIndexCanceledNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// The serial path honors cancellation between iterations.
-func TestForEachIndexSerialCancel(t *testing.T) {
+// The serial path honors cancellation between cells: the cell that
+// canceled completes, and every later cell is delivered canceled
+// without running.
+func TestStreamSerialCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var ran int
-	err := ForEachIndex(ctx, 1, 10, func(i int) {
+	var ran, canceled int
+	err := Stream(ctx, Grid{Points: 10, Seeds: 1, Workers: 1}, func(point, _ int) (int, error) {
 		ran++
-		if i == 2 {
+		if point == 2 {
 			cancel()
+		}
+		return point, nil
+	}, func(point, _ int, out Outcome[int]) {
+		if Phase(out.Err) == PhaseCanceled {
+			canceled++
 		}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if ran != 3 {
-		t.Errorf("ran %d iterations, want 3: serial path must stop at the next index", ran)
+	if ran != 3 || canceled != 7 {
+		t.Errorf("ran %d cells and canceled %d, want 3 and 7: serial path must stop at the next cell", ran, canceled)
 	}
 }

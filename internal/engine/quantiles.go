@@ -9,7 +9,7 @@ import (
 // memory with the P-squared algorithm (Jain & Chlamtac, CACM 1985):
 // five markers per requested probability, updated once per observation,
 // no sample storage — O(probabilities), never O(cells). Failed cells
-// are skipped, matching Mean's tolerant aggregation. Marker updates
+// are skipped, matching MeanAgg's tolerant aggregation. Marker updates
 // depend only on arrival order, which the engine fixes to grid order,
 // so the estimates are byte-identical for every worker count.
 //

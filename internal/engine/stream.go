@@ -2,21 +2,13 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 )
 
-// ErrOutsideShard marks a grid cell that the run's shard does not own:
-// the cell was neither evaluated nor delivered. Only the materializing
-// Run path surfaces it (its outcome slice spans the whole grid);
-// Stream/Reduce simply never deliver foreign cells.
-var ErrOutsideShard = errors.New("engine: cell outside shard")
-
 // cellOut carries one evaluated cell through the reorder buffer: the
-// outcome plus the per-cell bookkeeping (duration, cache replay) that
-// used to live in run-length slices.
+// outcome plus what its observation needs (duration, cache replay).
 type cellOut[T any] struct {
 	out    Outcome[T]
 	d      time.Duration
@@ -52,37 +44,21 @@ func (g Grid) Coverage() (lo, hi int, err error) {
 	return g.shardRange(g.Points * g.Seeds)
 }
 
-// window is the streaming path's reorder bound: evaluation may run at
-// most this many cells ahead of in-order delivery, so at most window
-// completed cells are ever buffered. Lookahead defaults to Workers,
-// giving each worker one cell in flight and one buffered.
-func (g Grid) window() int {
-	la := g.Lookahead
-	if la <= 0 {
-		la = g.Workers
-	}
-	w := g.Workers + la
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// streamCells is the execution core shared by Stream, Reduce, Map and
-// Run: it evaluates the grid's covered cells (timing and cell-cache
-// handling included) on a bounded pool and calls deliver exactly once
-// per covered cell, in grid order, on the caller's goroutine. Workers
-// may run at most window cells ahead of delivery (window <= 0 means
-// unbounded run-ahead, for materializing adapters where backpressure
-// buys nothing), so the buffered state is O(workers + window) cells
-// instead of O(cells).
+// Stream evaluates the grid's covered cells on a bounded pool and
+// delivers every outcome to deliver exactly once per covered cell, in
+// grid order, on the caller's goroutine; deliver may be nil. Each cell
+// is observed by the grid's Obs (with its duration, and its cache
+// replay when Obs is a CachedCellObserver) just before it is delivered,
+// so the observed stream is byte-identical for every worker count.
+// Workers run at most 2×Workers cells ahead of delivery, so at most
+// that many completed cells are buffered, whatever the grid's size.
 //
-// Cancellation matches the historical Map contract: once ctx is done no
-// new cell is dispatched, in-flight cells finish and are delivered with
-// their real outcomes, and every covered cell that was never dispatched
-// is delivered with a shared PhaseCanceled-tagged ctx error. The return
-// value is the shard-spec resolution error, else ctx.Err().
-func streamCells[T any](ctx context.Context, g Grid, window int, cell func(point, seed int) (T, error), deliver func(point, seed int, r cellOut[T])) error {
+// Once ctx is done no new cell is dispatched, in-flight cells finish and
+// are delivered with their real outcomes, and every covered cell that
+// was never dispatched is delivered with a shared PhaseCanceled-tagged
+// ctx error; the ctx error is returned. An invalid shard spec is
+// returned as an error before any cell runs. A nil ctx never cancels.
+func Stream[T any](ctx context.Context, g Grid, cell func(point, seed int) (T, error), deliver func(point, seed int, out Outcome[T])) error {
 	if g.Points <= 0 || g.Seeds <= 0 {
 		return nil
 	}
@@ -119,34 +95,38 @@ func streamCells[T any](ctx context.Context, g Grid, window int, cell func(point
 		}
 		return r
 	}
+	cobs, _ := g.Obs.(CachedCellObserver)
+	emit := func(i int, r cellOut[T]) {
+		p, s := i/g.Seeds, i%g.Seeds
+		if g.Obs != nil {
+			g.Obs.ObserveCell(p, s, r.d, r.out.Err)
+			if cobs != nil && r.cached {
+				cobs.ObserveCachedCell(p, s)
+			}
+		}
+		if deliver != nil {
+			deliver(p, s, r.out)
+		}
+	}
 
 	count := hi - lo
-	workers := g.Workers
-	if workers > count {
-		workers = count
-	}
+	workers := min(g.Workers, count)
 	if workers <= 1 {
 		var cerr error
 		for i := lo; i < hi; i++ {
-			p, s := i/g.Seeds, i%g.Seeds
 			if cerr == nil && ctx.Err() != nil {
 				cerr = CanceledErr(ctx.Err())
 			}
 			if cerr != nil {
-				deliver(p, s, cellOut[T]{out: Outcome[T]{Err: cerr}})
+				emit(i, cellOut[T]{out: Outcome[T]{Err: cerr}})
 				continue
 			}
-			deliver(p, s, eval(p, s))
+			emit(i, eval(i/g.Seeds, i%g.Seeds))
 		}
 		return ctx.Err()
 	}
 
-	if window <= 0 || window > count {
-		window = count
-	}
-	if window < workers {
-		window = workers
-	}
+	window := min(2*workers, count)
 	var (
 		mu       sync.Mutex
 		ready    = sync.NewCond(&mu) // delivery waits for the frontier cell or pool exit
@@ -212,7 +192,7 @@ func streamCells[T any](ctx context.Context, g Grid, window int, cell func(point
 				frontier = i + 1
 				slots.Broadcast()
 				mu.Unlock()
-				deliver(i/g.Seeds, i%g.Seeds, r)
+				emit(i, r)
 				break
 			}
 			if poolDone {
@@ -220,44 +200,13 @@ func streamCells[T any](ctx context.Context, g Grid, window int, cell func(point
 				if cerr == nil {
 					cerr = CanceledErr(ctx.Err())
 				}
-				deliver(i/g.Seeds, i%g.Seeds, cellOut[T]{out: Outcome[T]{Err: cerr}})
+				emit(i, cellOut[T]{out: Outcome[T]{Err: cerr}})
 				break
 			}
 			ready.Wait()
 		}
 	}
 	return ctx.Err()
-}
-
-// Stream evaluates the grid's covered cells and delivers every outcome
-// to deliver in grid order on the caller's goroutine, holding only
-// O(workers + lookahead) completed cells at any moment — the streaming
-// alternative to Run for aggregating consumers, and the only engine
-// path whose memory does not scale with the grid. Unlike Run (which
-// fires all OnCell hooks and then all observations after the grid
-// completes, a contract its callers pin), Stream interleaves per cell:
-// OnCell, then the Obs observation, then deliver — still strictly in
-// grid order, so the observed stream is byte-identical for every worker
-// count. A canceled ctx stops dispatch promptly; undelivered cells
-// arrive with PhaseCanceled-tagged errors and the ctx error is
-// returned. An invalid shard spec is returned as an error before any
-// cell runs.
-func Stream[T any](ctx context.Context, g Grid, cell func(point, seed int) (T, error), deliver func(point, seed int, out Outcome[T])) error {
-	cobs, _ := g.Obs.(CachedCellObserver)
-	return streamCells(ctx, g, g.window(), cell, func(p, s int, r cellOut[T]) {
-		if g.OnCell != nil {
-			g.OnCell(p, s, r.out.Err)
-		}
-		if g.Obs != nil {
-			g.Obs.ObserveCell(p, s, r.d, r.out.Err)
-			if cobs != nil && r.cached {
-				cobs.ObserveCachedCell(p, s)
-			}
-		}
-		if deliver != nil {
-			deliver(p, s, r.out)
-		}
-	})
 }
 
 // Reducer folds a stream of cell outcomes. Cells arrive in grid order
@@ -269,8 +218,8 @@ type Reducer[T any] interface {
 }
 
 // Reduce evaluates the grid and folds every covered cell through the
-// reducers, in grid order, without materializing outcomes — the
-// bounded-memory aggregation path (see Stream for delivery semantics).
+// reducers, in grid order, without holding outcomes (see Stream for
+// delivery semantics).
 func Reduce[T any](ctx context.Context, g Grid, cell func(point, seed int) (T, error), reducers ...Reducer[T]) error {
 	return Stream(ctx, g, cell, func(p, s int, out Outcome[T]) {
 		for _, r := range reducers {
@@ -279,20 +228,16 @@ func Reduce[T any](ctx context.Context, g Grid, cell func(point, seed int) (T, e
 	})
 }
 
-// Each evaluates fn over the indices 0..n-1 on a bounded pool and
-// delivers each outcome in index order through the bounded reorder
-// window — the streaming replacement for Map when the caller only folds
-// the outcomes (FirstErr-style consumers, running sums): nothing
-// proportional to n is ever held alive. Cancellation semantics match
-// Map: completed indices deliver their real outcomes, undispatched ones
-// a PhaseCanceled-tagged error; the ctx error is returned.
+// Each evaluates fn over the indices 0..n-1 on a bounded pool of
+// workers and delivers each outcome in index order, on the caller's
+// goroutine — Stream over an n x 1 grid, for callers that index cells
+// by one number. Completed indices deliver their real outcomes,
+// undispatched ones a PhaseCanceled-tagged error, and the ctx error is
+// returned.
 func Each[T any](ctx context.Context, workers, n int, fn func(i int) (T, error), deliver func(i int, out Outcome[T])) error {
-	g := Grid{Points: n, Seeds: 1, Workers: workers}
-	return streamCells(ctx, g, g.window(), func(point, _ int) (T, error) {
-		return fn(point)
-	}, func(point, _ int, r cellOut[T]) {
-		deliver(point, r.out)
-	})
+	return Stream(ctx, Grid{Points: n, Seeds: 1, Workers: workers},
+		func(point, _ int) (T, error) { return fn(point) },
+		func(point, _ int, out Outcome[T]) { deliver(point, out) })
 }
 
 // meanAcc is one grid point's running tolerant-mean state.
@@ -304,11 +249,10 @@ type meanAcc struct {
 	firstSeed int
 }
 
-// MeanAgg is the streaming counterpart of Mean: per-point tolerant
-// means folded cell by cell in O(points) memory. Because cells arrive
-// in grid order, the per-point sum accumulates in seed order — the
-// exact float operations Mean performs on a materialized slice — so the
-// two agree bit for bit.
+// MeanAgg folds per-point tolerant means cell by cell in O(points)
+// memory. Because cells arrive in grid order, each point's sum
+// accumulates in seed order, so the mean is bit-identical to a plain
+// seed-order loop over the point's values, for every worker count.
 type MeanAgg struct {
 	acc []meanAcc
 }
@@ -337,9 +281,10 @@ func (a *MeanAgg) Cell(point, seed int, out Outcome[float64]) {
 	p.ok++
 }
 
-// Point reports one point's aggregate with the Mean contract: the mean
-// over surviving seeds, the survivor count, and the first failure by
-// seed order. ok == 0 means every delivered seed failed.
+// Point reports one point's aggregate: the mean over surviving seeds,
+// the survivor count, and the first failure by seed order (with its
+// seed index, -1 when none failed). ok == 0 means every delivered seed
+// failed.
 func (a *MeanAgg) Point(point int) (mean float64, ok int, firstErr error, firstSeed int) {
 	p := a.acc[point]
 	if p.ok == 0 {
@@ -353,9 +298,9 @@ func (a *MeanAgg) Point(point int) (mean float64, ok int, firstErr error, firstS
 // shard.
 func (a *MeanAgg) Covered(point int) int { return a.acc[point].covered }
 
-// FirstErrAgg is the streaming counterpart of FirstErr: it captures the
-// first failed outcome in grid order and nothing else, so error-only
-// consumers hold O(1) state instead of every cell result.
+// FirstErrAgg captures the first failed outcome in grid order and
+// nothing else, so strict consumers (every cell must succeed) hold O(1)
+// error state.
 type FirstErrAgg[T any] struct {
 	// Err is the first failure in grid order, nil while none arrived.
 	Err error
@@ -369,42 +314,4 @@ func (a *FirstErrAgg[T]) Cell(point, seed int, out Outcome[T]) {
 	if out.Err != nil && a.Err == nil {
 		a.Err, a.Point, a.Seed = out.Err, point, seed
 	}
-}
-
-// CountAgg is the streaming counterpart of Count: a running Stats tally
-// in O(1) memory.
-type CountAgg[T any] struct {
-	Stats Stats
-}
-
-// Cell implements Reducer[T].
-func (a *CountAgg[T]) Cell(_, _ int, out Outcome[T]) {
-	a.Stats.Cells++
-	if out.Err == nil {
-		a.Stats.OK++
-	}
-}
-
-// ValuesAgg is the compatibility aggregator for consumers that truly
-// need every outcome: it materializes the grid, deliberately O(cells),
-// for callers migrating from Run one step at a time.
-type ValuesAgg[T any] struct {
-	// Outs is the materialized grid, indexed [point][seed].
-	Outs [][]Outcome[T]
-}
-
-// NewValuesAgg prepares the materializing aggregator for a points x
-// seeds grid.
-func NewValuesAgg[T any](points, seeds int) *ValuesAgg[T] {
-	outs := make([][]Outcome[T], points)
-	flat := make([]Outcome[T], points*seeds)
-	for p := range outs {
-		outs[p] = flat[p*seeds : (p+1)*seeds]
-	}
-	return &ValuesAgg[T]{Outs: outs}
-}
-
-// Cell implements Reducer[T].
-func (a *ValuesAgg[T]) Cell(point, seed int, out Outcome[T]) {
-	a.Outs[point][seed] = out
 }

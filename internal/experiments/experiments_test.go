@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,28 @@ func TestAllExperimentsQuick(t *testing.T) {
 			}
 			if res.Description == "" {
 				t.Errorf("%s has no description", e.ID)
+			}
+		})
+	}
+}
+
+// A pre-canceled context must fail every experiment that runs a grid
+// with an error wrapping context.Canceled, never a report rendered from
+// cells that did not run. F2 and E11 run no grid.
+func TestExperimentsFailWhenCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	noGrid := map[string]bool{"F2": true, "E11": true}
+	for _, e := range All() {
+		if noGrid[e.ID] {
+			continue
+		}
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			o := quick()
+			o.Ctx = ctx
+			if _, err := e.Run(o); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s under a canceled context returned %v, want context.Canceled", e.ID, err)
 			}
 		})
 	}

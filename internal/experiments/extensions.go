@@ -106,9 +106,7 @@ func BSOutage(o Options) (*Result, error) {
 	}
 	series := &measure.Series{Name: "lambda(schemeB)"}
 	outages := []float64{0, 0.25, 0.5, 0.75, 0.9}
-	g := engine.Grid{Points: len(outages), Seeds: o.seeds(), Workers: o.workers()}
-	finish := observeGrid(o, "grid E12 outages", &g, nil)
-	outs := engine.Run(o.ctx(), g,
+	means, err := gridMeans(o, "grid E12 outages", len(outages), nil,
 		func(point, seed int) (float64, error) {
 			nw, tr, err := instance(p, uint64(50+seed), network.Grid)
 			if err != nil {
@@ -123,13 +121,12 @@ func BSOutage(o Options) (*Result, error) {
 			}
 			return ev.Lambda, nil
 		})
-	finish()
+	if err != nil {
+		return nil, err
+	}
 	var baseline float64
 	for i, outage := range outages {
-		if err := engine.FirstErr(outs[i]); err != nil {
-			return nil, err
-		}
-		mean, _, _, _ := engine.Mean(outs[i])
+		mean := means[i]
 		if outage == 0 {
 			baseline = mean
 		}
@@ -171,7 +168,7 @@ func KernelInvariance(o Options) (*Result, error) {
 		mobility.TruncGauss{Sigma: 0.4, D: 1},
 		mobility.PowerLaw{D0: 0.3, Beta: 2, D: 1},
 	}
-	outs := engine.Map(o.ctx(), o.workers(), len(kernels), func(i int) (*routing.Evaluation, error) {
+	evs, err := collect(o, len(kernels), func(i int) (*routing.Evaluation, error) {
 		nw, err := network.New(network.Config{Params: p, Seed: 71, Kernel: kernels[i]})
 		if err != nil {
 			return nil, engine.ConstructErr(err)
@@ -186,13 +183,13 @@ func KernelInvariance(o Options) (*Result, error) {
 		}
 		return ev, nil
 	})
-	if err := engine.FirstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	series := &measure.Series{Name: "lambda(schemeA)"}
 	var min, max float64
 	for i, k := range kernels {
-		ev := outs[i].Value
+		ev := evs[i]
 		series.Add(float64(i+1), ev.Lambda)
 		if i == 0 || ev.Lambda < min {
 			min = ev.Lambda

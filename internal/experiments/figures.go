@@ -47,7 +47,7 @@ func Figure1(o Options) (*Result, error) {
 		field []float64
 		rep   linkcap.UniformityReport
 	}
-	outs := engine.Map(o.ctx(), o.workers(), len(cases), func(i int) (densityCell, error) {
+	cells, err := collect(o, len(cases), func(i int) (densityCell, error) {
 		nw, _, err := instance(cases[i].p, 11, network.Matched)
 		if err != nil {
 			return densityCell{}, engine.ConstructErr(err)
@@ -60,13 +60,13 @@ func Figure1(o Options) (*Result, error) {
 		}
 		return densityCell{field: field, rep: rep}, nil
 	})
-	if err := engine.FirstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	var renders []string
 	g := geom.NewGridCells(gridSide)
 	for i, c := range cases {
-		cell := outs[i].Value
+		cell := cells[i]
 		regime, _ := capacity.Classify(c.p)
 		res.Rows = append(res.Rows, fmt.Sprintf("%-48s regime=%-8s rho range [%.3g, %.3g] ratio %.3g",
 			c.title, regime, cell.rep.Min, cell.rep.Max, cell.rep.Ratio))
@@ -169,7 +169,7 @@ func figure3(id, title string, phi float64, o Options) (*Result, error) {
 	field := make([]float64, cols*rows)
 	boundary := &measure.Series{Name: "dominance boundary K(alpha)"}
 	// Analytic, but still a grid: each heatmap row is one engine cell.
-	rowOuts := engine.Map(o.ctx(), o.workers(), rows, func(r int) ([]float64, error) {
+	rowVals, err := collect(o, rows, func(r int) ([]float64, error) {
 		kexp := float64(r) / float64(rows-1)
 		vals := make([]float64, cols)
 		for c := 0; c < cols; c++ {
@@ -180,8 +180,11 @@ func figure3(id, title string, phi float64, o Options) (*Result, error) {
 		}
 		return vals, nil
 	})
-	for r, out := range rowOuts {
-		copy(field[r*cols:(r+1)*cols], out.Value)
+	if err != nil {
+		return nil, err
+	}
+	for r, vals := range rowVals {
+		copy(field[r*cols:(r+1)*cols], vals)
 	}
 	// Dominance boundary: mobility term -alpha equals infra term
 	// K - 1 + min(phi, 0)  =>  K = 1 - alpha - min(phi, 0).

@@ -14,9 +14,9 @@ import (
 // publishes cell counters and timing into the run's metrics registry,
 // records one completed child span per cell under the sweep's phase
 // span, and accumulates the phase tally for the run manifest. The
-// engine delivers observations in grid order after the grid completes,
-// so everything the sink writes is deterministic for every worker
-// count.
+// engine delivers observations per cell, in grid order, on the caller's
+// goroutine, so everything the sink writes is deterministic for every
+// worker count.
 type cellSink struct {
 	rt    *obs.Runtime
 	span  *obs.Span
@@ -108,8 +108,9 @@ func (s *cellSink) finish() {
 // the timing histogram, one recorded child span per cell, and the
 // manifest tally. sizes maps point indices to network sizes for cell
 // labels; nil falls back to point indices. The returned finish func
-// pushes the tally and closes the phase span: call it after engine.Run
-// returns. Unobserved runs get a no-op.
+// pushes the tally and closes the phase span: call it once the grid's
+// engine.Stream (or Reduce, Each) has returned. Unobserved runs get a
+// no-op.
 func observeGrid(o Options, phase string, g *engine.Grid, sizes []int) func() {
 	if o.Obs == nil {
 		return func() {}

@@ -33,8 +33,8 @@ func renderObserved(t *testing.T, sc *scenario.Scenario, workers int) (*Result, 
 
 // The observed outputs — metrics dump and span tree — must be
 // byte-identical for Workers=1 and Workers=8 under a frozen clock: cell
-// observations are delivered in grid order after the grid completes, so
-// scheduling cannot leak into what the run publishes.
+// observations arrive per cell, in grid order, on the caller's
+// goroutine, so scheduling cannot leak into what the run publishes.
 func TestScenarioObsDeterministicAcrossWorkers(t *testing.T) {
 	sc, err := scenario.Load("../../examples/scenarios/strong-mobility.json")
 	if err != nil {
@@ -63,22 +63,34 @@ func TestScenarioObsDeterministicAcrossWorkers(t *testing.T) {
 // Non-sweep grid experiments publish through the same sink: the
 // registry wraps every runner in an "experiment <id>" span and the grid
 // helpers open phase spans, so figures/tables traces follow
-// run -> experiment -> phase -> cell even off the scenario path.
+// run -> experiment -> phase -> cell even off the scenario path. Like
+// the scenario path, the published metrics and trace are byte-identical
+// for Workers=1 and Workers=8 under a frozen clock.
 func TestExperimentObsHierarchy(t *testing.T) {
-	rt := obs.NewRuntimeWith(obs.NewFrozenClock(obs.Epoch), obs.NewRegistry())
 	run, err := Lookup("E5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run(Options{Quick: true, Seeds: 2, Workers: 2, Obs: rt}); err != nil {
-		t.Fatal(err)
+	render := func(workers int) (metrics, trace string) {
+		rt := obs.NewRuntimeWith(obs.NewFrozenClock(obs.Epoch), obs.NewRegistry())
+		if _, err := run(Options{Quick: true, Seeds: 2, Workers: workers, Obs: rt}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		rt.Root.End()
+		var buf bytes.Buffer
+		if err := rt.Root.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return rt.Metrics.Text(), buf.String()
 	}
-	rt.Root.End()
-	var buf bytes.Buffer
-	if err := rt.Root.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	m1, trace := render(1)
+	m8, t8 := render(8)
+	if m1 != m8 {
+		t.Errorf("metrics dumps differ between worker counts:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", m1, m8)
 	}
-	trace := buf.String()
+	if trace != t8 {
+		t.Errorf("traces differ between worker counts:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", trace, t8)
+	}
 	for _, want := range []string{
 		"experiment E5", "grid E5 placements", "cell p=2 seed=1",
 	} {
@@ -86,8 +98,8 @@ func TestExperimentObsHierarchy(t *testing.T) {
 			t.Errorf("trace missing %q:\n%s", want, trace)
 		}
 	}
-	if got := rt.Metrics.Text(); !strings.Contains(got, "engine_cells_total 6") {
-		t.Errorf("metrics missing the 3 placements x 2 seeds cell count:\n%s", got)
+	if !strings.Contains(m1, "engine_cells_total 6") {
+		t.Errorf("metrics missing the 3 placements x 2 seeds cell count:\n%s", m1)
 	}
 }
 

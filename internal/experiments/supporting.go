@@ -56,7 +56,7 @@ func UniformDensity(o Options) (*Result, error) {
 			return nil, fmt.Errorf("experiments: E1 point %v: %w", p, err)
 		}
 	}
-	outs := engine.Map(o.ctx(), o.workers(), len(points), func(i int) (linkcap.UniformityReport, error) {
+	reps, err := collect(o, len(points), func(i int) (linkcap.UniformityReport, error) {
 		nw, _, err := instance(points[i], 21, network.Matched)
 		if err != nil {
 			return linkcap.UniformityReport{}, engine.ConstructErr(err)
@@ -67,11 +67,11 @@ func UniformDensity(o Options) (*Result, error) {
 		}
 		return rep, nil
 	})
-	if err := engine.FirstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, p := range points {
-		rep := outs[i].Value
+		rep := reps[i]
 		// An exactly-zero minimum density (regions out of reach of every
 		// home-point) is the extreme of non-uniformity; cap the ratio so
 		// it stays plottable.
@@ -112,7 +112,7 @@ func OptimalRT(o Options) (*Result, error) {
 	series := &measure.Series{Name: "scheduled pairs per slot"}
 	critical := 1 / math.Sqrt(float64(n))
 	mults := []float64{0.05, 0.1, 0.2, 0.3, 0.5, 1, 2, 4, 8}
-	outs := engine.Map(o.ctx(), o.workers(), len(mults), func(i int) (*sim.ContactReport, error) {
+	reps, err := collect(o, len(mults), func(i int) (*sim.ContactReport, error) {
 		nw, _, err := instance(p, 22, 0)
 		if err != nil {
 			return nil, engine.ConstructErr(err)
@@ -123,11 +123,11 @@ func OptimalRT(o Options) (*Result, error) {
 		}
 		return rep, nil
 	})
-	if err := engine.FirstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, mult := range mults {
-		rep := outs[i].Value
+		rep := reps[i]
 		series.Add(mult, rep.PairsPerSlot)
 		res.Rows = append(res.Rows, fmt.Sprintf("rt=%.3f/sqrt(n) pairs/slot=%8.2f scheduledFrac=%.4f",
 			mult, rep.PairsPerSlot, rep.ScheduledFrac))
@@ -174,7 +174,7 @@ func NoBSCapacity(o Options) (*Result, error) {
 		return nil, err
 	}
 	bound := &measure.Series{Name: "cutBound"}
-	outs := engine.Map(o.ctx(), o.workers(), len(sizes), func(i int) (float64, error) {
+	cuts, err := collect(o, len(sizes), func(i int) (float64, error) {
 		p := base.WithN(sizes[i])
 		nw, tr, err := instance(p, 23, network.Grid)
 		if err != nil {
@@ -182,11 +182,11 @@ func NoBSCapacity(o Options) (*Result, error) {
 		}
 		return EvaluateHalfTorusCut(nw, tr)
 	})
-	if err := engine.FirstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, n := range sizes {
-		bound.Add(float64(n), outs[i].Value)
+		bound.Add(float64(n), cuts[i])
 	}
 	res.Series = append(res.Series, lam, bound)
 	fit, err := lam.Fit()
@@ -225,7 +225,7 @@ func DominanceCrossover(o Options) (*Result, error) {
 	measured := &measure.Series{Name: "measured lambda"}
 	theory := &measure.Series{Name: "theory exponent eval"}
 	kexps := []float64{0.3, 0.45, 0.6, 0.7, 0.8, 0.9, 1.0}
-	outs := engine.Map(o.ctx(), o.workers(), len(kexps), func(i int) (float64, error) {
+	lambdas, err := collect(o, len(kexps), func(i int) (float64, error) {
 		p := scaling.Params{N: n, Alpha: alpha, K: kexps[i], Phi: 1, M: 1, R: 0}
 		nw, tr, err := instance(p, 24, network.Grid)
 		if err != nil {
@@ -238,12 +238,12 @@ func DominanceCrossover(o Options) (*Result, error) {
 		}
 		return v, nil
 	})
-	if err := engine.FirstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, kexp := range kexps {
 		p := scaling.Params{N: n, Alpha: alpha, K: kexp, Phi: 1, M: 1, R: 0}
-		v := outs[i].Value
+		v := lambdas[i]
 		measured.Add(kexp, v)
 		theory.Add(kexp, capacity.PerNodeCapacity(p).Eval(float64(n)))
 		res.Rows = append(res.Rows, fmt.Sprintf("K=%.2f lambda=%.5g dominance=%v",
@@ -280,9 +280,7 @@ func PlacementInvariance(o Options) (*Result, error) {
 	series := &measure.Series{Name: "lambda"}
 	vals := map[network.BSPlacement]float64{}
 	placements := []network.BSPlacement{network.Matched, network.Uniform, network.Grid}
-	g := engine.Grid{Points: len(placements), Seeds: o.seeds(), Workers: o.workers()}
-	finish := observeGrid(o, "grid E5 placements", &g, nil)
-	outs := engine.Run(o.ctx(), g,
+	means, err := gridMeans(o, "grid E5 placements", len(placements), nil,
 		func(point, seed int) (float64, error) {
 			nw, tr, err := instance(p, uint64(100*seed+25), placements[point])
 			if err != nil {
@@ -294,12 +292,11 @@ func PlacementInvariance(o Options) (*Result, error) {
 			}
 			return ev.Lambda, nil
 		})
-	finish()
+	if err != nil {
+		return nil, err
+	}
 	for i, placement := range placements {
-		if err := engine.FirstErr(outs[i]); err != nil {
-			return nil, err
-		}
-		mean, _, _, _ := engine.Mean(outs[i])
+		mean := means[i]
 		vals[placement] = mean
 		series.Add(float64(i+1), mean)
 		res.Rows = append(res.Rows, fmt.Sprintf("%-8s lambda=%.5g", placement, mean))
@@ -331,10 +328,7 @@ func ClusterIsolation(o Options) (*Result, error) {
 	}
 	series := &measure.Series{Name: "fraction of clusters with close neighbor"}
 	const delta = 1.0
-	seeds := o.seeds()
-	g := engine.Grid{Points: len(sizes), Seeds: seeds, Workers: o.workers()}
-	finish := observeGrid(o, "grid E6 isolation", &g, sizes)
-	outs := engine.Run(o.ctx(), g,
+	fracs, err := gridMeans(o, "grid E6 isolation", len(sizes), sizes,
 		func(point, seed int) (float64, error) {
 			p := base.WithN(sizes[point])
 			nw, _, err := instance(p, uint64(31+seed), network.Matched)
@@ -354,12 +348,11 @@ func ClusterIsolation(o Options) (*Result, error) {
 			}
 			return float64(tooClose) / float64(len(centers)), nil
 		})
-	finish()
+	if err != nil {
+		return nil, err
+	}
 	for i, n := range sizes {
-		if err := engine.FirstErr(outs[i]); err != nil {
-			return nil, err
-		}
-		frac, _, _, _ := engine.Mean(outs[i])
+		frac := fracs[i]
 		p := base.WithN(n)
 		series.Add(float64(n), frac)
 		res.Rows = append(res.Rows, fmt.Sprintf("n=%6d m=%4d r=%.4f close-fraction=%.4f",
@@ -398,7 +391,7 @@ func TrivialMobilityPersistence(o Options) (*Result, error) {
 		}
 		points = append(points, p)
 	}
-	outs := engine.Map(o.ctx(), o.workers(), len(points), func(i int) (float64, error) {
+	persistence, err := collect(o, len(points), func(i int) (float64, error) {
 		p := points[i]
 		nw, _, err := instance(p, 26, network.Matched)
 		if err != nil {
@@ -412,11 +405,11 @@ func TrivialMobilityPersistence(o Options) (*Result, error) {
 		}
 		return pers, nil
 	})
-	if err := engine.FirstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, p := range points {
-		pers := outs[i].Value
+		pers := persistence[i]
 		regime, _ := capacity.Classify(p)
 		series.Add(p.SubnetMobilityIndex(), pers)
 		res.Rows = append(res.Rows, fmt.Sprintf("alpha=%.2f subnetIndex=%9.3g persistence=%.3f regime=%v",
@@ -486,7 +479,7 @@ func OptimalPhi(o Options) (*Result, error) {
 	}
 	series := &measure.Series{Name: "lambda(schemeB)"}
 	phis := []float64{-1, -0.75, -0.5, -0.25, 0, 0.25, 0.5, 1}
-	outs := engine.Map(o.ctx(), o.workers(), len(phis), func(i int) (*routing.Evaluation, error) {
+	evs, err := collect(o, len(phis), func(i int) (*routing.Evaluation, error) {
 		p := scaling.Params{N: n, Alpha: 0.25, K: 0.6, Phi: phis[i], M: 1, R: 0}
 		nw, tr, err := instance(p, 27, network.Grid)
 		if err != nil {
@@ -498,12 +491,12 @@ func OptimalPhi(o Options) (*Result, error) {
 		}
 		return ev, nil
 	})
-	if err := engine.FirstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, phi := range phis {
 		p := scaling.Params{N: n, Alpha: 0.25, K: 0.6, Phi: phi, M: 1, R: 0}
-		ev := outs[i].Value
+		ev := evs[i]
 		series.Add(phi, ev.Lambda)
 		res.Rows = append(res.Rows, fmt.Sprintf("phi=%+5.2f lambda=%.5g bottleneck=%-8s theory-bottleneck=%s",
 			phi, ev.Lambda, ev.Bottleneck, capacity.BackboneBottleneck(p)))
@@ -536,7 +529,7 @@ func AccessRate(o Options) (*Result, error) {
 		mean  float64
 		numBS int
 	}
-	outs := engine.Map(o.ctx(), o.workers(), len(kexps), func(i int) (accessCell, error) {
+	cells, err := collect(o, len(kexps), func(i int) (accessCell, error) {
 		p := scaling.Params{N: n, Alpha: 0.25, K: kexps[i], Phi: 0, M: 1, R: 0}
 		nw, _, err := instance(p, 28, network.Uniform)
 		if err != nil {
@@ -553,11 +546,11 @@ func AccessRate(o Options) (*Result, error) {
 		}
 		return accessCell{mean: sum / probes, numBS: nw.NumBS()}, nil
 	})
-	if err := engine.FirstErr(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	for i, kexp := range kexps {
-		c := outs[i].Value
+		c := cells[i]
 		kn := float64(c.numBS) / float64(n)
 		ratio.Add(kexp, c.mean/kn)
 		res.Rows = append(res.Rows, fmt.Sprintf("K=%.2f k=%5d muA=%.5g k/n=%.5g ratio=%.3f",

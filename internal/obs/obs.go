@@ -15,8 +15,8 @@
 //     the totals (integer addition is commutative exactly);
 //   - histograms accumulate a float sum and therefore must be fed from
 //     deterministic call sites — the engine delivers cell observations
-//     in grid order after the grid completes, which is why histogram
-//     values are identical for every worker count;
+//     per cell, in grid order, on the caller's goroutine, which is why
+//     histogram values are identical for every worker count;
 //   - spans form a tree built serially (experiment phases) plus
 //     grid-ordered recorded children (cells), so the rendered trace is
 //     deterministic under a FrozenClock.

@@ -12,7 +12,7 @@ import (
 // -> cell. A span starts when created and ends when End is called;
 // children are appended in call order, which is deterministic because
 // phases open spans serially and the engine records cell spans in grid
-// order after the grid completes. Under a FrozenClock every timestamp
+// order on the caller's goroutine. Under a FrozenClock every timestamp
 // is the frozen instant and every duration is zero, so the rendered
 // tree is byte-identical across runs and worker counts.
 type Span struct {

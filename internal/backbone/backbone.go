@@ -1,15 +1,18 @@
 // Package backbone models the wired infrastructure of Section II.B: all
 // k base stations are connected pairwise with bandwidth c(n) and wired
-// transmissions cause no wireless interference. The package tracks
-// per-edge load induced by a routing scheme (phase II of scheme B) and
-// reports the largest sustainable rate before some edge overloads —
-// the feasibility condition used in the proofs of Theorems 5 and 7.
+// transmissions cause no wireless interference. The package answers
+// two kinds of question. GroupLink summarises the usable edges between
+// two disjoint BS groups (their count and the weakest surviving
+// capacity), from which scheme B's phase II derives the largest rate
+// its evenly spread group flows sustain — the feasibility condition
+// used in the proofs of Theorems 5 and 7. AddLoad tracks explicit
+// per-edge loads (scheme C's direct and relayed wired hops) and
+// SustainableScale reports the largest rate before some edge overloads.
 //
 // A backbone may additionally carry a fault plan: failed edges (or
-// edges incident to a dead BS) have zero capacity and reject load,
-// surviving edges may be derated, and group flows spread only over the
-// surviving edges — degrading toward ErrNoRoute when two groups lose
-// their last usable edge.
+// edges incident to a dead BS) have zero capacity and reject load, and
+// surviving edges may be derated. Two groups that lose their last
+// usable edge have no wired route (GroupLink reports zero edges).
 package backbone
 
 import (
@@ -20,18 +23,21 @@ import (
 	"hybridcap/internal/faults"
 )
 
-// ErrNoRoute is reported when no usable wired edge connects two BS
-// groups; callers degrade the affected traffic to wireless transport
-// instead of treating the whole evaluation as failed.
-var ErrNoRoute = errors.New("backbone: no usable edges between groups")
+// ErrNoRoute is reported when load is put on a wired edge the fault
+// plan took down: routing must steer such traffic around the dead
+// infrastructure (or degrade it to wireless transport) instead.
+var ErrNoRoute = errors.New("backbone: no usable wired route")
 
 // Backbone is a complete wired graph over k BSs with uniform edge
 // capacity C, accumulating symmetric per-edge loads. Fault plans turn
 // it into a partial graph with per-edge capacity factors.
 type Backbone struct {
-	k    int
-	c    float64
-	load []float64 // upper-triangular packed: edge (i,j), i<j
+	k int
+	c float64
+	// load is upper-triangular packed, edge (i,j) with i<j; nil until
+	// the first AddLoad, so a backbone that only answers GroupLink
+	// queries never holds the k(k-1)/2 array.
+	load []float64
 	// factor holds per-edge capacity multipliers (0 = edge down); nil
 	// means every edge is healthy at factor 1.
 	factor []float64
@@ -45,8 +51,11 @@ func New(k int, c float64) (*Backbone, error) {
 	if c <= 0 || math.IsNaN(c) {
 		return nil, fmt.Errorf("backbone: edge capacity must be positive, got %g", c)
 	}
-	return &Backbone{k: k, c: c, load: make([]float64, k*(k-1)/2)}, nil
+	return &Backbone{k: k, c: c}, nil
 }
+
+// numEdges returns the number of edges of the complete graph.
+func (b *Backbone) numEdges() int { return b.k * (b.k - 1) / 2 }
 
 // K returns the number of base stations.
 func (b *Backbone) K() int { return b.k }
@@ -67,7 +76,7 @@ func (b *Backbone) ApplyFaults(plan *faults.Plan, alive []bool) error {
 		b.factor = nil
 		return nil
 	}
-	b.factor = make([]float64, len(b.load))
+	b.factor = make([]float64, b.numEdges())
 	for i := 0; i < b.k; i++ {
 		for j := i + 1; j < b.k; j++ {
 			if alive != nil && (!alive[i] || !alive[j]) {
@@ -119,7 +128,7 @@ func (b *Backbone) EdgeCapacityOf(i, j int) float64 {
 // LiveEdges returns the number of edges with positive capacity.
 func (b *Backbone) LiveEdges() int {
 	if b.factor == nil {
-		return len(b.load)
+		return b.numEdges()
 	}
 	live := 0
 	for _, f := range b.factor {
@@ -146,101 +155,46 @@ func (b *Backbone) AddLoad(i, j int, rate float64) error {
 	if b.factorAt(e) <= 0 {
 		return fmt.Errorf("backbone: edge (%d,%d) is down: %w", i, j, ErrNoRoute)
 	}
+	if b.load == nil {
+		b.load = make([]float64, b.numEdges())
+	}
 	b.load[e] += rate
 	return nil
 }
 
-// HasRoute reports whether at least one usable wired edge connects the
-// two BS groups.
-func (b *Backbone) HasRoute(groupA, groupB []int) bool {
+// GroupLink summarises the wired link between two disjoint BS groups,
+// over which scheme B's phase II spreads squarelet traffic: the number
+// of usable edges between them and the smallest surviving capacity
+// among those edges (c times the lowest fault factor; 0 when no edge is
+// usable). A flow spread uniformly over the group pair puts the same
+// load on each of these edges, so the weakest one bounds it. Without a
+// fault state all |A|*|B| edges are usable at capacity c and the answer
+// is O(1) — which is why the groups must be disjoint; under faults the
+// pair matrix is scanned once, skipping failed and self edges.
+func (b *Backbone) GroupLink(groupA, groupB []int) (edges int, minCap float64) {
+	if b.factor == nil {
+		edges = len(groupA) * len(groupB)
+		if edges == 0 {
+			return 0, 0
+		}
+		return edges, b.c
+	}
+	minF := math.Inf(1)
 	for _, i := range groupA {
 		for _, j := range groupB {
-			if b.EdgeUsable(i, j) {
-				return true
+			if !b.EdgeUsable(i, j) {
+				continue
+			}
+			edges++
+			if f := b.factor[b.idx(i, j)]; f < minF {
+				minF = f
 			}
 		}
 	}
-	return false
-}
-
-// AddGroupFlow spreads a total rate uniformly over the usable edges
-// between two disjoint BS groups, the way scheme B's phase II shares
-// squarelet traffic across BS pairs. Overlapping members and failed
-// edges are skipped; if no usable edge remains, ErrNoRoute is returned
-// (wrapped) and no load is added.
-func (b *Backbone) AddGroupFlow(groupA, groupB []int, rate float64) error {
-	if rate < 0 {
-		return fmt.Errorf("backbone: negative rate %g", rate)
+	if edges == 0 {
+		return 0, 0
 	}
-	pairs := 0
-	for _, i := range groupA {
-		for _, j := range groupB {
-			if b.EdgeUsable(i, j) {
-				pairs++
-			}
-		}
-	}
-	if pairs == 0 {
-		return fmt.Errorf("backbone: groups (sizes %d, %d): %w", len(groupA), len(groupB), ErrNoRoute)
-	}
-	per := rate / float64(pairs)
-	for _, i := range groupA {
-		for _, j := range groupB {
-			if b.EdgeUsable(i, j) {
-				if err := b.AddLoad(i, j, per); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// GroupFlow is a compiled AddGroupFlow: the usable edges between two
-// disjoint BS groups resolved once, so repeated flows between the same
-// groups replay a flat edge list instead of rescanning the |A|x|B|
-// pair matrix per flow. It is compiled against the current fault
-// state; recompile after ApplyFaults.
-type GroupFlow struct {
-	b          *Backbone
-	edges      []int
-	lenA, lenB int
-}
-
-// CompileGroupFlow resolves the usable edges between two disjoint
-// groups, in the same scan order AddGroupFlow loads them.
-func (b *Backbone) CompileGroupFlow(groupA, groupB []int) *GroupFlow {
-	f := &GroupFlow{b: b, lenA: len(groupA), lenB: len(groupB)}
-	for _, i := range groupA {
-		for _, j := range groupB {
-			if b.EdgeUsable(i, j) {
-				f.edges = append(f.edges, b.idx(i, j))
-			}
-		}
-	}
-	return f
-}
-
-// Routable reports whether at least one usable edge connects the
-// groups — the compiled HasRoute.
-func (f *GroupFlow) Routable() bool { return len(f.edges) > 0 }
-
-// Add spreads rate uniformly over the compiled edges, exactly as
-// AddGroupFlow would on the same groups: the same per-edge share added
-// to the same edges in the same order, so accumulated loads are
-// bit-identical.
-func (f *GroupFlow) Add(rate float64) error {
-	if rate < 0 {
-		return fmt.Errorf("backbone: negative rate %g", rate)
-	}
-	if len(f.edges) == 0 {
-		return fmt.Errorf("backbone: groups (sizes %d, %d): %w", f.lenA, f.lenB, ErrNoRoute)
-	}
-	per := rate / float64(len(f.edges))
-	for _, e := range f.edges {
-		f.b.load[e] += per
-	}
-	return nil
+	return edges, b.c * minF
 }
 
 // MaxLoad returns the largest per-edge load.

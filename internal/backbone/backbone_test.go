@@ -72,13 +72,31 @@ func TestEdgePackingDistinct(t *testing.T) {
 	}
 }
 
-func TestAddGroupFlowConserved(t *testing.T) {
+// loadGroupLink spreads rate uniformly over the usable edges between
+// two groups with AddLoad, the per-edge form of a phase II group flow.
+func loadGroupLink(t *testing.T, b *Backbone, groupA, groupB []int, rate float64) {
+	t.Helper()
+	edges, _ := b.GroupLink(groupA, groupB)
+	for _, i := range groupA {
+		for _, j := range groupB {
+			if b.EdgeUsable(i, j) {
+				if err := b.AddLoad(i, j, rate/float64(edges)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+func TestGroupLinkConserved(t *testing.T) {
 	b, _ := New(10, 1)
 	a := []int{0, 1, 2}
 	g := []int{5, 6}
-	if err := b.AddGroupFlow(a, g, 3.0); err != nil {
-		t.Fatal(err)
+	edges, minCap := b.GroupLink(a, g)
+	if edges != 6 || minCap != 1 {
+		t.Fatalf("GroupLink = (%d, %v), want (6, 1)", edges, minCap)
 	}
+	loadGroupLink(t, b, a, g, 3.0)
 	if got := b.TotalLoad(); math.Abs(got-3.0) > 1e-12 {
 		t.Errorf("TotalLoad = %v, want 3", got)
 	}
@@ -86,26 +104,60 @@ func TestAddGroupFlowConserved(t *testing.T) {
 	if got := b.MaxLoad(); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("MaxLoad = %v, want 0.5", got)
 	}
+	// The summary's weakest edge over its per-edge share is the
+	// per-edge SustainableScale.
+	if got, want := b.SustainableScale(), minCap/(3.0/float64(edges)); got != want {
+		t.Errorf("SustainableScale = %v, want %v", got, want)
+	}
 }
 
-func TestAddGroupFlowSkipsSelfEdges(t *testing.T) {
+func TestGroupLinkSkipsSelfEdges(t *testing.T) {
+	// Groups sharing BS 1 are not disjoint; the fault-state scan never
+	// counts the self edge (1,1).
 	b, _ := New(5, 1)
-	if err := b.AddGroupFlow([]int{0, 1}, []int{1, 2}, 3.0); err != nil {
+	if err := b.ApplyFaults(nil, []bool{true, true, true, true, true}); err != nil {
 		t.Fatal(err)
 	}
+	a, g := []int{0, 1}, []int{1, 2}
 	// Pairs: (0,1), (0,2), (1,2) -> 3 edges.
+	if edges, _ := b.GroupLink(a, g); edges != 3 {
+		t.Errorf("edges = %d, want 3", edges)
+	}
+	loadGroupLink(t, b, a, g, 3.0)
 	if got := b.TotalLoad(); math.Abs(got-3.0) > 1e-12 {
 		t.Errorf("TotalLoad = %v", got)
 	}
 }
 
-func TestAddGroupFlowNoEdges(t *testing.T) {
+func TestGroupLinkNoEdges(t *testing.T) {
 	b, _ := New(5, 1)
-	if err := b.AddGroupFlow([]int{2}, []int{2}, 1.0); err == nil {
-		t.Error("identical singleton groups accepted")
+	if edges, minCap := b.GroupLink(nil, []int{1}); edges != 0 || minCap != 0 {
+		t.Errorf("empty group: GroupLink = (%d, %v), want (0, 0)", edges, minCap)
 	}
-	if err := b.AddGroupFlow(nil, []int{1}, 1.0); err == nil {
-		t.Error("empty group accepted")
+	if err := b.ApplyFaults(nil, []bool{true, true, true, true, true}); err != nil {
+		t.Fatal(err)
+	}
+	if edges, minCap := b.GroupLink([]int{2}, []int{2}); edges != 0 || minCap != 0 {
+		t.Errorf("identical singleton groups: GroupLink = (%d, %v), want (0, 0)", edges, minCap)
+	}
+	if edges, _ := b.GroupLink(nil, []int{1}); edges != 0 {
+		t.Errorf("empty group under faults: edges = %d, want 0", edges)
+	}
+}
+
+func TestNewDefersLoadArray(t *testing.T) {
+	b, _ := New(2000, 1)
+	if b.load != nil {
+		t.Fatal("New allocated the per-edge load array")
+	}
+	if edges, _ := b.GroupLink([]int{0, 1}, []int{2, 3, 4}); edges != 6 || b.load != nil {
+		t.Errorf("GroupLink: edges = %d, load allocated = %v", edges, b.load != nil)
+	}
+	if got, want := b.LiveEdges(), 2000*1999/2; got != want {
+		t.Errorf("LiveEdges = %d, want %d", got, want)
+	}
+	if !math.IsInf(b.SustainableScale(), 1) || b.MaxLoad() != 0 {
+		t.Error("unloaded backbone reports load")
 	}
 }
 

@@ -76,22 +76,51 @@ func TestApplyFaultsDerating(t *testing.T) {
 	}
 }
 
-func TestHasRouteAndGroupFlowUnderFaults(t *testing.T) {
+func TestGroupLinkUnderFaults(t *testing.T) {
 	b, _ := New(4, 1)
 	if err := b.ApplyFaults(nil, []bool{true, true, false, false}); err != nil {
 		t.Fatal(err)
 	}
-	if !b.HasRoute([]int{0}, []int{1}) {
-		t.Error("live pair should have a route")
+	if edges, minCap := b.GroupLink([]int{0}, []int{1}); edges != 1 || minCap != 1 {
+		t.Errorf("live pair: GroupLink = (%d, %v), want (1, 1)", edges, minCap)
 	}
-	if b.HasRoute([]int{0}, []int{2}) {
-		t.Error("dead destination group should have no route")
+	if edges, _ := b.GroupLink([]int{0}, []int{2}); edges != 0 {
+		t.Errorf("dead destination group: edges = %d, want 0", edges)
 	}
-	if err := b.AddGroupFlow([]int{0}, []int{1}, 1); err != nil {
-		t.Errorf("live group flow rejected: %v", err)
+	if edges, _ := b.GroupLink([]int{0, 1}, []int{2, 3}); edges != 0 {
+		t.Errorf("dead groups: edges = %d, want 0", edges)
 	}
-	if err := b.AddGroupFlow([]int{0, 1}, []int{2, 3}, 1); !errors.Is(err, ErrNoRoute) {
+	// Loading an edge into a dead group is rejected.
+	if err := b.AddLoad(0, 2, 1); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("flow into dead groups: err = %v, want ErrNoRoute", err)
+	}
+}
+
+func TestGroupLinkMinCapUnderDerating(t *testing.T) {
+	b, _ := New(12, 2)
+	p := plan(t, faults.Config{Seed: 3, EdgeDerating: 0.37, EdgeOutageFraction: 0.2})
+	if err := b.ApplyFaults(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Fault plans derate uniformly; give one edge a lower factor so the
+	// minimum is not simply the first usable edge's.
+	b.factor[b.idx(4, 9)] = 0.05
+	a, g := []int{0, 1, 2, 3, 4, 5}, []int{6, 7, 8, 9, 10, 11}
+	edges, minCap := b.GroupLink(a, g)
+	wantEdges, wantCap := 0, math.Inf(1)
+	for _, i := range a {
+		for _, j := range g {
+			if b.EdgeUsable(i, j) {
+				wantEdges++
+				wantCap = math.Min(wantCap, b.EdgeCapacityOf(i, j))
+			}
+		}
+	}
+	if wantEdges == 0 || wantEdges == len(a)*len(g) {
+		t.Fatalf("fault plan left %d of %d edges; want a strict subset", wantEdges, len(a)*len(g))
+	}
+	if wantCap != 2*0.05 || edges != wantEdges || minCap != wantCap {
+		t.Errorf("GroupLink = (%d, %v), want (%d, %v)", edges, minCap, wantEdges, wantCap)
 	}
 }
 

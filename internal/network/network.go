@@ -282,17 +282,116 @@ func randomInDisk(center geom.Point, radius float64, r *rand.Rand) geom.Point {
 	return geom.Add(center, rho*math.Cos(theta), rho*math.Sin(theta))
 }
 
+// assignBSClusters maps every BS to its nearest cluster centre, ties
+// going to the lower cluster index.
 func (nw *Network) assignBSClusters() {
+	centers := nw.Placement.ClusterCenters
 	nw.BSCluster = make([]int, len(nw.BSPos))
+	if len(centers) <= nearestScanMax {
+		for j, y := range nw.BSPos {
+			nw.BSCluster[j] = nearestScan(centers, y)
+		}
+		return
+	}
+	// Bucket tables of up to len(stack) entries stay off the heap.
+	var stack [1024]int32
+	cb := newCenterBuckets(centers, stack[:])
 	for j, y := range nw.BSPos {
-		best, bestD := 0, math.Inf(1)
-		for c, ctr := range nw.Placement.ClusterCenters {
-			if d := geom.Dist2Unit(y, ctr); d < bestD {
-				best, bestD = c, d
+		nw.BSCluster[j] = cb.nearest(y)
+	}
+}
+
+// nearestScanMax is the centre count up to which assignBSClusters
+// scans every centre per BS instead of bucketing the centres.
+const nearestScanMax = 64
+
+// nearestScan returns the index of the centre nearest y (the lowest
+// index among equally near centres), scanning them all.
+func nearestScan(centers []geom.Point, y geom.Point) int {
+	best, bestD := 0, math.Inf(1)
+	for c, ctr := range centers {
+		if d := geom.Dist2Unit(y, ctr); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
+// centerBuckets buckets cluster centres in a square grid of about one
+// centre per cell, stored flat: bucket b holds ids[start[b]:start[b+1]]
+// in increasing id order.
+type centerBuckets struct {
+	grid    geom.Grid
+	centers []geom.Point
+	start   []int32
+	ids     []int32
+}
+
+// newCenterBuckets builds the buckets in buf when it is large enough
+// and in a fresh slice otherwise.
+func newCenterBuckets(centers []geom.Point, buf []int32) centerBuckets {
+	g := geom.NewGridCells(max(1, int(math.Sqrt(float64(len(centers))))))
+	nc := g.NumCells()
+	if need := nc + 1 + len(centers); need <= len(buf) {
+		buf = buf[:need]
+		clear(buf)
+	} else {
+		buf = make([]int32, need)
+	}
+	start, ids := buf[:nc+1], buf[nc+1:]
+	// Counting sort: count per cell, prefix-sum to bucket ends, then
+	// place ids back to front so each bucket ends up ascending.
+	for _, p := range centers {
+		start[g.CellIndexOf(p)]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	for c := len(centers) - 1; c >= 0; c-- {
+		b := g.CellIndexOf(centers[c])
+		start[b]--
+		ids[start[b]] = int32(c)
+	}
+	return centerBuckets{grid: g, centers: centers, start: start, ids: ids}
+}
+
+// nearest returns what nearestScan returns, searching square rings of
+// cells outward from y's cell. A centre in ring r (r >= 2) lies at
+// least r-1 whole cells from y along some axis, so once that bound is
+// strictly past the best distance no later ring can hold a nearer or
+// equally near centre. The bound is shaved by a relative 1e-9 so that
+// rounding in the cell assignment cannot end the search early.
+func (cb centerBuckets) nearest(y geom.Point) int {
+	best, bestD := -1, math.Inf(1)
+	col, row := cb.grid.CellOf(y)
+	w := cb.grid.CellW()
+	for r := 0; ; r++ {
+		if r >= 2 {
+			if lb := (float64(r-1) - 1e-9) * w; lb*lb > bestD {
+				break
 			}
 		}
-		nw.BSCluster[j] = best
+		for dr := -r; dr <= r; dr++ {
+			step := 2 * r
+			if dr == -r || dr == r || r == 0 {
+				step = 1
+			}
+			for dc := -r; dc <= r; dc += step {
+				cell := cb.grid.Index(col+dc, row+dr)
+				for _, id := range cb.ids[cb.start[cell]:cb.start[cell+1]] {
+					c := int(id)
+					d := geom.Dist2Unit(y, cb.centers[c])
+					if d < bestD || (d == bestD && c < best) {
+						best, bestD = c, d
+					}
+				}
+			}
+		}
+		if 2*r+1 >= cb.grid.Cols {
+			break // the rings have covered every cell
+		}
 	}
+	return best
 }
 
 // NumMS returns the number of mobile stations.

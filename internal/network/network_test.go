@@ -404,3 +404,71 @@ func TestRemoveBSErrors(t *testing.T) {
 		t.Errorf("zero fraction should be a no-op: %v", err)
 	}
 }
+
+// The bucketed search must pick exactly the centre the plain scan picks,
+// including its tie rule (lowest index among equally near centres).
+func TestAssignBSClustersMatchesScan(t *testing.T) {
+	points := []scaling.Params{
+		{N: 2048, Alpha: 0.3, K: 0.8, Phi: 1, M: 1},             // strong-BS: m = n
+		{N: 2048, Alpha: 0.45, K: 0.9, Phi: 1, M: 0.8, R: 0.42}, // clustered, m = 446
+		{N: 2048, Alpha: 0.45, K: 0.7, Phi: 1, M: 0.4, R: 0.25}, // weak-BS: scanned
+		{N: 1024, Alpha: 0.7, K: 0.6, Phi: 1, M: 0.2, R: 0.11},  // trivial-BS: scanned
+		{N: 1024, Alpha: 0.45, K: 0.95, Phi: 1, M: 0.7, R: 0.4}, // k close to n
+	}
+	checked := 0
+	for _, p := range points {
+		for _, bs := range []BSPlacement{Grid, Matched, Uniform} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				nw, err := New(Config{Params: p, Seed: seed, BSPlacement: bs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, y := range nw.BSPos {
+					if want := nearestScan(nw.Placement.ClusterCenters, y); nw.BSCluster[j] != want {
+						t.Fatalf("%v %v seed %d: BS %d -> cluster %d, scan picks %d", p, bs, seed, j, nw.BSCluster[j], want)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no BSs checked")
+	}
+}
+
+// Lattice centres queried from lattice points produce exact distance
+// ties, both inside a bucket and across bucket boundaries.
+func TestCenterBucketsLatticeTies(t *testing.T) {
+	for side := 9; side <= 16; side++ {
+		for _, off := range []float64{0, 0.5} {
+			var centers []geom.Point
+			for i := 0; i < side; i++ {
+				for j := 0; j < side; j++ {
+					centers = append(centers, geom.Point{X: (float64(j) + off) / float64(side), Y: (float64(i) + off) / float64(side)})
+				}
+			}
+			// A dirty caller buffer must be cleared before reuse.
+			buf := make([]int32, 2*len(centers)+1)
+			for i := range buf {
+				buf[i] = -7
+			}
+			if off > 0 {
+				buf = nil
+			}
+			cb := newCenterBuckets(centers, buf)
+			for q := 2; q <= 37; q += 5 {
+				for _, qoff := range []float64{0, 0.5} {
+					for i := 0; i < q; i++ {
+						for j := 0; j < q; j++ {
+							y := geom.Point{X: (float64(j) + qoff) / float64(q), Y: (float64(i) + qoff) / float64(q)}
+							if got, want := cb.nearest(y), nearestScan(centers, y); got != want {
+								t.Fatalf("side %d off %v: query %v -> %d, scan picks %d", side, off, y, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

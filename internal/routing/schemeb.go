@@ -126,7 +126,8 @@ func (s SchemeB) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation
 
 	ev := &Evaluation{Detail: map[string]float64{}}
 
-	// Wired backbone with surviving edge capacities (phase II).
+	// Wired backbone with surviving edge capacities (phase II). Without
+	// a fault plan it holds no per-edge state.
 	bb, err := backbone.New(nw.NumBS(), nw.Cfg.Params.BandwidthC())
 	if err != nil {
 		return nil, fmt.Errorf("routing: %w", err)
@@ -163,35 +164,44 @@ func (s SchemeB) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation
 	// healthy network (finite-size artifact: a group without BSs).
 	infraLoad := make([]float64, len(msGroups))
 	degraded := 0
-	// Backbone flows between the same group pair recur once per MS pair;
-	// compile each pair's usable-edge list once and replay it, instead
-	// of rescanning the |A|x|B| BS matrix on every pair.
-	flows := make(map[cellEdge]*backbone.GroupFlow)
-	flowOf := func(gs, gd int) *backbone.GroupFlow {
-		key := cellEdge{from: gs, to: gd}
-		f, ok := flows[key]
+	// Phase II spreads each cross-group pair's unit rate evenly over the
+	// usable wired edges between its groups. BS groups are disjoint, so
+	// every edge between groups A and B belongs to that one unordered
+	// group pair and carries the same load; one summary per pair (its
+	// usable edges, weakest edge and routed MS pairs) stands for all of
+	// its edges.
+	type groupLink struct {
+		edges  int
+		minCap float64
+		pairs  int
+	}
+	var links []groupLink
+	linkIdx := make(map[cellEdge]int)
+	linkOf := func(gs, gd int) int {
+		key := cellEdge{from: min(gs, gd), to: max(gs, gd)}
+		i, ok := linkIdx[key]
 		if !ok {
-			f = bb.CompileGroupFlow(bsGroups[gs], bsGroups[gd])
-			flows[key] = f
+			edges, minCap := bb.GroupLink(bsGroups[gs], bsGroups[gd])
+			i = len(links)
+			links = append(links, groupLink{edges: edges, minCap: minCap})
+			linkIdx[key] = i
 		}
-		return f
+		return i
 	}
 	for src, dst := range tr.DestOf {
 		gs, gd := groupOfMS[src], groupOfMS[dst]
 		ok := usable(gs) && usable(gd)
-		var flow *backbone.GroupFlow
+		link := -1
 		if ok && gs != gd {
-			flow = flowOf(gs, gd)
-			ok = flow.Routable()
+			link = linkOf(gs, gd)
+			ok = links[link].edges > 0
 		}
 		switch {
 		case ok:
 			infraLoad[gs]++
 			infraLoad[gd]++
-			if gs != gd {
-				if err := flow.Add(1); err != nil {
-					return nil, fmt.Errorf("routing: backbone flow %d->%d: %w", gs, gd, err)
-				}
+			if link >= 0 {
+				links[link].pairs++
 			}
 		case plan != nil:
 			degraded++
@@ -214,7 +224,24 @@ func (s SchemeB) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation
 			lambdaAccess = r
 		}
 	}
-	lambdaBackbone := bb.SustainableScale()
+	// Each routed pair adds 1/edges to every edge of its group pair. The
+	// load is rebuilt as that sequential sum, not pairs*(1/edges), so it
+	// is bit-identical to per-edge accumulation; the weakest edge then
+	// bounds the pair, since (c*f)/load is monotone in the factor f.
+	lambdaBackbone := math.Inf(1)
+	for _, l := range links {
+		if l.pairs == 0 {
+			continue
+		}
+		per := 1 / float64(l.edges)
+		load := 0.0
+		for i := 0; i < l.pairs; i++ {
+			load += per
+		}
+		if r := l.minCap / load; r < lambdaBackbone {
+			lambdaBackbone = r
+		}
+	}
 
 	ev.Detail["lambdaAccess"] = lambdaAccess
 	ev.Detail["lambdaBackbone"] = lambdaBackbone

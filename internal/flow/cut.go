@@ -53,25 +53,26 @@ func EvaluateCut(nw *network.Network, tr *traffic.Pattern, region geom.Region, c
 	// MS-MS capacity across the cut. Only pairs within meeting reach of
 	// each other contribute, so scan neighborhoods.
 	ix := spatial.New(homes, a.Reach())
+	var nbrs []int32 // neighborhood scratch, reused by both scans
 	for i := range homes {
 		if !inside[i] {
 			continue
 		}
-		ix.ForEachWithin(homes[i], a.Reach(), func(j int) bool {
-			if j != i && !inside[j] {
+		nbrs = ix.AppendWithin(nbrs[:0], homes[i], a.Reach())
+		for _, j := range nbrs {
+			if int(j) != i && !inside[j] {
 				cb.Wireless += a.MSMS(geom.Dist(homes[i], homes[j]))
 			}
-			return true
-		})
+		}
 	}
 	// MS-BS capacity across the cut, in both directions.
 	for j, y := range nw.BSPos {
-		ix.ForEachWithin(y, a.BSReach(), func(i int) bool {
+		nbrs = ix.AppendWithin(nbrs[:0], y, a.BSReach())
+		for _, i := range nbrs {
 			if inside[i] != bsInside[j] {
 				cb.Wireless += a.MSBS(geom.Dist(homes[i], y))
 			}
-			return true
-		})
+		}
 	}
 	// Wired BS-BS capacity across the cut: c(n) per separated pair.
 	in := 0

@@ -33,6 +33,10 @@ type Analytic struct {
 	f   float64
 	n   int
 	ct  float64
+	// msmsScale is pi*RT^2*f^2, the factor of eta in MSMS. It is
+	// multiplied out left to right exactly as MSMSAt's product is, so
+	// MSMS(d) and MSMSAt(d, RT()) agree bit for bit.
+	msmsScale float64
 }
 
 // NewAnalytic builds the evaluator. ct <= 0 selects DefaultCT. The
@@ -46,12 +50,15 @@ func NewAnalytic(nw *network.Network, ct float64) (*Analytic, error) {
 	if err != nil {
 		return nil, fmt.Errorf("linkcap: %w", err)
 	}
-	return &Analytic{
+	a := &Analytic{
 		eta: eta,
 		f:   nw.F(),
 		n:   nw.NumMS(),
 		ct:  ct,
-	}, nil
+	}
+	rt := a.RT()
+	a.msmsScale = math.Pi * rt * rt * a.f * a.f
+	return a, nil
 }
 
 // RT returns the S* transmission range cT/sqrt(n).
@@ -60,7 +67,12 @@ func (a *Analytic) RT() float64 { return a.ct / math.Sqrt(float64(a.n)) }
 // MSMS returns the link capacity between two MSs whose home-points are
 // dHome apart.
 func (a *Analytic) MSMS(dHome float64) float64 {
-	return a.MSMSAt(dHome, a.RT())
+	// The inverted test caps at 1 exactly as math.Min(1, v) does,
+	// passing NaN and -0 through unchanged, without its special cases.
+	if v := a.msmsScale * a.eta.Eta(a.f*dHome); !(v > 1) {
+		return v
+	}
+	return 1
 }
 
 // MSMSAt evaluates the MS-MS link capacity for an arbitrary

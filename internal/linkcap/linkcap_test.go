@@ -196,3 +196,32 @@ func TestLocalDensityCountsBS(t *testing.T) {
 		t.Errorf("BS contribution = %v, want 1", rhoBS-rhoNoBS)
 	}
 }
+
+// MSMS hoists pi*RT^2*f^2 and caps without math.Min; it must still
+// equal MSMSAt at the S* range bit for bit, capped values included.
+func TestMSMSMatchesMSMSAtRT(t *testing.T) {
+	for _, c := range []struct {
+		n         int
+		alpha, ct float64
+	}{
+		{256, 0.04, 0}, {1024, 0.25, 0}, {1000, 0.45, 2.5}, {64, 0, 30}, {4096, 0.3, 0.7},
+	} {
+		a := newAnalytic(t, uniformNetwork(t, c.n, c.alpha), c.ct)
+		const steps = 4000
+		end := 1.2 * a.Reach()
+		capped := 0
+		for s := 0; s <= steps; s++ {
+			d := end * float64(s) / steps
+			got, want := a.MSMS(d), a.MSMSAt(d, a.RT())
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d alpha=%g ct=%g: MSMS(%v) = %v, MSMSAt = %v", c.n, c.alpha, c.ct, d, got, want)
+			}
+			if got == 1 {
+				capped++
+			}
+		}
+		if c.ct == 30 && capped == 0 {
+			t.Errorf("n=%d ct=%g: no capped value; the cap branch is not exercised", c.n, c.ct)
+		}
+	}
+}

@@ -62,11 +62,13 @@ func (s D2D) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation, er
 	// Node service: as in the two-hop baseline, a node's airtime is its
 	// aggregate link capacity capped at the unit bandwidth.
 	lambdaNodes := math.Inf(1)
+	var nbrs []int32 // nodeServiceRate scratch, reused across nodes
 	for i := 0; i < nw.NumMS(); i++ {
 		if nodeLoad[i] == 0 {
 			continue
 		}
-		service := nodeServiceRate(a, ix, homes, i, rnd)
+		var service float64
+		service, nbrs = nodeServiceRate(a, ix, homes, i, rnd, nbrs)
 		if service <= 0 {
 			ev.Failures++
 			continue

@@ -240,24 +240,18 @@ func (delayTwoHop) EvaluateDelay(nw *network.Network, tr *traffic.Pattern, obser
 	n := nw.NumMS()
 	rate := make([]float64, n)
 	deg := make([]int, n)
-	// Neighborhood probe (hotalloc): one closure reading the current
-	// node through cur/curSum/curDeg, reused across the node loop.
-	var (
-		cur    int
-		curSum float64
-		curDeg int
-	)
-	probe := func(id int) bool {
-		if id != cur {
-			curSum += a.MSMS(geom.Dist(homes[cur], homes[id]))
-			curDeg++
+	// Neighborhood scratch (hotalloc), reused across the node loop.
+	var nbrs []int32
+	for i, hi := range homes {
+		nbrs = ix.AppendWithin(nbrs[:0], hi, reach)
+		sum, d := 0.0, 0
+		for _, id := range nbrs {
+			if int(id) != i {
+				sum += a.MSMS(math.Sqrt(geom.Dist2Unit(hi, homes[id])))
+				d++
+			}
 		}
-		return true
-	}
-	for i := range homes {
-		cur, curSum, curDeg = i, 0, 0
-		ix.ForEachWithin(homes[i], reach, probe)
-		rate[i], deg[i] = curSum, curDeg
+		rate[i], deg[i] = sum, d
 	}
 	unroutable := 0
 	for src, dst := range tr.DestOf {

@@ -52,30 +52,27 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 	lambdaPairs := math.Inf(1)
 	reach := a.Reach()
 
-	// Pair-loop scratch (hotalloc): the candidate-relay buffers and the
-	// spatial-probe closure are allocated once and reused across pairs;
-	// the closure reads the current pair through pairSrc/pairDst/pairHD
-	// instead of capturing per-iteration variables.
+	// Pair-loop scratch (hotalloc): the candidate-relay and weight
+	// buffers are allocated once per evaluation and reused across pairs
+	// and, for relays, by the node-service pass below.
 	var (
-		relays           []int
-		weights          []float64
-		pairSrc, pairDst int
-		pairHD           geom.Point
+		relays  []int32
+		weights []float64
 	)
-	collectRelay := func(id int) bool {
-		if id != pairSrc && id != pairDst && geom.Dist(homes[id], pairHD) < reach {
-			relays = append(relays, id)
-		}
-		return true
-	}
 	for src, dst := range tr.DestOf {
 		hs, hd := homes[src], homes[dst]
 		direct := a.MSMS(geom.Dist(hs, hd))
 
-		// Candidate relays: nodes whose home-point can meet both ends.
-		pairSrc, pairDst, pairHD = src, dst, hd
-		relays = relays[:0]
-		ix.ForEachWithin(hs, reach, collectRelay)
+		// Candidate relays: nodes whose home-point can meet both ends,
+		// kept in the index's order.
+		relays = ix.AppendWithin(relays[:0], hs, reach)
+		kept := relays[:0]
+		for _, id := range relays {
+			if int(id) != src && int(id) != dst && math.Sqrt(geom.Dist2Unit(homes[id], hd)) < reach {
+				kept = append(kept, id)
+			}
+		}
+		relays = kept
 		scale := 1.0
 		if len(relays) > maxRelays {
 			// Sample a subset; scale the aggregate up accordingly.
@@ -90,7 +87,7 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 		weights = weights[:0]
 		wsum := 0.0
 		for _, r := range relays {
-			w := math.Min(a.MSMS(geom.Dist(hs, homes[r])), a.MSMS(geom.Dist(homes[r], hd))) / 2
+			w := math.Min(a.MSMS(math.Sqrt(geom.Dist2Unit(hs, homes[r]))), a.MSMS(math.Sqrt(geom.Dist2Unit(homes[r], hd)))) / 2
 			weights = append(weights, w)
 			wsum += w
 		}
@@ -121,7 +118,8 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 		if nodeLoad[i] == 0 {
 			continue
 		}
-		service := nodeServiceRate(a, ix, homes, i, rnd)
+		var service float64
+		service, relays = nodeServiceRate(a, ix, homes, i, rnd, relays)
 		if service <= 0 {
 			ev.Failures++
 			continue
@@ -147,30 +145,32 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 }
 
 // nodeServiceRate estimates sum_j mu(i, j) over neighbors, sampling
-// beyond a cap, clipped to the unit channel bandwidth.
-func nodeServiceRate(a *linkcap.Analytic, ix *spatial.Index, homes []geom.Point, i int, rnd interface{ Intn(int) int }) float64 {
-	var neighbors []int
-	ix.ForEachWithin(homes[i], a.Reach(), func(id int) bool {
-		if id != i {
+// beyond a cap, clipped to the unit channel bandwidth. buf is scratch
+// for the neighbor ids; the possibly grown buffer is returned for reuse.
+func nodeServiceRate(a *linkcap.Analytic, ix *spatial.Index, homes []geom.Point, i int, rnd interface{ Intn(int) int }, buf []int32) (float64, []int32) {
+	buf = ix.AppendWithin(buf[:0], homes[i], a.Reach())
+	neighbors := buf[:0]
+	for _, id := range buf {
+		if int(id) != i {
 			neighbors = append(neighbors, id)
 		}
-		return true
-	})
+	}
 	if len(neighbors) == 0 {
-		return 0
+		return 0, neighbors
 	}
 	const maxProbe = 512
+	hi := homes[i]
 	sum := 0.0
 	if len(neighbors) <= maxProbe {
 		for _, j := range neighbors {
-			sum += a.MSMS(geom.Dist(homes[i], homes[j]))
+			sum += a.MSMS(math.Sqrt(geom.Dist2Unit(hi, homes[j])))
 		}
 	} else {
 		for s := 0; s < maxProbe; s++ {
 			j := neighbors[rnd.Intn(len(neighbors))]
-			sum += a.MSMS(geom.Dist(homes[i], homes[j]))
+			sum += a.MSMS(math.Sqrt(geom.Dist2Unit(hi, homes[j])))
 		}
 		sum = sum / maxProbe * float64(len(neighbors))
 	}
-	return math.Min(1, sum)
+	return math.Min(1, sum), neighbors
 }

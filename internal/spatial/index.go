@@ -101,25 +101,67 @@ func (ix *Index) ForEachWithin(q geom.Point, radius float64, fn func(id int) boo
 	}
 }
 
-// Within returns the ids of all points within torus distance radius of
-// q, in unspecified order.
-func (ix *Index) Within(q geom.Point, radius float64) []int {
-	var out []int
-	ix.ForEachWithin(q, radius, func(id int) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
+// AppendWithin appends to dst the ids ForEachWithin reports for the same
+// query, in the same order, and returns the extended slice (points,
+// like q, must honor the [0,1) coordinate invariant). A cell that
+// lies certainly inside the disk is appended whole, without a distance
+// test per point; boundary cells keep ForEachWithin's exact test. With
+// a reach near the torus diameter the whole index is a handful of bulk
+// copies, where ForEachWithin pays a call and a distance per point.
+func (ix *Index) AppendWithin(dst []int32, q geom.Point, radius float64) []int32 {
+	if radius < 0 {
+		return dst
+	}
+	r2 := radius * radius
+	inner := r2 - insideMargin
+	// The same cell window as ForEachWithin, which keeps its own copy
+	// so the slot loops' per-query cost does not grow by a call.
+	cw, ch := ix.grid.CellW(), ix.grid.CellH()
+	qc, qr := ix.grid.CellOf(q)
+	spanC := int(math.Ceil(radius/cw)) + 1
+	spanR := int(math.Ceil(radius/ch)) + 1
+	startC, countC := qc-spanC, 2*spanC+1
+	if countC > ix.grid.Cols {
+		startC, countC = 0, ix.grid.Cols
+	}
+	startR, countR := qr-spanR, 2*spanR+1
+	if countR > ix.grid.Rows {
+		startR, countR = 0, ix.grid.Rows
+	}
+	for ir := 0; ir < countR; ir++ {
+		by := axisBound(q.Y, ix.grid.Center(0, startR+ir).Y, ch)
+		for ic := 0; ic < countC; ic++ {
+			cell := ix.grid.Index(startC+ic, startR+ir)
+			ids := ix.cells[cell]
+			if len(ids) == 0 {
+				continue
+			}
+			bx := axisBound(q.X, ix.grid.Center(startC+ic, 0).X, cw)
+			if bx*bx+by*by <= inner {
+				dst = append(dst, ids...)
+				continue
+			}
+			for _, id := range ids {
+				if geom.Dist2Unit(q, ix.pts[id]) <= r2 {
+					dst = append(dst, id)
+				}
+			}
+		}
+	}
+	return dst
 }
 
-// CountWithin returns the number of points within radius of q.
-func (ix *Index) CountWithin(q geom.Point, radius float64) int {
-	n := 0
-	ix.ForEachWithin(q, radius, func(int) bool {
-		n++
-		return true
-	})
-	return n
+// insideMargin is the slack, in squared distance, by which a cell's
+// farthest corner must clear the query disk before AppendWithin skips
+// its per-point test. It dwarfs the few-ulp rounding of Dist2Unit and of
+// the cell bounds, so a whole-cell append never takes a point the exact
+// test would drop.
+const insideMargin = 1e-12
+
+// axisBound bounds the torus distance along one axis from q to any
+// coordinate in the cell of the given centre and side.
+func axisBound(q, centre, side float64) float64 {
+	return math.Min(0.5, math.Abs(geom.Delta(q, centre))+side/2)
 }
 
 // Nearest returns the id of the point closest to q and its distance,

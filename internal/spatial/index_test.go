@@ -28,6 +28,16 @@ func bruteWithin(pts []geom.Point, q geom.Point, r float64) []int {
 	return out
 }
 
+// within returns AppendWithin's ids as ints, for comparison with the
+// brute-force oracle.
+func within(ix *Index, q geom.Point, r float64) []int {
+	var out []int
+	for _, id := range ix.AppendWithin(nil, q, r) {
+		out = append(out, int(id))
+	}
+	return out
+}
+
 func TestWithinMatchesBruteForce(t *testing.T) {
 	pts := randomPoints(500, 1)
 	ix := New(pts, 0.05)
@@ -35,16 +45,16 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		q := geom.Point{X: rng.Float64(), Y: rng.Float64()}
 		r := rng.Float64() * 0.3
-		got := ix.Within(q, r)
+		got := within(ix, q, r)
 		want := bruteWithin(pts, q, r)
 		sort.Ints(got)
 		sort.Ints(want)
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: Within(%v, %v) size %d, brute %d", trial, q, r, len(got), len(want))
+			t.Fatalf("trial %d: AppendWithin(%v, %v) size %d, brute %d", trial, q, r, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: Within mismatch at %d: %d vs %d", trial, i, got[i], want[i])
+				t.Fatalf("trial %d: AppendWithin mismatch at %d: %d vs %d", trial, i, got[i], want[i])
 			}
 		}
 	}
@@ -53,7 +63,7 @@ func TestWithinMatchesBruteForce(t *testing.T) {
 func TestWithinLargeRadiusCoversAll(t *testing.T) {
 	pts := randomPoints(100, 3)
 	ix := New(pts, 0.1)
-	got := ix.Within(geom.Point{X: 0.5, Y: 0.5}, geom.MaxDist+0.01)
+	got := ix.AppendWithin(nil, geom.Point{X: 0.5, Y: 0.5}, geom.MaxDist+0.01)
 	if len(got) != len(pts) {
 		t.Errorf("radius > MaxDist returned %d of %d points", len(got), len(pts))
 	}
@@ -62,7 +72,7 @@ func TestWithinLargeRadiusCoversAll(t *testing.T) {
 func TestWithinWrapsTorus(t *testing.T) {
 	pts := []geom.Point{{X: 0.99, Y: 0.99}, {X: 0.5, Y: 0.5}}
 	ix := New(pts, 0.1)
-	got := ix.Within(geom.Point{X: 0.01, Y: 0.01}, 0.05)
+	got := ix.AppendWithin(nil, geom.Point{X: 0.01, Y: 0.01}, 0.05)
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("wrap query returned %v, want [0]", got)
 	}
@@ -72,8 +82,8 @@ func TestCountWithin(t *testing.T) {
 	pts := randomPoints(300, 4)
 	ix := New(pts, 0)
 	q := geom.Point{X: 0.3, Y: 0.7}
-	if got, want := ix.CountWithin(q, 0.2), len(bruteWithin(pts, q, 0.2)); got != want {
-		t.Errorf("CountWithin = %d, want %d", got, want)
+	if got, want := len(ix.AppendWithin(nil, q, 0.2)), len(bruteWithin(pts, q, 0.2)); got != want {
+		t.Errorf("len(AppendWithin) = %d, want %d", got, want)
 	}
 }
 
@@ -156,7 +166,7 @@ func TestRebuild(t *testing.T) {
 
 func TestNegativeRadius(t *testing.T) {
 	ix := New(randomPoints(10, 11), 0.1)
-	if got := ix.Within(geom.Point{}, -1); len(got) != 0 {
+	if got := ix.AppendWithin(nil, geom.Point{}, -1); len(got) != 0 {
 		t.Errorf("negative radius returned %v", got)
 	}
 }
@@ -169,5 +179,89 @@ func TestPointAccessor(t *testing.T) {
 	}
 	if ix.Point(3) != pts[3] {
 		t.Error("Point accessor mismatch")
+	}
+}
+
+// forEachIDs collects the ids ForEachWithin reports, in its order.
+func forEachIDs(ix *Index, q geom.Point, r float64) []int32 {
+	var out []int32
+	ix.ForEachWithin(q, r, func(id int) bool {
+		out = append(out, int32(id))
+		return true
+	})
+	return out
+}
+
+// latticePoints returns the side x side lattice with spacing 1/side.
+// With side a power of two every coordinate and squared lattice
+// distance is exact, so lattice radii put points exactly on the disk.
+func latticePoints(side int) []geom.Point {
+	pts := make([]geom.Point, 0, side*side)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			pts = append(pts, geom.Point{X: float64(c) / float64(side), Y: float64(r) / float64(side)})
+		}
+	}
+	return pts
+}
+
+// AppendWithin must report exactly ForEachWithin's ids in the same
+// order, appended after whatever dst already holds: on random and
+// lattice points, for radii from below one cell to past the torus
+// diameter, at cell corners and on the torus seam, over 1x1, 2x2 and
+// finely divided grids.
+func TestAppendWithinMatchesForEachWithin(t *testing.T) {
+	below1 := math.Nextafter(1, 0)
+	sets := []struct {
+		name string
+		pts  []geom.Point
+	}{
+		{"uniform", randomPoints(700, 13)},
+		{"lattice", latticePoints(32)},
+	}
+	// Side 1/32 puts every lattice point on a cell corner.
+	sides := []float64{2, 1, 0.5, 0.25, 0.07, 1.0 / 32, 0.02}
+	rng := rand.New(rand.NewSource(14))
+	prefix := []int32{-7, -8}
+	cols := map[int]bool{}
+	for _, set := range sets {
+		for _, side := range sides {
+			ix := New(set.pts, side)
+			g := ix.grid
+			cols[g.Cols] = true
+			queries := []geom.Point{
+				{X: 0, Y: 0}, {X: below1, Y: below1}, {X: 0, Y: below1}, {X: below1, Y: 0.5},
+				{X: 0.5, Y: 0.5}, set.pts[len(set.pts)/3],
+			}
+			for c := 0; c <= g.Cols && c < 4; c++ {
+				queries = append(queries, geom.Point{X: float64(c) * g.CellW(), Y: g.CellH()}.Wrapped())
+			}
+			for i := 0; i < 20; i++ {
+				queries = append(queries, geom.Point{X: rng.Float64(), Y: rng.Float64()})
+			}
+			radii := []float64{0, g.CellW() / 3, g.CellW(), 1.5 * g.CellW(), 0.125, 0.25, 0.5, 5.0 / 32, 0.7,
+				math.Sqrt(5) / 32, geom.MaxDist, math.Nextafter(geom.MaxDist, 0), 0.75, 1.43, 3}
+			for i := 0; i < 10; i++ {
+				radii = append(radii, rng.Float64()*0.8)
+			}
+			for _, q := range queries {
+				for _, r := range radii {
+					want := forEachIDs(ix, q, r)
+					got := ix.AppendWithin(append([]int32(nil), prefix...), q, r)
+					if len(got) != len(prefix)+len(want) || got[0] != prefix[0] || got[1] != prefix[1] {
+						t.Fatalf("%s side=%v q=%v r=%v: got %d ids after prefix %v, want %d",
+							set.name, side, q, r, len(got)-len(prefix), got[:2], len(want))
+					}
+					for k, id := range got[len(prefix):] {
+						if id != want[k] {
+							t.Fatalf("%s side=%v q=%v r=%v: id %d is %d, want %d", set.name, side, q, r, k, id, want[k])
+						}
+					}
+				}
+			}
+		}
+	}
+	if !cols[1] || !cols[2] || !cols[50] {
+		t.Errorf("grid shapes covered %v, want 1x1, 2x2 and 50x50 among them", cols)
 	}
 }

@@ -34,9 +34,9 @@ test:
 bench:
 	go test -bench=. -benchtime=1x -run '^$$' .
 
-# CPU + heap profiles of the Table-I sweep, the workload behind every
-# hot-path optimization in internal/sim. Inspect with
-# `go tool pprof out/pprof/cpu.out` (then `top`, `list <func>`, `web`).
+# CPU + heap profiles of BenchmarkTable1, the quick Table-I sweep of the
+# root package's benchmarks (perfbench has no profile flag yet). Inspect
+# with `go tool pprof out/pprof/cpu.out` (then `top`, `list <func>`, `web`).
 profile:
 	mkdir -p out/pprof
 	go test -bench 'BenchmarkTable1$$' -benchtime=1x -run '^$$' \
@@ -51,3 +51,4 @@ loc:
 # Everything CI checks, in order.
 verify: lint test
 	go test -run TestSweepDeterminism -race ./internal/experiments/
+	cd perfbench && go vet ./... && go test ./...

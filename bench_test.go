@@ -10,21 +10,14 @@
 package hybridcap_test
 
 import (
-	"context"
 	"math"
-	"runtime"
 	"testing"
-	"time"
 
 	"hybridcap"
-	"hybridcap/internal/benchio"
-	"hybridcap/internal/cellcache"
-	"hybridcap/internal/engine"
 	"hybridcap/internal/experiments"
 	"hybridcap/internal/geom"
 	"hybridcap/internal/linkcap"
 	"hybridcap/internal/network"
-	"hybridcap/internal/obs"
 	"hybridcap/internal/rng"
 	"hybridcap/internal/routing"
 	"hybridcap/internal/scaling"
@@ -52,199 +45,12 @@ func runExperiment(b *testing.B, id string) *experiments.Result {
 }
 
 // BenchmarkTable1 regenerates Table I (all five regime rows) and
-// reports the fitted capacity exponent of each row. It then times the
-// same sweep at Workers=1, 2, 4 and NumCPU, fails if any run drifts from
-// the serial baseline by a single bit, measures a cold-vs-warm
-// cell-cache replay, and upserts the headline numbers (wall time,
-// cells/sec, speedup, allocation churn, exponents) into
-// BENCH_sweep.json — the benchmark trajectory future changes must not
-// regress.
+// reports the fitted capacity exponent of each row.
 func BenchmarkTable1(b *testing.B) {
 	b.ReportAllocs()
 	res := runExperiment(b, "T1")
 	for name, fit := range res.Fits {
 		b.ReportMetric(fit.Exponent, "exp:"+name)
-	}
-	b.StopTimer()
-	recordSweepTrajectory(b)
-	recordWarmCellCache(b)
-}
-
-// benchT1 runs the trajectory workload: the Table-I sweep at Seeds=4,
-// which gives each size several equal-cost cells so a multi-core runner
-// has parallelism to exploit at the largest (dominant) size.
-func benchT1(workers int, store *cellcache.Store) (*experiments.Result, error) {
-	return hybridcap.RunExperiment("T1", experiments.Options{
-		Quick: true, Seeds: 4, Workers: workers, CellCache: store,
-	})
-}
-
-// recordSweepTrajectory measures the Table-I sweep wall time per worker
-// count through benchio.CollectSweep and writes one record per count to
-// BENCH_sweep.json, plus the legacy headline record "BenchmarkTable1"
-// (the Workers=NumCPU row) that the CI regression gate tracks.
-func recordSweepTrajectory(b *testing.B) {
-	b.Helper()
-	ncpu := runtime.NumCPU()
-	recs, err := benchio.CollectSweep(benchio.CollectConfig{
-		Name:       "BenchmarkTable1",
-		Experiment: "T1",
-		Clock:      obs.ClockFunc(time.Now),
-	}, []int{1, 2, 4, ncpu}, func(workers int) (*experiments.Result, error) {
-		return benchT1(workers, nil)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := benchio.Upsert(benchio.DefaultPath, rec); err != nil {
-			b.Fatal(err)
-		}
-		if rec.Workers == ncpu {
-			head := rec
-			head.Name = "BenchmarkTable1"
-			if err := benchio.Upsert(benchio.DefaultPath, head); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(rec.Speedup, "speedupX")
-			b.ReportMetric(rec.CellsPerSec, "cells/s")
-			b.ReportMetric(rec.AllocsPerCell, "allocs/cell")
-		}
-	}
-}
-
-// recordWarmCellCache measures incremental recompute: the same Table-I
-// sweep run cold into a fresh persistent cell cache, then warm from it.
-// The warm run must replay every cell (100% hits) with byte-identical
-// results; its record carries the warm-over-cold speedup.
-func recordWarmCellCache(b *testing.B) {
-	b.Helper()
-	store, err := cellcache.NewStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ncpu := runtime.NumCPU()
-	t0 := time.Now()
-	coldRes, err := benchT1(ncpu, store)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cold := time.Since(t0)
-	before := cellcache.ReadStats()
-	t0 = time.Now()
-	warmRes, err := benchT1(ncpu, store)
-	if err != nil {
-		b.Fatal(err)
-	}
-	warm := time.Since(t0)
-	after := cellcache.ReadStats()
-	if err := benchio.SameResults(coldRes, warmRes); err != nil {
-		b.Fatalf("warm cell-cache run drifted: %v", err)
-	}
-	cells := benchio.CountCells(warmRes)
-	if misses := after.Misses - before.Misses; misses != 0 {
-		b.Fatalf("warm cell-cache run missed %d times, want 0", misses)
-	}
-	rec := benchio.Record{
-		Name:            "BenchmarkTable1/warm-cell-cache",
-		Experiment:      "T1",
-		Workers:         ncpu,
-		Cells:           cells,
-		WallSeconds:     warm.Seconds(),
-		SerialSeconds:   cold.Seconds(),
-		CellCacheHits:   after.Hits - before.Hits,
-		CellCacheMisses: after.Misses - before.Misses,
-		UpdatedAt:       time.Now().UTC().Format(time.RFC3339),
-	}
-	if warm > 0 {
-		rec.CellsPerSec = float64(cells) / warm.Seconds()
-		rec.Speedup = cold.Seconds() / warm.Seconds()
-	}
-	if err := benchio.Upsert(benchio.DefaultPath, rec); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(rec.Speedup, "warmSpeedupX")
-}
-
-// BenchmarkStreamMemory compares a materialized sweep (engine.Stream
-// collecting every outcome into a caller-owned grid held until the
-// sweep ends) against the streaming path (engine.Reduce folding into a
-// mean aggregator) on a synthetic 1024x1024-cell grid of cheap cells,
-// and records the heap each retains after the run in BENCH_sweep.json. The two must agree
-// bit for bit on every per-point mean; the streaming run's retained
-// heap stays O(points) however many cells the grid has, which is the
-// point of the streaming core.
-func BenchmarkStreamMemory(b *testing.B) {
-	const points, seeds = 1024, 1024
-	grid := engine.Grid{Points: points, Seeds: seeds, Workers: runtime.NumCPU()}
-	cell := func(point, seed int) (float64, error) {
-		// Cheap, pure and seed-dependent: the workload is the grid
-		// machinery itself, not the cell.
-		return 1 / float64(point+seed+1), nil
-	}
-	retained := func(run func() func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		hold := run()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		hold()
-		if after.HeapAlloc <= before.HeapAlloc {
-			return 0
-		}
-		return after.HeapAlloc - before.HeapAlloc
-	}
-
-	var matMeans, streamMeans [points]float64
-	var matBytes, streamBytes uint64
-	for i := 0; i < b.N; i++ {
-		matBytes = retained(func() func() {
-			outs := make([]engine.Outcome[float64], points*seeds)
-			err := engine.Stream(context.Background(), grid, cell, func(p, s int, out engine.Outcome[float64]) {
-				outs[p*seeds+s] = out
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return func() {
-				for p := 0; p < points; p++ {
-					sum := 0.0
-					for _, o := range outs[p*seeds : (p+1)*seeds] {
-						sum += o.Value
-					}
-					matMeans[p] = sum / seeds
-				}
-			}
-		})
-		streamBytes = retained(func() func() {
-			agg := engine.NewMeanAgg(points)
-			if err := engine.Reduce(context.Background(), grid, cell, agg); err != nil {
-				b.Fatal(err)
-			}
-			return func() {
-				for p := 0; p < points; p++ {
-					mean, _, _, _ := agg.Point(p)
-					streamMeans[p] = mean
-				}
-			}
-		})
-	}
-	if matMeans != streamMeans {
-		b.Fatal("streaming means drifted from materialized means")
-	}
-	b.ReportMetric(float64(matBytes)/(1<<20), "materializedMiB")
-	b.ReportMetric(float64(streamBytes)/(1<<20), "streamingMiB")
-	now := time.Now().UTC().Format(time.RFC3339)
-	for _, rec := range []benchio.Record{
-		{Name: "BenchmarkStreamMemory/materialized", Workers: grid.Workers,
-			Cells: points * seeds, RetainedBytes: matBytes, UpdatedAt: now},
-		{Name: "BenchmarkStreamMemory/streaming", Workers: grid.Workers,
-			Cells: points * seeds, RetainedBytes: streamBytes, UpdatedAt: now},
-	} {
-		if err := benchio.Upsert(benchio.DefaultPath, rec); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

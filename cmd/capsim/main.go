@@ -26,15 +26,6 @@
 //
 //	capsim -scenario examples/scenarios/strong-mobility.json -cell-cache out/cells
 //
-// Benchmarking: -bench skips the single-instance evaluation and runs
-// the benchmark trajectory instead — the Table-I sweep timed once at
-// Workers=1 and once at -workers (0 = all CPU cores), verified for
-// bit-identical results, with wall time, cells/sec and speedup upserted
-// into -bench-out (BENCH_sweep.json by default):
-//
-//	capsim -bench                 # all cores
-//	capsim -bench -workers 4      # bounded pool
-//
 // Observability: -metrics-out dumps the run's metrics registry
 // (Prometheus text format) and -trace-out its span tree (JSON);
 // -frozen-clock pins every timestamp to a fixed epoch so both files are
@@ -63,13 +54,11 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"hybridcap/internal/benchio"
 	"hybridcap/internal/capacity"
 	"hybridcap/internal/cli"
 	"hybridcap/internal/experiments"
@@ -115,10 +104,6 @@ func run(ctx context.Context) error {
 		outageCurve = flag.Bool("outage-curve", false, "sweep the BS outage fraction 0..1 and print the capacity curve")
 		scenarioArg = flag.String("scenario", "", "run a declarative scenario JSON file through the grid engine (uses -out/-quick/-seeds/-workers)")
 		shardArg    = flag.String("shard", "", "with -scenario: run only shard i of k (\"i/k\", e.g. 0/3) of the sweep grid; merge the shard outputs with capmerge")
-		bench       = flag.Bool("bench", false, "run the benchmark trajectory (serial vs parallel Table-I sweep) and write -bench-out")
-		benchOut    = flag.String("bench-out", benchio.DefaultPath, "benchmark trajectory JSON path (with -bench)")
-		benchSeeds  = flag.Int("bench-seeds", 4, "seeds per grid point for -bench")
-		benchQuick  = flag.Bool("bench-quick", true, "with -bench: small sweep sizes (seconds, not minutes)")
 		serveAddr   = flag.String("serve-metrics", "", "serve the live metrics registry on this address (/metrics Prometheus text, /debug/vars expvar) while running")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address while running")
 		daemonAddr  = flag.String("serve", "", "run the scenario service on this address (POST /runs; see README \"Scenario service\")")
@@ -151,9 +136,6 @@ func run(ctx context.Context) error {
 	}
 	if *shardArg != "" {
 		return fmt.Errorf("-shard requires -scenario")
-	}
-	if *bench {
-		return runBench(common.Workers, *benchSeeds, *benchQuick, *benchOut, common.Clock())
 	}
 
 	p := scaling.Params{N: *n, Alpha: *alpha, K: *kExp, Phi: *phi, M: *mExp, R: *rExp}
@@ -237,39 +219,6 @@ func run(ctx context.Context) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// runBench runs the benchmark trajectory: the Table-I sweep timed at
-// Workers=1 and at the requested pool size through benchio.Collect
-// (which also checks the two runs for identical results), with the
-// headline numbers printed and upserted into the trajectory file. The
-// clock is injected from main, the only layer allowed to touch the
-// wall clock.
-func runBench(workers, seeds int, quick bool, outPath string, clock obs.Clock) error {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	fmt.Printf("benchmark trajectory: T1 sweep, %d seeds/point, quick=%v\n", seeds, quick)
-	rec, err := benchio.Collect(benchio.CollectConfig{
-		Name:       "capsim-bench-T1",
-		Experiment: "T1",
-		Workers:    workers,
-		Clock:      clock,
-	}, func(w int) (*experiments.Result, error) {
-		return experiments.Table1(experiments.Options{Quick: quick, Seeds: seeds, Workers: w})
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("workers=1:  %8.3fs\n", rec.SerialSeconds)
-	fmt.Printf("workers=%d: %8.3fs  (%d cells, %.1f cells/s, speedup %.2fx, cache %d hits / %d misses)\n",
-		workers, rec.WallSeconds, rec.Cells, rec.CellsPerSec, rec.Speedup,
-		rec.CacheHits, rec.CacheMisses)
-	if err := benchio.Upsert(outPath, rec); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
 	return nil
 }
 

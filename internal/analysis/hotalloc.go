@@ -10,9 +10,9 @@ import (
 // slot-loop hot paths (internal/sim, mobility, routing, scheduler,
 // spatial): buffers are allocated once per cell and reused, so the
 // per-slot inner loops run allocation-free. The allocation churn those
-// loops would otherwise accumulate is the allocs_per_cell axis of
-// BENCH_sweep.json; this analyzer turns that trajectory metric into a
-// compile-time invariant.
+// loops would otherwise accumulate shows in perfbench's allocs_per_op;
+// this analyzer turns that benchmark metric into a compile-time
+// invariant.
 //
 // A loop is "hot" when it is part of a loop nest of depth >= 2 — the
 // shape of every per-slot simulation loop (slot loop around per-node /

@@ -49,8 +49,8 @@ var deterministicPkgs = map[string]bool{
 
 // hotAllocPkgs are the slot-loop hot paths where the scratch-arena
 // discipline holds: buffers are allocated once per cell and reused, so
-// the per-slot inner loops run allocation-free (the allocs_per_cell
-// axis of BENCH_sweep.json, enforced by the hotalloc analyzer).
+// the per-slot inner loops run allocation-free (measured by perfbench's
+// allocs_per_op, enforced by the hotalloc analyzer).
 var hotAllocPkgs = map[string]bool{
 	"sim":       true,
 	"mobility":  true,

@@ -5,7 +5,7 @@ package hotalloc
 func suppressed(grid [][]int) {
 	for _, row := range grid {
 		for range row {
-			//lint:ignore hotalloc amortized growth accepted here; measured by the allocs_per_cell axis of BENCH_sweep.json
+			//lint:ignore hotalloc amortized growth accepted here; measured by perfbench's allocs_per_op
 			tmp := make([]int, 8)
 			_ = tmp
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -393,6 +394,78 @@ func TestEachFirstErr(t *testing.T) {
 		if sum != want {
 			t.Fatalf("workers=%d: sum %d, want %d", workers, sum, want)
 		}
+	}
+}
+
+// TestStreamRetainedHeap compares a collected sweep (Stream delivering
+// every outcome into a caller-owned slice held until the sweep ends)
+// with the streaming path (Reduce folding into a MeanAgg) on a
+// 256x1024 grid of cheap cells. The per-point means must agree bit for
+// bit, and the streaming run must retain O(points) heap however many
+// cells the grid has. The collected run's retained heap (about 6 MiB of
+// outcomes) proves the measurement sees retained data at all.
+func TestStreamRetainedHeap(t *testing.T) {
+	const points, seeds = 256, 1024
+	const mib = 1 << 20
+	grid := Grid{Points: points, Seeds: seeds, Workers: 4}
+	cell := func(point, seed int) (float64, error) { return 1 / float64(point+seed+1), nil }
+	// retained reports the live heap run leaves behind: run returns a
+	// closure that reads its results, called only after the second
+	// measurement so everything it captures is still reachable then.
+	retained := func(run func() func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		read := run()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		read()
+		if after.HeapAlloc <= before.HeapAlloc {
+			return 0
+		}
+		return after.HeapAlloc - before.HeapAlloc
+	}
+
+	var collectedMeans, streamMeans [points]float64
+	collected := retained(func() func() {
+		outs := make([]Outcome[float64], points*seeds)
+		err := Stream(context.Background(), grid, cell, func(p, s int, out Outcome[float64]) {
+			outs[p*seeds+s] = out
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			for p := 0; p < points; p++ {
+				sum := 0.0
+				for _, o := range outs[p*seeds : (p+1)*seeds] {
+					sum += o.Value
+				}
+				collectedMeans[p] = sum / seeds
+			}
+		}
+	})
+	streamed := retained(func() func() {
+		agg := NewMeanAgg(points)
+		if err := Reduce(context.Background(), grid, cell, agg); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			for p := 0; p < points; p++ {
+				streamMeans[p], _, _, _ = agg.Point(p)
+			}
+		}
+	})
+	if collectedMeans != streamMeans {
+		t.Fatal("streaming means drifted from collected means")
+	}
+	t.Logf("retained heap: collected %.3f MiB, streaming %.3f MiB",
+		float64(collected)/mib, float64(streamed)/mib)
+	if streamed >= mib {
+		t.Errorf("streaming run retained %d bytes, want < 1 MiB", streamed)
+	}
+	if collected <= 4*mib {
+		t.Errorf("collected run retained %d bytes, want > 4 MiB", collected)
 	}
 }
 

@@ -230,6 +230,30 @@ func BenchmarkAblationLinkCap(b *testing.B) {
 	b.ReportMetric(worst, "worstRelErr")
 }
 
+// BenchmarkSchemeA times one scheme A evaluation at the Table I point
+// (n=16384, alpha=0.3, no BSs) whose CPU profile guides its routing
+// cost work; the network is built outside the timed loop.
+func BenchmarkSchemeA(b *testing.B) {
+	p := scaling.Params{N: 16384, Alpha: 0.3, K: -1, M: 1}
+	nw, err := network.New(network.Config{Params: p, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := traffic.NewPermutation(p.N, rng.New(1).Derive("traffic").Rand())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ev *routing.Evaluation
+	for i := 0; i < b.N; i++ {
+		if ev, err = (routing.SchemeA{}).Evaluate(nw, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(ev.Lambda, "lambda")
+}
+
 // BenchmarkAblationSquarelet compares scheme B with 2x2 vs 4x4
 // constant-area squarelets (Definition 12 allows any constant).
 func BenchmarkAblationSquarelet(b *testing.B) {

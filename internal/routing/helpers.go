@@ -7,51 +7,114 @@ import (
 
 	"hybridcap/internal/geom"
 	"hybridcap/internal/linkcap"
+	"hybridcap/internal/rng"
 )
 
 // maxSampledPairs caps the exact pair enumeration in group capacity
 // sums; larger products are estimated by uniform pair sampling.
 const maxSampledPairs = 4096
 
-// groupCapMSMS returns the total MS-MS link capacity between node
-// groups A and B at transmission range rt:
+// squareletCaps evaluates scheme A's squarelet edge capacities: the
+// total MS-MS link capacity between member groups A and B,
 // sum over i in A, j in B, i != j of mu(home_i, home_j).
-// When |A|*|B| exceeds maxSampledPairs the sum is estimated by sampling
-// pairs uniformly, which keeps evaluation near-linear for dense cells.
-func groupCapMSMS(a *linkcap.Analytic, homes []geom.Point, groupA, groupB []int, rt float64, rnd *rand.Rand) float64 {
+// Products |A|*|B| up to maxSampledPairs are summed exactly; larger ones
+// are estimated by pair sampling, which keeps evaluation near-linear
+// for dense cells.
+type squareletCaps struct {
+	a     *linkcap.Analytic
+	homes []geom.Point
+	// src seeds the sampling stream; every sampled direction replays it
+	// from the start.
+	src rng.Source
+	// terms holds the exact branch's |A|x|B| link capacities, row-major;
+	// reused for every pair.
+	terms []float64
+}
+
+// pair returns the capacity from A to B and from B to A, for disjoint
+// groups. The distance and link capacity of each unordered node pair
+// are evaluated once: the torus distance is bitwise symmetric, and the
+// A->B sum runs row-major, the B->A sum column-major, so each direction
+// adds its terms in the order a per-direction sum would.
+func (sc *squareletCaps) pair(groupA, groupB []int) (ab, ba float64) {
 	na, nb := len(groupA), len(groupB)
-	if na == 0 || nb == 0 {
-		return 0
+	if na*nb > maxSampledPairs {
+		return sc.sampled(groupA, groupB), sc.sampled(groupB, groupA)
 	}
-	total := na * nb
-	if total <= maxSampledPairs {
-		sum := 0.0
-		for _, i := range groupA {
-			for _, j := range groupB {
-				if i == j {
-					continue
-				}
-				sum += a.MSMSAt(geom.Dist(homes[i], homes[j]), rt)
-			}
+	t := sc.terms[:na*nb]
+	for x, i := range groupA {
+		row := t[x*nb : (x+1)*nb]
+		for y, j := range groupB {
+			row[y] = sc.mu(i, j)
 		}
-		return sum
+	}
+	for _, v := range t {
+		ab += v
+	}
+	for y := 0; y < nb; y++ {
+		for k := y; k < len(t); k += nb {
+			ba += t[k]
+		}
+	}
+	return ab, ba
+}
+
+// self returns the capacity of a group with itself, over ordered pairs
+// i != j: the upper triangle is evaluated and mirrored, and the sum runs
+// row-major past the diagonal.
+func (sc *squareletCaps) self(group []int) float64 {
+	n := len(group)
+	if n*n > maxSampledPairs {
+		return sc.sampled(group, group)
+	}
+	t := sc.terms[:n*n]
+	for x, i := range group {
+		for y := x + 1; y < n; y++ {
+			v := sc.mu(i, group[y])
+			t[x*n+y], t[y*n+x] = v, v
+		}
 	}
 	sum := 0.0
-	samples := maxSampledPairs
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			if y != x {
+				sum += t[x*n+y]
+			}
+		}
+	}
+	return sum
+}
+
+// mu is the link capacity between nodes i and j. Dist2Unit is Dist2 on
+// the wrapped home-points, and MSMS is MSMSAt at the S* range RT, both
+// bit for bit.
+func (sc *squareletCaps) mu(i, j int) float64 {
+	return sc.a.MSMS(math.Sqrt(geom.Dist2Unit(sc.homes[i], sc.homes[j])))
+}
+
+// sampled estimates the A->B capacity from maxSampledPairs pairs drawn
+// uniformly with replacement, skipping draws of one node twice.
+func (sc *squareletCaps) sampled(groupA, groupB []int) float64 {
+	// TapeRand, not Rand: re-seeding math/rand's 607-element state per
+	// edge dominated the Table I CPU profile. The replay stream is
+	// bit-identical.
+	rnd := sc.src.TapeRand()
+	na, nb := len(groupA), len(groupB)
+	sum := 0.0
 	valid := 0
-	for s := 0; s < samples; s++ {
+	for s := 0; s < maxSampledPairs; s++ {
 		i := groupA[rnd.Intn(na)]
 		j := groupB[rnd.Intn(nb)]
 		if i == j {
 			continue
 		}
 		valid++
-		sum += a.MSMSAt(geom.Dist(homes[i], homes[j]), rt)
+		sum += sc.mu(i, j)
 	}
 	if valid == 0 {
 		return 0
 	}
-	return sum / float64(valid) * float64(total)
+	return sum / float64(valid) * float64(na*nb)
 }
 
 // groupCapMSBS returns the total MS-BS access capacity between a group
@@ -138,13 +201,6 @@ func rowColPath(g geom.Grid, c1, r1, c2, r2 int, visit func(from, to int) bool) 
 	}
 	// Final in-cell delivery hop.
 	visit(cur, cur)
-}
-
-func boolToFloat(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // bottleneckRate returns the largest rate lambda such that edges with

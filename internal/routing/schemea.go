@@ -55,8 +55,14 @@ func (s SchemeA) Name() string { return "schemeA" }
 
 // Evaluate implements Scheme.
 func (s SchemeA) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation, error) {
+	ev, _, err := s.evaluate(nw, tr)
+	return ev, err
+}
+
+// evaluate is Evaluate that also returns the routed squarelet graph.
+func (s SchemeA) evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation, *cellGraph, error) {
 	if err := validate(nw, tr); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	frac := s.CellFrac
 	if frac <= 0 {
@@ -71,7 +77,7 @@ func (s SchemeA) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation
 	}
 	a, err := linkcap.NewAnalytic(nw, s.CT)
 	if err != nil {
-		return nil, fmt.Errorf("routing: scheme A: %w", err)
+		return nil, nil, fmt.Errorf("routing: scheme A: %w", err)
 	}
 	d := nw.Sampler.Kernel().Support()
 	side := frac * d / nw.F()
@@ -79,19 +85,10 @@ func (s SchemeA) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation
 	homes := nw.HomePoints()
 	members := cellMembersOf(g, homes)
 
-	graph, err := newCellGraph(g, members, func(A, B []int, self bool) float64 {
-		// TapeRand, not Rand: this closure runs once per graph edge, and
-		// re-seeding math/rand's 607-element state per edge dominated the
-		// Table I CPU profile. The replay stream is bit-identical.
-		rnd := rng.New(0xA).Derive("schemeA-cap").TapeRand()
-		cap := groupCapMSMS(a, homes, A, B, a.RT(), rnd)
-		if self {
-			cap /= 2
-		}
-		return cap
-	})
+	caps := &squareletCaps{a: a, homes: homes, src: rng.New(0xA).Derive("schemeA-cap"), terms: make([]float64, maxSampledPairs)}
+	graph, err := newCellGraph(g, members, caps)
 	if err != nil {
-		return nil, fmt.Errorf("routing: scheme A: %w", err)
+		return nil, nil, fmt.Errorf("routing: scheme A: %w", err)
 	}
 
 	ev := &Evaluation{Detail: map[string]float64{}}
@@ -109,18 +106,18 @@ func (s SchemeA) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation
 
 	lambda, strict := graph.bottleneck()
 	if math.IsNaN(lambda) {
-		return nil, fmt.Errorf("routing: scheme A found no loaded edges (n=%d)", nw.NumMS())
+		return nil, nil, fmt.Errorf("routing: scheme A found no loaded edges (n=%d)", nw.NumMS())
 	}
 	ev.Lambda = lambda
 	ev.Detail["strictMin"] = strict
 	ev.Bottleneck = "relay"
 	ev.Detail["gridCells"] = float64(g.NumCells())
-	return finish(ev), nil
+	return finish(ev), graph, nil
 }
 
-// cellGraph is a capacitated graph over occupied tessellation cells
-// (4-adjacency plus self-edges), with congestion-aware shortest-path
-// routing shared by scheme A and its ablations.
+// cellGraph is scheme A's capacitated graph over occupied tessellation
+// cells (4-adjacency plus self-edges), with congestion-aware
+// shortest-path routing.
 type cellGraph struct {
 	g        geom.Grid
 	occupied []bool
@@ -142,9 +139,17 @@ type cellGraph struct {
 	edgeWeight    [][]float64
 }
 
-// newCellGraph builds the adjacency structure; capFn computes the total
-// wireless capacity between two member groups (self = within one cell).
-func newCellGraph(g geom.Grid, members [][]int, capFn func(a, b []int, self bool) float64) (*cellGraph, error) {
+// cellDirs are the 4-adjacency steps in edge order. Each forward step
+// (even index) is followed by its reverse.
+var cellDirs = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
+
+// newCellGraph builds the adjacency structure with the MS-MS capacities
+// between member groups; a self-edge carries half the in-cell capacity.
+//
+// On a grid two cells wide both horizontal neighbours of a cell are the
+// same cell (likewise vertically): the two parallel edges are kept, and
+// routeAll loads the first.
+func newCellGraph(g geom.Grid, members [][]int, caps *squareletCaps) (*cellGraph, error) {
 	n := g.NumCells()
 	cg := &cellGraph{
 		g:        g,
@@ -165,17 +170,34 @@ func newCellGraph(g geom.Grid, members [][]int, capFn func(a, b []int, self bool
 	if !any {
 		return nil, fmt.Errorf("no occupied cells")
 	}
+	// dirCap[c][d] is the capacity of the edge from c in direction d.
+	// One capacity pass per neighbour pair fills both directions: the
+	// reverse of c's forward step d leads from the neighbour back to c.
+	dirCap := make([][4]float64, n)
 	for c := range members {
 		if !cg.occupied[c] {
 			continue
 		}
 		col, row := g.ColRow(c)
-		for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-			nb := g.Index(col+d[0], row+d[1])
+		for d := 0; d < len(cellDirs); d += 2 {
+			nb := g.Index(col+cellDirs[d][0], row+cellDirs[d][1])
 			if nb == c || !cg.occupied[nb] {
 				continue
 			}
-			cap := capFn(members[c], members[nb], false)
+			dirCap[c][d], dirCap[nb][d+1] = caps.pair(members[c], members[nb])
+		}
+	}
+	for c := range members {
+		if !cg.occupied[c] {
+			continue
+		}
+		col, row := g.ColRow(c)
+		for d, step := range cellDirs {
+			nb := g.Index(col+step[0], row+step[1])
+			if nb == c || !cg.occupied[nb] {
+				continue
+			}
+			cap := dirCap[c][d]
 			if cap <= 0 {
 				continue
 			}
@@ -184,7 +206,7 @@ func newCellGraph(g geom.Grid, members [][]int, capFn func(a, b []int, self bool
 			cg.nbrLoad[c] = append(cg.nbrLoad[c], 0)
 		}
 		if len(members[c]) > 1 {
-			cg.selfCap[c] = capFn(members[c], members[c], true)
+			cg.selfCap[c] = caps.self(members[c]) / 2
 		}
 	}
 	return cg, nil
@@ -372,47 +394,54 @@ type cellPQItem struct {
 }
 
 // cellPQ is a binary min-heap on dist, specialized to avoid the
-// interface boxing of container/heap in the dijkstra inner loop. The
-// sift order replicates container/heap exactly — up while strictly
-// less than the parent, down preferring the left child unless the
-// right is strictly less — so equal-distance ties pop in the same
-// order and parent arrays stay bit-identical to the generic version.
+// interface boxing of container/heap in the dijkstra inner loop.
+//
+// Exact-order contract: the heap array after every push and pop is the
+// one container/heap would hold — up while strictly less than the
+// parent, down preferring the left child unless the right is strictly
+// less — so equal-distance ties pop in the same order and parent arrays
+// stay bit-identical to the generic version. The sifts shift parents or
+// children into the gap and write the moving item once, at its final
+// slot, which leaves the same array as swapping it level by level.
 type cellPQ struct {
 	items []cellPQItem
 }
 
 func (p *cellPQ) push(it cellPQItem) {
 	p.items = append(p.items, it)
-	j := len(p.items) - 1
+	items := p.items
+	j := len(items) - 1
 	for j > 0 {
 		i := (j - 1) / 2
-		if !(p.items[j].dist < p.items[i].dist) {
+		if !(it.dist < items[i].dist) {
 			break
 		}
-		p.items[i], p.items[j] = p.items[j], p.items[i]
+		items[j] = items[i]
 		j = i
 	}
+	items[j] = it
 }
 
 func (p *cellPQ) pop() cellPQItem {
-	n := len(p.items) - 1
-	p.items[0], p.items[n] = p.items[n], p.items[0]
+	items := p.items
+	n := len(items) - 1
+	top, last := items[0], items[n]
 	i := 0
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && p.items[j2].dist < p.items[j].dist {
+		if j2 := j + 1; j2 < n && items[j2].dist < items[j].dist {
 			j = j2
 		}
-		if !(p.items[j].dist < p.items[i].dist) {
+		if !(items[j].dist < last.dist) {
 			break
 		}
-		p.items[i], p.items[j] = p.items[j], p.items[i]
+		items[i] = items[j]
 		i = j
 	}
-	it := p.items[n]
-	p.items = p.items[:n]
-	return it
+	items[i] = last
+	p.items = items[:n]
+	return top
 }

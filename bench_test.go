@@ -254,6 +254,32 @@ func BenchmarkSchemeA(b *testing.B) {
 	b.ReportMetric(ev.Lambda, "lambda")
 }
 
+// BenchmarkPacketSim times one two-hop relay run at perfbench's
+// packet-sim size (n=256, 3000 slots), whose CPU profile guides the
+// slot-loop cost work: mobility, spatial index rebuild and S*
+// scheduling. Each run gets a freshly built network, outside the timer.
+func BenchmarkPacketSim(b *testing.B) {
+	p := scaling.Params{N: 256, Alpha: 0.15, K: -1, M: 1}
+	tr, err := traffic.NewPermutation(p.N, rng.New(1).Derive("traffic").Rand())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var rep *sim.PacketReport
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		nw, err := network.New(network.Config{Params: p, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if rep, err = sim.RunTwoHop(nw, tr, sim.PacketConfig{Lambda: 0.002, Slots: 3000, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(rep.DeliveredRate, "deliveredRate")
+}
+
 // BenchmarkAblationSquarelet compares scheme B with 2x2 vs 4x4
 // constant-area squarelets (Definition 12 allows any constant).
 func BenchmarkAblationSquarelet(b *testing.B) {

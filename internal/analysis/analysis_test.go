@@ -51,6 +51,8 @@ func TestInScope(t *testing.T) {
 		{"nondeterminism", "hybridcap/internal/obs", true},       // obs must take time from an injected Clock
 		{"nondeterminism", "hybridcap/internal/cellcache", true}, // persisted entries must replay identically across hosts
 		{"nondeterminism", "hybridcap/internal/cli", false},      // cli constructs the wall clock for injection
+		{"nondeterminism", "hybridcap/internal/spatial", true},   // query order is part of the determinism contract
+		{"nondeterminism", "hybridcap/internal/geom", true},
 		{"nondeterminism", "hybridcap/cmd/capsim", false},
 		{"floateq", "hybridcap/internal/capacity", true},
 		{"floateq", "hybridcap/internal/scaling", true},

@@ -45,6 +45,12 @@ var deterministicPkgs = map[string]bool{
 	// counts and shard merges; its folds depend only on observation
 	// order, never on ambient state.
 	"delay": true,
+	// spatial's query order (row-major cells, ascending ids within a
+	// cell) feeds order-dependent folds in the slot loops, and geom
+	// supplies the cell arithmetic behind it; both must stay pure
+	// functions of their inputs.
+	"spatial": true,
+	"geom":    true,
 }
 
 // hotAllocPkgs are the slot-loop hot paths where the scratch-arena

@@ -12,7 +12,7 @@ import (
 	"hybridcap/internal/spatial"
 )
 
-// SStarPairs returns every node pair admitted by policy S* at the
+// SStarPairsInto returns every node pair admitted by policy S* at the
 // current positions: d_ij < RT and no other node within the guard
 // radius of either endpoint. The admitted pairs are necessarily
 // disjoint (a third node within RT of an endpoint would itself violate
@@ -22,14 +22,9 @@ import (
 //
 // ix must index all n+k node positions. The result lists each pair once
 // with From < To; Definition 10 shares the slot's bandwidth equally in
-// the two directions.
-func SStarPairs(m interference.Model, ix *spatial.Index) []interference.Transmission {
-	return SStarPairsInto(m, ix, nil)
-}
-
-// SStarPairsInto is SStarPairs appending into buf's backing storage
-// (truncated first), so slot loops can reuse one pair buffer instead
-// of allocating a fresh result every slot.
+// the two directions. It is appended into buf's backing storage
+// (truncated first; buf may be nil), so slot loops reuse one pair
+// buffer instead of allocating a fresh result every slot.
 func SStarPairsInto(m interference.Model, ix *spatial.Index, buf []interference.Transmission) []interference.Transmission {
 	out := buf[:0]
 	n := ix.Len()

@@ -22,7 +22,7 @@ func TestSStarPairsDisjointAndFeasible(t *testing.T) {
 	pos := randomPos(1000, 1)
 	m := interference.NewModel(0.02, 1)
 	ix := spatial.New(pos, m.GuardRadius())
-	pairs := SStarPairs(m, ix)
+	pairs := SStarPairsInto(m, ix, nil)
 	if len(pairs) == 0 {
 		t.Fatal("expected some admitted pairs at this density")
 	}
@@ -45,7 +45,7 @@ func TestSStarPairsMatchBruteForce(t *testing.T) {
 	pos := randomPos(200, 2)
 	m := interference.NewModel(0.04, 1)
 	ix := spatial.New(pos, m.GuardRadius())
-	got := SStarPairs(m, ix)
+	got := SStarPairsInto(m, ix, nil)
 	gotSet := make(map[[2]int]bool, len(got))
 	for _, p := range got {
 		gotSet[[2]int{p.From, p.To}] = true
@@ -70,7 +70,7 @@ func TestSStarIsolatedPair(t *testing.T) {
 	pos := []geom.Point{{X: 0.2, Y: 0.2}, {X: 0.22, Y: 0.2}, {X: 0.8, Y: 0.8}}
 	m := interference.NewModel(0.05, 1)
 	ix := spatial.New(pos, m.GuardRadius())
-	pairs := SStarPairs(m, ix)
+	pairs := SStarPairsInto(m, ix, nil)
 	if len(pairs) != 1 || pairs[0].From != 0 || pairs[0].To != 1 {
 		t.Fatalf("pairs = %v, want [(0,1)]", pairs)
 	}
@@ -81,7 +81,7 @@ func TestSStarCrowdBlocks(t *testing.T) {
 	pos := []geom.Point{{X: 0.2, Y: 0.2}, {X: 0.22, Y: 0.2}, {X: 0.24, Y: 0.2}}
 	m := interference.NewModel(0.05, 1)
 	ix := spatial.New(pos, m.GuardRadius())
-	if pairs := SStarPairs(m, ix); len(pairs) != 0 {
+	if pairs := SStarPairsInto(m, ix, nil); len(pairs) != 0 {
 		t.Fatalf("crowded triple admitted %v", pairs)
 	}
 }
@@ -107,7 +107,7 @@ func TestGreedyAdmitsAtLeastAsManyAsSStar(t *testing.T) {
 	pos := randomPos(1500, 4)
 	m := interference.NewModel(0.02, 1)
 	ix := spatial.New(pos, m.GuardRadius())
-	star := SStarPairs(m, ix)
+	star := SStarPairsInto(m, ix, nil)
 	greedy := GreedyPairs(m, pos, NearestNeighborWants(m, ix))
 	if len(greedy) < len(star) {
 		t.Errorf("greedy %d < S* %d", len(greedy), len(star))
@@ -149,5 +149,23 @@ func TestNearestNeighborWants(t *testing.T) {
 	// Nodes 0 and 1 want each other; node 2 has no neighbor in range.
 	if len(wants) != 2 {
 		t.Fatalf("wants = %v", wants)
+	}
+}
+
+// At the packet-sim size (n = 256, RT = 0.3/sqrt(n), default guard)
+// scheduling into a reused pair buffer allocates nothing.
+func TestSStarPairsIntoAllocationFree(t *testing.T) {
+	pos := randomPos(256, 3)
+	m := interference.NewModel(0.3/16, -1)
+	ix := spatial.New(pos, m.GuardRadius())
+	buf := SStarPairsInto(m, ix, nil)
+	if len(buf) == 0 {
+		t.Fatal("expected some admitted pairs")
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		buf = SStarPairsInto(m, ix, buf)
+	})
+	if allocs != 0 {
+		t.Errorf("SStarPairsInto allocates %v times per call, want 0", allocs)
 	}
 }

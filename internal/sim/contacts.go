@@ -73,6 +73,10 @@ func MeasureContacts(nw *network.Network, cfg ContactConfig) (*ContactReport, er
 	total := nw.NumMS() + nw.NumBS()
 	pos := make([]geom.Point, 0, total)
 	rep := &ContactReport{}
+	// Slot-loop scratch, as in RunTwoHop: one index rebuilt in place
+	// and one pair buffer.
+	var ix *spatial.Index
+	var pairs []interference.Transmission
 	for slot := 0; slot < cfg.Warmup+cfg.Slots; slot++ {
 		nw.Step()
 		pos = nw.MSPositions(pos)
@@ -80,12 +84,15 @@ func MeasureContacts(nw *network.Network, cfg ContactConfig) (*ContactReport, er
 		if slot < cfg.Warmup {
 			continue
 		}
-		ix := spatial.New(pos, model.GuardRadius())
-		var pairs []interference.Transmission
+		if ix == nil {
+			ix = spatial.New(pos, model.GuardRadius())
+		} else {
+			ix.Rebuild(pos)
+		}
 		if cfg.Greedy {
 			pairs = scheduler.GreedyPairs(model, pos, scheduler.NearestNeighborWants(model, ix))
 		} else {
-			pairs = scheduler.SStarPairs(model, ix)
+			pairs = scheduler.SStarPairsInto(model, ix, pairs)
 		}
 		rep.PairsPerSlot += float64(len(pairs))
 		for _, p := range pairs {

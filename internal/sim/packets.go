@@ -84,7 +84,7 @@ func RunTwoHop(nw *network.Network, tr *traffic.Pattern, cfg PacketConfig) (*Pac
 	// The spatial index and pair list are slot-loop scratch: the grid
 	// geometry depends only on the guard radius and node count, both
 	// constant over the run, so rebuilding in place fills the same
-	// buckets New would. Allocations inside the slot loop below show in
+	// cells New would. Allocations inside the slot loop below show in
 	// perfbench's allocs_per_op; the hotalloc analyzer
 	// (internal/analysis/hotalloc.go) flags new ones at lint time.
 	var ix *spatial.Index

@@ -166,8 +166,13 @@ func TestRebuild(t *testing.T) {
 
 func TestNegativeRadius(t *testing.T) {
 	ix := New(randomPoints(10, 11), 0.1)
-	if got := ix.AppendWithin(nil, geom.Point{}, -1); len(got) != 0 {
-		t.Errorf("negative radius returned %v", got)
+	for _, r := range []float64{-1, math.NaN()} {
+		if got := ix.AppendWithin(nil, geom.Point{}, r); len(got) != 0 {
+			t.Errorf("radius %v returned %v", r, got)
+		}
+	}
+	if got := ix.AppendWithin(nil, geom.Point{}, math.Inf(1)); len(got) != 10 {
+		t.Errorf("infinite radius returned %d of 10 points", len(got))
 	}
 }
 
@@ -182,16 +187,6 @@ func TestPointAccessor(t *testing.T) {
 	}
 }
 
-// forEachIDs collects the ids ForEachWithin reports, in its order.
-func forEachIDs(ix *Index, q geom.Point, r float64) []int32 {
-	var out []int32
-	ix.ForEachWithin(q, r, func(id int) bool {
-		out = append(out, int32(id))
-		return true
-	})
-	return out
-}
-
 // latticePoints returns the side x side lattice with spacing 1/side.
 // With side a power of two every coordinate and squared lattice
 // distance is exact, so lattice radii put points exactly on the disk.
@@ -203,65 +198,4 @@ func latticePoints(side int) []geom.Point {
 		}
 	}
 	return pts
-}
-
-// AppendWithin must report exactly ForEachWithin's ids in the same
-// order, appended after whatever dst already holds: on random and
-// lattice points, for radii from below one cell to past the torus
-// diameter, at cell corners and on the torus seam, over 1x1, 2x2 and
-// finely divided grids.
-func TestAppendWithinMatchesForEachWithin(t *testing.T) {
-	below1 := math.Nextafter(1, 0)
-	sets := []struct {
-		name string
-		pts  []geom.Point
-	}{
-		{"uniform", randomPoints(700, 13)},
-		{"lattice", latticePoints(32)},
-	}
-	// Side 1/32 puts every lattice point on a cell corner.
-	sides := []float64{2, 1, 0.5, 0.25, 0.07, 1.0 / 32, 0.02}
-	rng := rand.New(rand.NewSource(14))
-	prefix := []int32{-7, -8}
-	cols := map[int]bool{}
-	for _, set := range sets {
-		for _, side := range sides {
-			ix := New(set.pts, side)
-			g := ix.grid
-			cols[g.Cols] = true
-			queries := []geom.Point{
-				{X: 0, Y: 0}, {X: below1, Y: below1}, {X: 0, Y: below1}, {X: below1, Y: 0.5},
-				{X: 0.5, Y: 0.5}, set.pts[len(set.pts)/3],
-			}
-			for c := 0; c <= g.Cols && c < 4; c++ {
-				queries = append(queries, geom.Point{X: float64(c) * g.CellW(), Y: g.CellH()}.Wrapped())
-			}
-			for i := 0; i < 20; i++ {
-				queries = append(queries, geom.Point{X: rng.Float64(), Y: rng.Float64()})
-			}
-			radii := []float64{0, g.CellW() / 3, g.CellW(), 1.5 * g.CellW(), 0.125, 0.25, 0.5, 5.0 / 32, 0.7,
-				math.Sqrt(5) / 32, geom.MaxDist, math.Nextafter(geom.MaxDist, 0), 0.75, 1.43, 3}
-			for i := 0; i < 10; i++ {
-				radii = append(radii, rng.Float64()*0.8)
-			}
-			for _, q := range queries {
-				for _, r := range radii {
-					want := forEachIDs(ix, q, r)
-					got := ix.AppendWithin(append([]int32(nil), prefix...), q, r)
-					if len(got) != len(prefix)+len(want) || got[0] != prefix[0] || got[1] != prefix[1] {
-						t.Fatalf("%s side=%v q=%v r=%v: got %d ids after prefix %v, want %d",
-							set.name, side, q, r, len(got)-len(prefix), got[:2], len(want))
-					}
-					for k, id := range got[len(prefix):] {
-						if id != want[k] {
-							t.Fatalf("%s side=%v q=%v r=%v: id %d is %d, want %d", set.name, side, q, r, k, id, want[k])
-						}
-					}
-				}
-			}
-		}
-	}
-	if !cols[1] || !cols[2] || !cols[50] {
-		t.Errorf("grid shapes covered %v, want 1x1, 2x2 and 50x50 among them", cols)
-	}
 }

@@ -50,6 +50,7 @@ func TestInScope(t *testing.T) {
 		{"nondeterminism", "hybridcap/internal/rng", false},      // rng wraps math/rand by design
 		{"nondeterminism", "hybridcap/internal/obs", true},       // obs must take time from an injected Clock
 		{"nondeterminism", "hybridcap/internal/cellcache", true}, // persisted entries must replay identically across hosts
+		{"nondeterminism", "hybridcap/internal/blob", true},      // the store behind both caches
 		{"nondeterminism", "hybridcap/internal/cli", false},      // cli constructs the wall clock for injection
 		{"nondeterminism", "hybridcap/internal/spatial", true},   // query order is part of the determinism contract
 		{"nondeterminism", "hybridcap/internal/geom", true},

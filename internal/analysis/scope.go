@@ -32,6 +32,10 @@ var deterministicPkgs = map[string]bool{
 	// from scope + seed, so ambient clock/env/randomness reads would
 	// undermine the cache's share-a-directory-across-machines contract.
 	"cellcache": true,
+	// blob is the store both caches persist through: an entry's bytes
+	// are a pure function of its value, so a directory written on one
+	// host replays on another.
+	"blob": true,
 	// cells is the per-cell outcome artifact a sharded run writes and
 	// capmerge folds back together; its bytes must reproduce exactly for
 	// the merged report to be byte-identical to an unsharded run.

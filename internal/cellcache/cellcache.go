@@ -8,26 +8,21 @@
 // recomputing it: editing one dimension of a regime re-runs only the
 // cells whose scope changed.
 //
-// Entries follow the same envelope discipline as the server's run
-// cache: schema-versioned JSON, content-addressed filenames, a payload
-// checksum detecting truncation and bit rot independently of the JSON
-// framing, atomic temp-file+fsync+rename writes, and
-// evict-on-corruption so a damaged entry is recomputed instead of
-// served.
+// Entries live in the same blob store as the server's run cache
+// (internal/blob: content-addressed filenames, strict decoding,
+// atomic temp-file+fsync+rename writes, evict-on-corruption); this
+// package adds the schema version and a payload checksum detecting
+// truncation and bit rot independently of the JSON framing.
 package cellcache
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
 
+	"hybridcap/internal/blob"
 	"hybridcap/internal/obs"
 )
 
@@ -37,16 +32,8 @@ import (
 const EntrySchema = 1
 
 // entrySuffix is the filename suffix of one cell entry; the prefix is
-// the cell's key hash, so the directory listing IS the index.
+// the cell's key hash.
 const entrySuffix = ".cell.json"
-
-// ErrMiss reports that no (valid) entry exists for a key.
-var ErrMiss = errors.New("cellcache: miss")
-
-// errCorrupt tags an entry that exists on disk but failed validation;
-// the store evicts it so the caller recomputes instead of serving
-// poison.
-var errCorrupt = errors.New("cellcache: corrupt entry")
 
 // The cache counters live in the process-default obs registry, so a
 // -metrics-out dump carries them alongside the engine metrics, and a
@@ -141,112 +128,59 @@ func (e *Entry) payloadSum() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// validate checks the entry's framing, self-address and checksum
+// Validate checks the entry's framing, self-address and checksum
 // against the key it was loaded under.
-func (e *Entry) validate(key string) error {
+func (e *Entry) Validate(key string) error {
 	if e.Schema != EntrySchema {
-		return fmt.Errorf("%w: schema %d, want %d", errCorrupt, e.Schema, EntrySchema)
+		return fmt.Errorf("schema %d, want %d", e.Schema, EntrySchema)
 	}
 	if e.Key != key {
-		return fmt.Errorf("%w: entry addressed %s claims key %s", errCorrupt, key, e.Key)
+		return fmt.Errorf("entry addressed %s claims key %s", key, e.Key)
 	}
 	if Key([]byte(e.Scope), e.Point, e.Seed) != key {
-		return fmt.Errorf("%w: stored cell does not hash to %s", errCorrupt, key)
+		return fmt.Errorf("stored cell does not hash to %s", key)
 	}
 	if e.payloadSum() != e.PayloadSHA256 {
-		return fmt.Errorf("%w: payload checksum mismatch", errCorrupt)
+		return fmt.Errorf("payload checksum mismatch")
 	}
 	return nil
 }
 
-// Store is the on-disk cell cache: one entry file per cell key,
-// written atomically (temp file + fsync + rename in the same
-// directory), so a crash mid-write can never leave a half-visible
-// entry. Concurrent readers and writers are safe: distinct cells live
-// in distinct files, and the same cell written twice renames the same
-// bytes into place.
+// Store is the on-disk cell cache: one blob entry per cell key. Dir
+// and Len come from the embedded blob store.
 type Store struct {
-	dir string
+	*blob.Store
 }
 
 // NewStore opens (creating if needed) the cache directory.
 func NewStore(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("cellcache: dir is required")
+	b, err := blob.Open(dir, entrySuffix)
+	if err != nil {
+		return nil, fmt.Errorf("cellcache: %w", err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cellcache: dir: %w", err)
-	}
-	return &Store{dir: dir}, nil
-}
-
-// Dir returns the cache directory.
-func (st *Store) Dir() string { return st.dir }
-
-func (st *Store) path(key string) string {
-	return filepath.Join(st.dir, key+entrySuffix)
-}
-
-// validKey gates file names: exactly 64 lowercase hex characters,
-// nothing path-like.
-func validKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for _, c := range key {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	return &Store{b}, nil
 }
 
 // Get loads and validates the entry for key. A missing entry returns
-// ErrMiss. A present-but-invalid entry (truncated write that still
-// renamed, bit rot, schema drift, key mismatch) is evicted from disk
-// and reported as corrupt: the caller recomputes rather than replaying
+// blob.ErrMiss; an invalid one is evicted and reported as
+// blob.ErrCorrupt, so the caller recomputes rather than replaying
 // poison. The returned bool says whether an eviction happened.
 func (st *Store) Get(key string) (*Entry, bool, error) {
-	if !validKey(key) {
-		return nil, false, fmt.Errorf("cellcache: invalid key %q", key)
-	}
-	data, err := os.ReadFile(st.path(key))
-	if errors.Is(err, os.ErrNotExist) {
-		cacheMisses.Inc()
-		return nil, false, ErrMiss
+	e := &Entry{}
+	evicted, err := st.Store.Get(key, e)
+	if evicted {
+		cacheEvictions.Inc()
 	}
 	if err != nil {
 		cacheMisses.Inc()
-		return nil, false, fmt.Errorf("cellcache: read entry: %w", err)
-	}
-	e := &Entry{}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(e); err != nil {
-		cacheMisses.Inc()
-		return nil, st.evict(key), fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	if err := e.validate(key); err != nil {
-		cacheMisses.Inc()
-		return nil, st.evict(key), err
+		return nil, evicted, err
 	}
 	cacheHits.Inc()
 	return e, false, nil
 }
 
-// evict removes the entry file, reporting whether a file was deleted.
-func (st *Store) evict(key string) bool {
-	if os.Remove(st.path(key)) == nil {
-		cacheEvictions.Inc()
-		return true
-	}
-	return false
-}
-
 // Put persists one cell value atomically under Key(scope, point,
-// seed): marshal, write to a temp file in the cache directory, fsync,
-// rename onto the final name. Readers only ever see a complete entry
-// or none at all. Non-finite values are rejected — NaN and ±Inf do not
+// seed). Non-finite values are rejected — NaN and ±Inf do not
 // survive a JSON round trip, and a cell producing one should recompute
 // (and re-fail) rather than replay.
 func (st *Store) Put(scope []byte, point int, seed uint64, value float64) error {
@@ -262,50 +196,9 @@ func (st *Store) Put(scope []byte, point int, seed uint64, value float64) error 
 		Value:  value,
 	}
 	e.PayloadSHA256 = e.payloadSum()
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return fmt.Errorf("cellcache: marshal entry: %w", err)
-	}
-	data = append(data, '\n')
-	tmp, err := os.CreateTemp(st.dir, "."+e.Key+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("cellcache: temp file: %w", err)
-	}
-	defer func() {
-		// Best-effort cleanup: on the success path the file was renamed
-		// away and both calls fail harmlessly.
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("cellcache: write entry: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("cellcache: sync entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cellcache: close entry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), st.path(e.Key)); err != nil {
-		return fmt.Errorf("cellcache: commit entry: %w", err)
+	if err := st.Store.Put(e.Key, e); err != nil {
+		return err
 	}
 	cachePuts.Inc()
 	return nil
-}
-
-// Len returns the number of entry files currently on disk (corrupt or
-// not; Get validates lazily on access).
-func (st *Store) Len() (int, error) {
-	names, err := os.ReadDir(st.dir)
-	if err != nil {
-		return 0, fmt.Errorf("cellcache: list: %w", err)
-	}
-	n := 0
-	for _, de := range names {
-		name := de.Name()
-		if len(name) == 64+len(entrySuffix) && name[64:] == entrySuffix && validKey(name[:64]) {
-			n++
-		}
-	}
-	return n, nil
 }

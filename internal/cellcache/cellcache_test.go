@@ -1,13 +1,15 @@
 package cellcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"hybridcap/internal/blob"
 )
 
 func testStore(t *testing.T) *Store {
@@ -62,43 +64,26 @@ func TestKeySeparation(t *testing.T) {
 	}
 }
 
-// A miss is ErrMiss, not an eviction and not a failure.
+// A miss is blob.ErrMiss, not an eviction and not a failure.
 func TestGetMiss(t *testing.T) {
 	st := testStore(t)
 	_, evicted, err := st.Get(Key([]byte("nothing"), 1, 1))
-	if !errors.Is(err, ErrMiss) || evicted {
-		t.Fatalf("want ErrMiss without eviction, got evicted=%v err=%v", evicted, err)
-	}
-	if _, _, err := st.Get("../escape"); err == nil || !strings.Contains(err.Error(), "invalid key") {
-		t.Fatalf("path-like key accepted: %v", err)
+	if !errors.Is(err, blob.ErrMiss) || evicted {
+		t.Fatalf("want blob.ErrMiss without eviction, got evicted=%v err=%v", evicted, err)
 	}
 }
 
-// corrupt rewrites the single entry file in st's directory with data.
-func corruptEntry(t *testing.T, st *Store, data []byte) string {
-	t.Helper()
-	names, err := filepath.Glob(filepath.Join(st.Dir(), "*"+entrySuffix))
-	if err != nil || len(names) != 1 {
-		t.Fatalf("want exactly one entry file, got %v (%v)", names, err)
-	}
-	if err := os.WriteFile(names[0], data, 0o644); err != nil {
-		t.Fatalf("corrupt: %v", err)
-	}
-	return names[0]
-}
-
-// A corrupt entry — truncated write, bit rot, garbage — must be evicted
-// on access so the cell recomputes instead of replaying poison.
+// Entry.Validate must reject bit rot in the value, a seed that no
+// longer hashes to the address, and an entry from another schema
+// version (how a cache-format change invalidates stale data); the
+// store then evicts it so the cell recomputes instead of replaying
+// poison. Damage to the file framing is covered once, in
+// internal/blob.
 func TestCorruptionEviction(t *testing.T) {
-	for name, mangle := range map[string]func(data []byte) []byte{
-		"truncated": func(data []byte) []byte { return data[:len(data)/2] },
-		"garbage":   func([]byte) []byte { return []byte("not json") },
-		"bit-rot": func(data []byte) []byte {
-			return []byte(strings.Replace(string(data), "\"value\": ", "\"value\": 1", 1))
-		},
-		"wrong-seed": func(data []byte) []byte {
-			return []byte(strings.Replace(string(data), "\"seed\": 9", "\"seed\": 8", 1))
-		},
+	for name, mangle := range map[string]func(e *Entry){
+		"bit-rot":     func(e *Entry) { e.Value = 1.5 },
+		"wrong-seed":  func(e *Entry) { e.Seed = 8 },
+		"schema-skew": func(e *Entry) { e.Schema = EntrySchema + 1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			st := testStore(t)
@@ -106,65 +91,56 @@ func TestCorruptionEviction(t *testing.T) {
 			if err := st.Put(scope, 64, 9, 0.5); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
-			data, err := os.ReadFile(filepath.Join(st.Dir(), Key(scope, 64, 9)+entrySuffix))
+			key := Key(scope, 64, 9)
+			e, _, err := st.Get(key)
 			if err != nil {
-				t.Fatalf("read entry: %v", err)
+				t.Fatalf("Get: %v", err)
 			}
-			path := corruptEntry(t, st, mangle(data))
-			_, evicted, err := st.Get(Key(scope, 64, 9))
-			if err == nil || errors.Is(err, ErrMiss) {
-				t.Fatalf("corrupt entry served: %v", err)
+			mangle(e)
+			data, err := json.MarshalIndent(e, "", "  ")
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !evicted {
-				t.Fatal("corrupt entry not evicted")
+			if err := os.WriteFile(filepath.Join(st.Dir(), key+entrySuffix), data, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if _, statErr := os.Stat(path); !errors.Is(statErr, os.ErrNotExist) {
-				t.Fatalf("entry file still on disk: %v", statErr)
+			before := ReadStats()
+			if _, evicted, err := st.Get(key); !errors.Is(err, blob.ErrCorrupt) || !evicted {
+				t.Fatalf("Get: evicted=%v err=%v, want corrupt and evicted", evicted, err)
 			}
-			// After eviction the cell is a plain miss and can be refilled.
-			if _, _, err := st.Get(Key(scope, 64, 9)); !errors.Is(err, ErrMiss) {
-				t.Fatalf("want ErrMiss after eviction, got %v", err)
-			}
-			if err := st.Put(scope, 64, 9, 0.5); err != nil {
-				t.Fatalf("refill: %v", err)
-			}
-			if e, _, err := st.Get(Key(scope, 64, 9)); err != nil || e.Value != 0.5 {
-				t.Fatalf("refilled entry: %+v, %v", e, err)
+			if d := ReadStats().Evictions - before.Evictions; d != 1 {
+				t.Errorf("evictions moved by %d, want 1", d)
 			}
 		})
 	}
 }
 
-// An entry written under a different schema version must be evicted and
-// recomputed, never replayed: that is how a cache-format change
-// invalidates stale data.
-func TestCacheVersioning(t *testing.T) {
+// A cell-cache directory written before the blob store (testdata,
+// produced by the previous Store.Put) must stay warm: its entry is
+// served without eviction, and re-storing it rewrites the same bytes.
+func TestWarmCacheFromPreviousFormat(t *testing.T) {
+	const key = "cdd82c873b14c360d46ff5f1fbdebfdbd74fc418ab97c8a9124e4aa0869afdda"
+	want, err := os.ReadFile(filepath.Join("testdata", key+entrySuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := testStore(t)
-	scope := []byte("scope")
-	if err := st.Put(scope, 32, 5, 2.5); err != nil {
-		t.Fatalf("Put: %v", err)
+	path := filepath.Join(st.Dir(), key+entrySuffix)
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	key := Key(scope, 32, 5)
-	data, err := os.ReadFile(filepath.Join(st.Dir(), key+entrySuffix))
-	if err != nil {
-		t.Fatalf("read entry: %v", err)
+	e, evicted, err := st.Get(key)
+	if err != nil || evicted {
+		t.Fatalf("Get: evicted=%v err=%v, want a hit", evicted, err)
 	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		t.Fatalf("unmarshal: %v", err)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
 	}
-	e.Schema = EntrySchema + 1
-	stale, err := json.MarshalIndent(&e, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
+	if err := st.Put([]byte(e.Scope), e.Point, e.Seed, e.Value); err != nil {
+		t.Fatal(err)
 	}
-	corruptEntry(t, st, stale)
-	_, evicted, err := st.Get(key)
-	if err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("stale-schema entry served: %v", err)
-	}
-	if !evicted {
-		t.Fatal("stale-schema entry not evicted")
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Errorf("re-Put wrote\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -188,7 +164,7 @@ func TestReadStatsDeltas(t *testing.T) {
 	st := testStore(t)
 	before := ReadStats()
 	scope := []byte("stats")
-	if _, _, err := st.Get(Key(scope, 1, 1)); !errors.Is(err, ErrMiss) {
+	if _, _, err := st.Get(Key(scope, 1, 1)); !errors.Is(err, blob.ErrMiss) {
 		t.Fatalf("want miss: %v", err)
 	}
 	if err := st.Put(scope, 1, 1, 1.5); err != nil {

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -134,21 +133,4 @@ func Load(path string) (*File, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return f, nil
-}
-
-// WriteFile writes the file to path, creating parent directories.
-func (f *File) WriteFile(path string) error {
-	data, err := f.Marshal()
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("cells: %w", err)
-		}
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("cells: %w", err)
-	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"hybridcap/internal/blob"
 	"hybridcap/internal/measure"
 )
 
@@ -48,8 +49,7 @@ func (r *Result) WriteFiles(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
-	txt := filepath.Join(dir, r.ID+".txt")
-	if err := os.WriteFile(txt, []byte(r.Text()), 0o644); err != nil {
+	if err := blob.WriteFile(filepath.Join(dir, r.ID+".txt"), []byte(r.Text())); err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
 	if r.Manifest != nil {
@@ -58,7 +58,11 @@ func (r *Result) WriteFiles(dir string) error {
 		}
 	}
 	if r.Cells != nil {
-		if err := r.Cells.WriteFile(filepath.Join(dir, r.ID+".cells.json")); err != nil {
+		data, err := r.Cells.Marshal()
+		if err != nil {
+			return err
+		}
+		if err := blob.WriteFile(filepath.Join(dir, r.ID+".cells.json"), data); err != nil {
 			return fmt.Errorf("experiments: %w", err)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"hybridcap/internal/blob"
 )
 
 // ManifestSchema is the current manifest file schema version.
@@ -148,13 +150,17 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// WriteFile writes the manifest to path, creating parent directories.
+// WriteFile writes the manifest to path atomically (blob.WriteFile),
+// creating parent directories.
 func (m *Manifest) WriteFile(path string) error {
 	data, err := m.Marshal()
 	if err != nil {
 		return err
 	}
-	return writeFileMkdir(path, data)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("obs: %w", err)
+	}
+	return blob.WriteFile(path, data)
 }
 
 // WriteMetricsFile dumps the runtime's registry in text exposition

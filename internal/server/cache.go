@@ -1,16 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
+
+	"hybridcap/internal/blob"
 )
 
 // EntrySchema is the current cache-entry file schema version. Schema 2
@@ -19,16 +14,8 @@ import (
 const EntrySchema = 2
 
 // entrySuffix is the filename suffix of one cache entry; the prefix is
-// the scenario's canonical sha256, so the directory listing IS the
-// index.
+// the scenario's canonical sha256.
 const entrySuffix = ".run.json"
-
-// ErrCacheMiss reports that no (valid) entry exists for a hash.
-var ErrCacheMiss = errors.New("server: cache miss")
-
-// errCorrupt tags an entry that exists on disk but failed validation;
-// the store evicts it and the server recomputes instead of serving it.
-var errCorrupt = errors.New("server: corrupt cache entry")
 
 // Entry is one cached run result: the canonical scenario that produced
 // it plus the exact bytes the run emitted. Replaying an entry serves
@@ -66,158 +53,60 @@ func (e *Entry) payloadSum() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// validate checks the entry's framing and checksum against the hash it
+// Validate checks the entry's framing and checksum against the hash it
 // was loaded under.
-func (e *Entry) validate(hash string) error {
+func (e *Entry) Validate(hash string) error {
 	if e.Schema != EntrySchema {
-		return fmt.Errorf("%w: schema %d, want %d", errCorrupt, e.Schema, EntrySchema)
+		return fmt.Errorf("schema %d, want %d", e.Schema, EntrySchema)
 	}
 	if e.ScenarioSHA256 != hash {
-		return fmt.Errorf("%w: entry addressed %s claims scenario %s", errCorrupt, hash, e.ScenarioSHA256)
+		return fmt.Errorf("entry addressed %s claims scenario %s", hash, e.ScenarioSHA256)
 	}
 	sum := sha256.Sum256([]byte(e.Scenario))
 	if hex.EncodeToString(sum[:]) != hash {
-		return fmt.Errorf("%w: stored scenario does not hash to %s", errCorrupt, hash)
+		return fmt.Errorf("stored scenario does not hash to %s", hash)
 	}
 	if e.payloadSum() != e.PayloadSHA256 {
-		return fmt.Errorf("%w: payload checksum mismatch", errCorrupt)
+		return fmt.Errorf("payload checksum mismatch")
 	}
 	return nil
 }
 
-// Store is the content-addressed result cache: one JSON entry file per
-// scenario hash, written atomically (temp file + rename in the same
-// directory), so a crash mid-write can never leave a half-visible
-// entry — the rename either happened or it did not. Reloading the
-// directory on restart is the daemon's checkpoint/resume.
+// Store is the content-addressed result cache: one blob entry per
+// scenario hash. Reloading the directory on restart is the daemon's
+// checkpoint/resume. Dir and Len come from the embedded blob store.
 type Store struct {
-	dir string
+	*blob.Store
 }
 
 // NewStore opens (creating if needed) the cache directory.
 func NewStore(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("server: cache dir is required")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	b, err := blob.Open(dir, entrySuffix)
+	if err != nil {
 		return nil, fmt.Errorf("server: cache dir: %w", err)
 	}
-	return &Store{dir: dir}, nil
-}
-
-// Dir returns the cache directory.
-func (st *Store) Dir() string { return st.dir }
-
-func (st *Store) path(hash string) string {
-	return filepath.Join(st.dir, hash+entrySuffix)
-}
-
-// validHash gates file names derived from client-supplied ids: exactly
-// 64 lowercase hex characters, nothing path-like.
-func validHash(hash string) bool {
-	if len(hash) != 64 {
-		return false
-	}
-	for _, c := range hash {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	return &Store{b}, nil
 }
 
 // Get loads and validates the entry for hash. A missing entry returns
-// ErrCacheMiss. A present-but-invalid entry (truncated write that still
-// renamed, bit rot, schema drift, hash mismatch) is evicted from disk
-// and reported as corrupt: the caller recomputes rather than serving
+// blob.ErrMiss; an invalid one is evicted and reported as
+// blob.ErrCorrupt, so the caller recomputes rather than serving
 // poison. The returned bool says whether an eviction happened.
 func (st *Store) Get(hash string) (*Entry, bool, error) {
-	if !validHash(hash) {
-		return nil, false, fmt.Errorf("server: invalid hash %q", hash)
-	}
-	data, err := os.ReadFile(st.path(hash))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, ErrCacheMiss
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("server: read cache entry: %w", err)
-	}
 	e := &Entry{}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(e); err != nil {
-		return nil, st.evict(hash), fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	if err := e.validate(hash); err != nil {
-		return nil, st.evict(hash), err
+	if evicted, err := st.Store.Get(hash, e); err != nil {
+		return nil, evicted, err
 	}
 	return e, false, nil
 }
 
-// evict removes the entry file, reporting whether a file was deleted.
-func (st *Store) evict(hash string) bool {
-	return os.Remove(st.path(hash)) == nil
-}
-
-// Put persists the entry atomically: marshal, write to a temp file in
-// the cache directory, fsync, rename onto the final name. Readers only
-// ever see the complete entry or none at all.
+// Put stamps the entry's schema and checksum, checks it against its
+// own address and persists it atomically.
 func (st *Store) Put(e *Entry) error {
-	if !validHash(e.ScenarioSHA256) {
-		return fmt.Errorf("server: invalid hash %q", e.ScenarioSHA256)
-	}
 	e.Schema = EntrySchema
 	e.PayloadSHA256 = e.payloadSum()
-	if err := e.validate(e.ScenarioSHA256); err != nil {
-		return err
+	if err := e.Validate(e.ScenarioSHA256); err != nil {
+		return fmt.Errorf("server: cache entry: %w", err)
 	}
-	data, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return fmt.Errorf("server: marshal cache entry: %w", err)
-	}
-	data = append(data, '\n')
-	tmp, err := os.CreateTemp(st.dir, "."+e.ScenarioSHA256+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("server: cache temp file: %w", err)
-	}
-	defer func() {
-		// Best-effort cleanup: on the success path the file was renamed
-		// away and both calls fail harmlessly.
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("server: write cache entry: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("server: sync cache entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("server: close cache entry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), st.path(e.ScenarioSHA256)); err != nil {
-		return fmt.Errorf("server: commit cache entry: %w", err)
-	}
-	return nil
-}
-
-// Hashes lists the hashes of the entries currently on disk, sorted.
-// Entries are not validated here — Get validates lazily on access — so
-// startup stays O(directory listing) however large the cache is.
-func (st *Store) Hashes() ([]string, error) {
-	names, err := os.ReadDir(st.dir)
-	if err != nil {
-		return nil, fmt.Errorf("server: list cache: %w", err)
-	}
-	var hashes []string
-	for _, de := range names {
-		name := de.Name()
-		hash, ok := strings.CutSuffix(name, entrySuffix)
-		if !ok || !validHash(hash) {
-			continue
-		}
-		hashes = append(hashes, hash)
-	}
-	sort.Strings(hashes)
-	return hashes, nil
+	return st.Store.Put(e.ScenarioSHA256, e)
 }

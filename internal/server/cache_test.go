@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"hybridcap/internal/blob"
 )
 
 func testEntry(report string) *Entry {
@@ -45,9 +49,8 @@ func TestStoreRoundTripIsByteStable(t *testing.T) {
 	if !reflect.DeepEqual(got, e) {
 		t.Errorf("round trip changed the entry:\n%+v\nvs\n%+v", got, e)
 	}
-	hashes, err := st.Hashes()
-	if err != nil || len(hashes) != 1 || hashes[0] != e.ScenarioSHA256 {
-		t.Errorf("Hashes() = %v, %v", hashes, err)
+	if n, err := st.Len(); err != nil || n != 1 {
+		t.Errorf("Len() = %d, %v; want 1", n, err)
 	}
 }
 
@@ -57,121 +60,77 @@ func TestStoreMissingEntryIsCacheMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, evicted, err := st.Get(strings.Repeat("a", 64))
-	if !errors.Is(err, ErrCacheMiss) || evicted {
-		t.Errorf("Get(absent): evicted=%v err=%v, want ErrCacheMiss", evicted, err)
+	if !errors.Is(err, blob.ErrMiss) || evicted {
+		t.Errorf("Get(absent): evicted=%v err=%v, want blob.ErrMiss", evicted, err)
 	}
 }
 
-// A truncated or garbled entry must be detected, evicted from disk, and
-// reported corrupt so the server recomputes instead of serving poison.
+// Entry.Validate must reject a tampered payload, a schema from another
+// version and an entry stored under the wrong address; the store then
+// evicts it so the server recomputes instead of serving poison. Damage
+// to the file framing is covered once, in internal/blob.
 func TestStoreCorruptEntryEvicted(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := testEntry("the truth\n")
-	if err := st.Put(e); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, e.ScenarioSHA256+entrySuffix)
-
-	corruptions := map[string]func() error{
-		"truncated": func() error {
-			data, err := os.ReadFile(path)
+	// Each case damages the entry and returns the address to store it
+	// under.
+	for name, corrupt := range map[string]func(e *Entry) string{
+		"payload-tampered": func(e *Entry) string { e.Report = "a falsehood\n"; return e.ScenarioSHA256 },
+		"schema-skew":      func(e *Entry) string { e.Schema = EntrySchema - 1; return e.ScenarioSHA256 },
+		"wrong-address":    func(*Entry) string { return strings.Repeat("b", 64) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := NewStore(dir)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			return os.WriteFile(path, data[:len(data)/2], 0o644)
-		},
-		"payload tampered": func() error {
-			data, err := os.ReadFile(path)
+			e := testEntry("the truth\n")
+			if err := st.Put(e); err != nil {
+				t.Fatal(err)
+			}
+			addr := corrupt(e)
+			data, err := json.MarshalIndent(e, "", "  ")
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			tampered := strings.Replace(string(data), "the truth", "a falsehood", 1)
-			return os.WriteFile(path, []byte(tampered), 0o644)
-		},
-		"not json": func() error {
-			return os.WriteFile(path, []byte("not json at all"), 0o644)
-		},
-	}
-	for name, corrupt := range corruptions {
-		if err := st.Put(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := corrupt(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		_, evicted, err := st.Get(e.ScenarioSHA256)
-		if !errors.Is(err, errCorrupt) {
-			t.Errorf("%s: err = %v, want corrupt", name, err)
-		}
-		if !evicted {
-			t.Errorf("%s: corrupt entry not evicted", name)
-		}
-		if _, _, err := st.Get(e.ScenarioSHA256); !errors.Is(err, ErrCacheMiss) {
-			t.Errorf("%s: second Get = %v, want ErrCacheMiss after eviction", name, err)
-		}
+			if err := os.WriteFile(filepath.Join(dir, addr+entrySuffix), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, evicted, err := st.Get(addr); !errors.Is(err, blob.ErrCorrupt) || !evicted {
+				t.Errorf("Get: evicted=%v err=%v, want corrupt and evicted", evicted, err)
+			}
+		})
 	}
 }
 
-// An entry stored under the wrong address must not be served.
-func TestStoreAddressMismatchIsCorrupt(t *testing.T) {
+// A result-cache directory written before the blob store (testdata,
+// produced by the previous Store.Put) must stay warm: its entry is
+// served without eviction, and re-storing it rewrites the same bytes.
+func TestWarmCacheFromPreviousFormat(t *testing.T) {
+	const hash = "20e1167025ea5f5ea569d1bec96dae59a1a21aad35be217a98ef1c7f0249293f"
+	want, err := os.ReadFile(filepath.Join("testdata", hash+entrySuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
+	path := filepath.Join(dir, hash+entrySuffix)
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	st, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := testEntry("report\n")
+	e, evicted, err := st.Get(hash)
+	if err != nil || evicted {
+		t.Fatalf("Get: evicted=%v err=%v, want a hit", evicted, err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	wrong := strings.Repeat("b", 64)
-	if err := os.Rename(filepath.Join(dir, e.ScenarioSHA256+entrySuffix),
-		filepath.Join(dir, wrong+entrySuffix)); err != nil {
-		t.Fatal(err)
-	}
-	if _, evicted, err := st.Get(wrong); !errors.Is(err, errCorrupt) || !evicted {
-		t.Errorf("Get(wrong address): evicted=%v err=%v, want corrupt+evicted", evicted, err)
-	}
-}
-
-// Client-supplied ids must never turn into path traversal.
-func TestStoreRejectsInvalidHashes(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"", "abc", "../../../etc/passwd", strings.Repeat("Z", 64), strings.Repeat("a", 63) + "/"} {
-		if _, _, err := st.Get(id); err == nil || errors.Is(err, ErrCacheMiss) {
-			t.Errorf("Get(%q) = %v, want invalid-hash error", id, err)
-		}
-	}
-}
-
-// Hashes lists only well-formed entry files, sorted, ignoring temp
-// files and other junk in the directory.
-func TestStoreHashesIgnoresJunk(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, junk := range []string{"notes.txt", ".abc.tmp-1", strings.Repeat("g", 64) + entrySuffix} {
-		if err := os.WriteFile(filepath.Join(dir, junk), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := testEntry("r\n")
-	if err := st.Put(e); err != nil {
-		t.Fatal(err)
-	}
-	hashes, err := st.Hashes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hashes) != 1 || hashes[0] != e.ScenarioSHA256 {
-		t.Errorf("Hashes() = %v, want exactly the stored entry", hashes)
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Errorf("re-Put wrote\n%s\nwant\n%s", got, want)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"hybridcap/internal/blob"
 	"hybridcap/internal/cellcache"
 	"hybridcap/internal/experiments"
 	"hybridcap/internal/obs"
@@ -208,7 +209,7 @@ func newServer(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	hashes, err := store.Hashes()
+	entries, err := store.Len()
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +239,7 @@ func newServer(cfg Config) (*Server, error) {
 		running:       reg.Gauge("server_running"),
 		cacheEntries:  reg.Gauge("server_cache_entries"),
 	}
-	s.cacheEntries.Set(int64(len(hashes)))
+	s.cacheEntries.Set(int64(entries))
 	s.mux = s.buildMux()
 	return s, nil
 }
@@ -297,7 +298,8 @@ func (s *Server) submit(sc *scenario.Scenario, hash string) (Status, int) {
 		return s.statusLocked(r), http.StatusOK
 	} else if evicted {
 		s.cacheCorrupt.Inc()
-	} else if !errors.Is(err, ErrCacheMiss) && !errors.Is(err, errCorrupt) {
+		s.cacheEntries.Add(-1)
+	} else if !errors.Is(err, blob.ErrMiss) && !errors.Is(err, blob.ErrCorrupt) {
 		return Status{ID: hash, Name: sc.Name, State: StateFailed, Error: err.Error()},
 			http.StatusInternalServerError
 	}
@@ -366,7 +368,7 @@ func (s *Server) lookup(id string) (*run, bool) {
 	if r, ok := s.runs[id]; ok {
 		return r, true
 	}
-	if !validHash(id) {
+	if !blob.ValidKey(id) {
 		return nil, false
 	}
 	e, evicted, err := s.store.Get(id)

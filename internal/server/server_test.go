@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"hybridcap/internal/blob"
 	"hybridcap/internal/experiments"
 	"hybridcap/internal/obs"
 	"hybridcap/internal/scenario"
@@ -245,6 +246,10 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 	if got := s2.cacheCorrupt.Value(); got == 0 {
 		t.Error("corrupt-entry counter did not move")
 	}
+	// The evicted file and its recomputed replacement are one entry.
+	if got := s2.cacheEntries.Value(); got != 1 {
+		t.Errorf("cache_entries = %d, want 1", got)
+	}
 	report2 := getBody(t, ts2, "/runs/"+st2.ID+"/report", http.StatusOK)
 	if !bytes.Equal(report1, report2) {
 		t.Error("recomputed report differs from the original")
@@ -267,11 +272,11 @@ func TestCanceledRunStoresNothing(t *testing.T) {
 	if final.State != StateCanceled {
 		t.Fatalf("run finished %s (%s), want canceled", final.State, final.Error)
 	}
-	if _, _, err := s.Store().Get(st.ID); !errors.Is(err, ErrCacheMiss) {
+	if _, _, err := s.Store().Get(st.ID); !errors.Is(err, blob.ErrMiss) {
 		t.Errorf("canceled run left a cache entry: %v", err)
 	}
-	if hashes, _ := s.Store().Hashes(); len(hashes) != 0 {
-		t.Errorf("cache not empty after canceled run: %v", hashes)
+	if n, _ := s.Store().Len(); n != 0 {
+		t.Errorf("cache holds %d entries after canceled run", n)
 	}
 	if got := s.runsCanceled.Value(); got != 1 {
 		t.Errorf("runs canceled = %d, want 1", got)
@@ -310,8 +315,8 @@ func TestClientAbortQueuedRun(t *testing.T) {
 	if state != StateCanceled {
 		t.Errorf("aborted run finalized as %s, want canceled", state)
 	}
-	if hashes, _ := s.Store().Hashes(); len(hashes) != 0 {
-		t.Errorf("aborted run left cache entries: %v", hashes)
+	if n, _ := s.Store().Len(); n != 0 {
+		t.Errorf("aborted run left %d cache entries", n)
 	}
 }
 

@@ -11,9 +11,8 @@ lint:
 	go vet ./...
 	go run ./cmd/hybridlint ./...
 
-# Machine-readable lint reports (out/lint/). The JSON report doubles as
-# the -baseline format; the SARIF file is what CI uploads to code
-# scanning.
+# Machine-readable lint reports (out/lint/). The SARIF file is what CI
+# uploads to code scanning.
 lint-json:
 	mkdir -p out/lint
 	go run ./cmd/hybridlint -json ./... > out/lint/hybridlint.json; \

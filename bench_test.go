@@ -6,7 +6,7 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the full evaluation. The benchmarks use quick sweeps; run
-// cmd/tables and cmd/figures for the full-size versions.
+// `go run ./cmd/figures -run all` for the full-size versions.
 package hybridcap_test
 
 import (

@@ -10,13 +10,10 @@
 //	go run ./cmd/hybridlint -list             # describe the suite
 //	go run ./cmd/hybridlint -json ./...       # machine-readable findings
 //	go run ./cmd/hybridlint -sarif ./...      # SARIF 2.1.0 for CI upload
-//	go run ./cmd/hybridlint -baseline known.json ./...
 //
-// -json emits the findings as a versioned JSON report; the same format
-// serves as the -baseline file, so `-json > baseline.json` followed by
-// `-baseline baseline.json` suppresses exactly the recorded findings
-// (matched by file, analyzer and message — line drift does not
-// resurrect them). -sarif emits SARIF 2.1.0 for code-scanning upload.
+// -json emits the findings as a versioned JSON report. -sarif emits
+// SARIF 2.1.0 for code-scanning upload. Known findings are silenced in
+// the source with //lint:ignore, never in a side file.
 //
 // Each analyzer only runs on the packages it governs (see
 // analysis.InScope); test files are exempt by design. The driver is
@@ -46,11 +43,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "describe the analyzers and exit")
 	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON report (also the -baseline format)")
+	asJSON := fs.Bool("json", false, "emit findings as a JSON report")
 	asSARIF := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	baselinePath := fs.String("baseline", "", "JSON report of known findings to suppress")
 	fs.Usage = func() {
-		outf(stderr, "usage: hybridlint [-list] [-analyzers a,b] [-json|-sarif] [-baseline file] [packages]\n")
+		outf(stderr, "usage: hybridlint [-list] [-analyzers a,b] [-json|-sarif] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -72,14 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		outln(stderr, "hybridlint:", err)
 		return 2
-	}
-
-	var baseline *analysis.Report
-	if *baselinePath != "" {
-		if baseline, err = analysis.LoadBaseline(*baselinePath); err != nil {
-			outln(stderr, "hybridlint:", err)
-			return 2
-		}
 	}
 
 	patterns := fs.Args()
@@ -108,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	report := analysis.NewReport(".", diags)
-	report.FilterBaseline(baseline)
 
 	switch {
 	case *asJSON:

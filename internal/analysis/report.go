@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 )
 
@@ -23,9 +22,8 @@ type Finding struct {
 	Message  string `json:"message"`
 }
 
-// A Report is the result of one hybridlint run. Its JSON encoding is
-// also the baseline format: `hybridlint -json > baseline.json` followed
-// by `hybridlint -baseline baseline.json` composes directly.
+// A Report is the result of one hybridlint run, as `hybridlint -json`
+// writes it.
 type Report struct {
 	Version  int       `json:"version"`
 	Findings []Finding `json:"findings"`
@@ -70,44 +68,6 @@ func (r *Report) EncodeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// LoadBaseline reads a previously written -json report to use as a
-// suppression baseline.
-func LoadBaseline(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	if r.Version != ReportVersion {
-		return nil, fmt.Errorf("baseline %s: version %d, want %d (regenerate with hybridlint -json)", path, r.Version, ReportVersion)
-	}
-	return &r, nil
-}
-
-// FilterBaseline drops findings present in the baseline. Matching
-// ignores line and column so unrelated edits that shift a known finding
-// do not resurrect it; (file, analyzer, message) identifies it.
-func (r *Report) FilterBaseline(baseline *Report) {
-	if baseline == nil {
-		return
-	}
-	type key struct{ file, analyzer, message string }
-	known := make(map[key]bool, len(baseline.Findings))
-	for _, f := range baseline.Findings {
-		known[key{f.File, f.Analyzer, f.Message}] = true
-	}
-	kept := r.Findings[:0]
-	for _, f := range r.Findings {
-		if !known[key{f.File, f.Analyzer, f.Message}] {
-			kept = append(kept, f)
-		}
-	}
-	r.Findings = kept
 }
 
 // SARIF rendering: the minimal static-analysis interchange subset that

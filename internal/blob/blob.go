@@ -93,7 +93,7 @@ func (st *Store) Get(key string, v Entry) (evicted bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("blob: %w", err)
 	}
-	if err = decode(data, v); err == nil {
+	if err = Decode(data, v); err == nil {
 		err = v.Validate(key)
 	}
 	if err != nil {
@@ -102,16 +102,19 @@ func (st *Store) Get(key string, v Entry) (evicted bool, err error) {
 	return false, nil
 }
 
-// decode parses exactly one JSON value into v, rejecting unknown
-// fields and anything but whitespace after the value.
-func decode(data []byte, v any) error {
+// Decode parses exactly one JSON value into v, rejecting unknown
+// fields and anything but whitespace after the value. It is the one
+// strict decoding rule for every JSON document the program reads back:
+// store entries, scenario files and daemon submissions, cells
+// artifacts and run manifests.
+func Decode(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
 	if len(bytes.TrimSpace(data[dec.InputOffset():])) != 0 {
-		return fmt.Errorf("trailing data after entry")
+		return fmt.Errorf("trailing data after JSON value")
 	}
 	return nil
 }

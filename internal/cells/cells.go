@@ -8,13 +8,14 @@
 package cells
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
+
+	"hybridcap/internal/blob"
 )
 
 // Schema is the current cells file schema version.
@@ -107,13 +108,12 @@ func (f *File) Marshal() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Parse decodes and validates a cells file, rejecting unknown fields so
-// schema drift fails loudly.
+// Parse decodes and validates a cells file, rejecting unknown fields
+// and bytes after the JSON value (blob.Decode) so schema drift and torn
+// files fail loudly.
 func Parse(data []byte) (*File, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	f := &File{}
-	if err := dec.Decode(f); err != nil {
+	if err := blob.Decode(data, f); err != nil {
 		return nil, fmt.Errorf("cells: parse: %w", err)
 	}
 	if err := f.Validate(); err != nil {

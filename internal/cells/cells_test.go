@@ -70,6 +70,14 @@ func TestValidateRejects(t *testing.T) {
 	if _, err := Parse([]byte(`{"schema": 1, "bogus": true}`)); err == nil {
 		t.Error("Parse accepted an unknown field")
 	}
+	data, err := valid().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(data, []byte(`{"schema": 1,`)...)
+	if _, err := Parse(torn); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("Parse accepted a torn tail: %v", err)
+	}
 }
 
 func TestSort(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package cli holds the flag bindings shared by the repository's
-// commands (capsim, tables, figures): every experiment-running command
+// commands (capsim, figures): every experiment-running command
 // exposes the same -out/-quick/-seeds/-workers knobs — plus the
 // observability outputs -metrics-out/-trace-out/-frozen-clock — with
 // the same defaults and help strings, bound in one place so they cannot

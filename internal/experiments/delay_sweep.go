@@ -6,57 +6,50 @@ import (
 
 	"hybridcap/internal/delay"
 	"hybridcap/internal/engine"
-	"hybridcap/internal/faults"
 	"hybridcap/internal/network"
-	"hybridcap/internal/rng"
 	"hybridcap/internal/routing"
-	"hybridcap/internal/scaling"
-	"hybridcap/internal/scenario"
 	"hybridcap/internal/traffic"
 )
 
-// evalDelayCell accounts delay on one grid cell: it rebuilds exactly the
-// instance the lambda sweep evaluated (same derived seed, same placement
-// and fault plan), then runs every requested scheme's analytic delay
-// model over the instance's traffic pattern, folding per-pair breakdowns
-// through a bounded-memory collector. The cell value is the per-scheme
-// Stats slice in the scenario's scheme order.
-func evalDelayCell(c sweepCell, placement network.BSPlacement, fc *faults.Config, schemes []string, probs []float64, assoc *delay.AssocConfig) ([]delay.Stats, error) {
-	nw, tr, err := instanceWith(c.params, c.seed, placement, fc)
-	if err != nil {
-		return nil, engine.ConstructErr(err)
+// delayEval accounts delay on one instance: every requested scheme's
+// analytic delay model runs over the instance's traffic pattern,
+// folding per-pair breakdowns through a bounded-memory collector. The
+// cell value is the per-scheme Stats slice in the requested order.
+func delayEval(schemes []string, probs []float64, assoc *delay.AssocConfig) evalFn[[]delay.Stats] {
+	return func(nw *network.Network, tr *traffic.Pattern) ([]delay.Stats, error) {
+		out := make([]delay.Stats, len(schemes))
+		for i, name := range schemes {
+			m, err := routing.DelayModelByName(name, nw.Cfg.Params, assoc)
+			if err != nil {
+				return nil, err
+			}
+			col, err := delay.NewCollector(probs...)
+			if err != nil {
+				return nil, err
+			}
+			unrte, err := m.EvaluateDelay(nw, tr, col.Observe)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			for u := 0; u < unrte; u++ {
+				col.ObserveUnroutable()
+			}
+			out[i] = col.Stats()
+		}
+		return out, nil
 	}
-	out := make([]delay.Stats, len(schemes))
-	for i, name := range schemes {
-		m, err := routing.DelayModelByName(name, nw.Cfg.Params, assoc)
-		if err != nil {
-			return nil, engine.EvaluateErr(err)
-		}
-		col, err := delay.NewCollector(probs...)
-		if err != nil {
-			return nil, engine.EvaluateErr(err)
-		}
-		unrte, err := safeEvalDelay(m, nw, tr, col)
-		if err != nil {
-			return nil, engine.EvaluateErr(fmt.Errorf("%s: %w", name, err))
-		}
-		for u := 0; u < unrte; u++ {
-			col.ObserveUnroutable()
-		}
-		out[i] = col.Stats()
-	}
-	return out, nil
 }
 
-// safeEvalDelay runs a delay model with panics converted to errors, the
-// delay-side twin of safeEval.
-func safeEvalDelay(m routing.DelayModel, nw *network.Network, tr *traffic.Pattern, col *delay.Collector) (unrte int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("delay evaluation panicked: %v", r)
-		}
-	}()
-	return m.EvaluateDelay(nw, tr, col.Observe)
+// delayPass is the delay-accounting pass over a grid: eval accounts
+// each instance's delay for that many schemes, and a point's surviving
+// seeds fold into per-scheme sums (see delayAgg).
+func delayPass(g *sizeGrid, schemes int, eval evalFn[[]delay.Stats]) gridPass[[]delay.Stats, []delay.Stats] {
+	return gridPass[[]delay.Stats, []delay.Stats]{
+		phase:  "delay",
+		prefix: "experiments: " + g.name + " delay",
+		eval:   eval,
+		agg:    newDelayAgg(len(g.sizes), schemes),
+	}
 }
 
 // delayAgg folds delay-cell outcomes into per-point per-scheme sums in
@@ -110,110 +103,33 @@ func (a *delayAgg) Cell(point, seed int, out engine.Outcome[[]delay.Stats]) {
 	a.ok[point]++
 }
 
-// Point returns point i's per-scheme stat sums with its coverage and
-// first failure (by seed order).
-func (a *delayAgg) Point(i int) (sum []delay.Stats, ok, covered int, firstErr error, firstSeed int) {
-	return a.sum[i], a.ok[i], a.covered[i], a.firstErr[i], a.firstSeed[i]
+// Point returns point i's per-scheme stat sums with its surviving seed
+// count and first failure (by seed order).
+func (a *delayAgg) Point(i int) (sum []delay.Stats, ok int, firstErr error, firstSeed int) {
+	return a.sum[i], a.ok[i], a.firstErr[i], a.firstSeed[i]
 }
+
+// Covered reports how many of point i's cells were delivered.
+func (a *delayAgg) Covered(i int) int { return a.covered[i] }
 
 // delayPoint is one grid point's aggregated delay outcome: the
-// per-scheme stat sums over its OK seeds (call Mean for the cross-seed
-// average) plus coverage counters.
-type delayPoint struct {
-	N       int
-	Sum     []delay.Stats
-	OK      int
-	Covered int
-}
+// per-scheme stat sums over its OK seeds (Value; delayMean gives the
+// cross-seed average) plus coverage counters.
+type delayPoint = gridPoint[[]delay.Stats]
 
-// Mean returns the cross-seed mean stats, leaving Sum untouched.
-func (p delayPoint) Mean() []delay.Stats {
-	out := make([]delay.Stats, len(p.Sum))
-	for i := range p.Sum {
-		s := p.Sum[i]
-		s.Quantile = append([]float64(nil), p.Sum[i].Quantile...)
+// delayMean returns a point's cross-seed mean stats, leaving its sums
+// untouched.
+func delayMean(p delayPoint) []delay.Stats {
+	out := make([]delay.Stats, len(p.Value))
+	for i := range p.Value {
+		s := p.Value[i]
+		s.Quantile = append([]float64(nil), p.Value[i].Quantile...)
 		if p.OK > 0 {
 			s.Scale(1 / float64(p.OK))
 		}
 		out[i] = s
 	}
 	return out
-}
-
-// sweepDelay is the delay-accounting counterpart of sweepLambdaShard: it
-// runs the requested schemes' delay models over the identical
-// sizes x seeds grid — the seed derivation is the lambda sweep's, so
-// every cell re-evaluates the exact instance the throughput pass
-// measured — and folds per-cell stats into per-point sums in grid order.
-// Byte-identity across worker counts is the engine's ordering guarantee;
-// byte-identity across shard merges is the sum representation (see
-// delayAgg). An optional shard spec restricts the run to one contiguous
-// block of the global grid; sharded points report partial sums and
-// coverage, and a point losing every seed only aborts unsharded sweeps.
-func sweepDelay(o Options, name string, sizes []int, base scaling.Params, placement network.BSPlacement, fc *faults.Config, shard *scenario.ShardSpec, schemes []string, probs []float64, assoc *delay.AssocConfig) ([]delayPoint, error) {
-	if len(schemes) == 0 {
-		return nil, fmt.Errorf("experiments: %s delay: no schemes requested", name)
-	}
-	seeds := o.seeds()
-	src := rng.New(0xE).Derive("sweep").Derive(name)
-	params := make([]scaling.Params, len(sizes))
-	srcs := make([]rng.Source, len(sizes))
-	for i, n := range sizes {
-		p := base.WithN(n)
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("experiments: %s delay at n=%d: %w", name, n, err)
-		}
-		params[i] = p
-		srcs[i] = src.DeriveN("n", n)
-	}
-	cellSeed := func(point, seed int) uint64 {
-		return srcs[point].DeriveN("seed", seed).Uint64()
-	}
-
-	ctx := o.ctx()
-	g := engine.Grid{Points: len(sizes), Seeds: seeds, Workers: o.workers()}
-	if shard != nil {
-		g.ShardIndex, g.ShardCount = shard.Index, shard.Count
-	}
-	agg := newDelayAgg(len(sizes), len(schemes))
-	finish := observeGrid(o, "delay "+name, &g, sizes)
-	serr := engine.Stream(ctx, g,
-		func(point, seed int) ([]delay.Stats, error) {
-			return evalDelayCell(sweepCell{params: params[point], seed: cellSeed(point, seed)}, placement, fc, schemes, probs, assoc)
-		},
-		agg.Cell)
-	finish()
-	if serr != nil {
-		return nil, fmt.Errorf("experiments: %s delay: %w", name, serr)
-	}
-
-	pts := make([]delayPoint, 0, len(sizes))
-	for i, n := range sizes {
-		sum, ok, covered, firstErr, firstSeed := agg.Point(i)
-		if shard != nil {
-			if covered > 0 {
-				pts = append(pts, delayPoint{N: n, Sum: sum, OK: ok, Covered: covered})
-			}
-			continue
-		}
-		if ok == 0 {
-			wrapped := fmt.Errorf("experiments: %s delay at n=%d seed %d: %w", name, n, firstSeed, firstErr)
-			return nil, fmt.Errorf("experiments: %s delay at n=%d: all %d seeds failed: %w", name, n, seeds, wrapped)
-		}
-		pts = append(pts, delayPoint{N: n, Sum: sum, OK: ok, Covered: seeds})
-	}
-	return pts, nil
-}
-
-// sweepDelayScenario runs a declarative scenario's delay pass over the
-// same resolved grid (and therefore the same derived instances) as its
-// lambda sweep. Validate guarantees delay scenarios are unsharded.
-func sweepDelayScenario(o Options, sc *scenario.Scenario, sizes []int) ([]delayPoint, error) {
-	placement, err := sc.PlacementScheme()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: scenario %s: %w", sc.Name, err)
-	}
-	return sweepDelay(o, sc.Name, sizes, sc.Base.Params(0), placement, sc.FaultConfig(), nil, sc.DelaySchemes(), sc.DelayQuantiles(), sc.AssocConfig())
 }
 
 // quantLabels renders quantile probabilities as report labels, e.g.
@@ -234,7 +150,7 @@ func formatDelayRows(schemes []string, probs []float64, pts []delayPoint) []stri
 	rows := make([]string, 0, len(pts)*len(schemes)+1)
 	rows = append(rows, fmt.Sprintf("delay schemes %v quantiles %s", schemes, quantLabels(probs)))
 	for _, pt := range pts {
-		mean := pt.Mean()
+		mean := delayMean(pt)
 		for i, name := range schemes {
 			st := mean[i]
 			var b strings.Builder

@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"hybridcap/internal/delay"
+	"hybridcap/internal/engine"
+	"hybridcap/internal/network"
 	"hybridcap/internal/scaling"
 	"hybridcap/internal/scenario"
+	"hybridcap/internal/traffic"
 )
 
 func delayTestArgs() (sizes []int, base scaling.Params, schemes []string) {
@@ -14,15 +19,24 @@ func delayTestArgs() (sizes []int, base scaling.Params, schemes []string) {
 		[]string{"schemeB", "twoHop"}
 }
 
+// delayRun runs the delay pass with the given evaluator over g, on one
+// block of the grid when shard is set.
+func delayRun(o Options, g *sizeGrid, shard *scenario.ShardSpec, schemes int, eval evalFn[[]delay.Stats]) ([]delayPoint, error) {
+	p := delayPass(g, schemes, eval)
+	p.shard = shard
+	return runGrid(o, g, p)
+}
+
 // Delay statistics must be byte-identical for every worker count: the
 // engine delivers cells in grid order and the aggregation folds in that
 // order, so scheduling cannot leak into the formatted rows.
 func TestDelaySweepWorkerInvariance(t *testing.T) {
 	sizes, base, schemes := delayTestArgs()
+	g := testGrid(t, "workerinv", sizes, base, network.Uniform)
 	var rows []string
 	for _, workers := range []int{1, 3, 8} {
 		o := Options{Seeds: 3, Workers: workers}
-		pts, err := sweepDelay(o, "workerinv", sizes, base, 2, nil, nil, schemes, nil, nil)
+		pts, err := delayRun(o, g, nil, len(schemes), delayEval(schemes, nil, nil))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -44,8 +58,10 @@ func TestDelaySweepWorkerInvariance(t *testing.T) {
 // same additions in the same order.
 func TestDelaySweepShardMergeByteIdentical(t *testing.T) {
 	sizes, base, schemes := delayTestArgs()
+	g := testGrid(t, "shardmerge", sizes, base, network.Uniform)
+	eval := delayEval(schemes, nil, nil)
 	o := Options{Seeds: 3, Workers: 4}
-	full, err := sweepDelay(o, "shardmerge", sizes, base, 2, nil, nil, schemes, nil, nil)
+	full, err := delayRun(o, g, nil, len(schemes), eval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +73,7 @@ func TestDelaySweepShardMergeByteIdentical(t *testing.T) {
 	const shards = 3
 	for s := 0; s < shards; s++ {
 		sp := &scenario.ShardSpec{Index: s, Count: shards}
-		part, err := sweepDelay(o, "shardmerge", sizes, base, 2, nil, sp, schemes, nil, nil)
+		part, err := delayRun(o, g, sp, len(schemes), eval)
 		if err != nil {
 			t.Fatalf("shard %d: %v", s, err)
 		}
@@ -66,11 +82,11 @@ func TestDelaySweepShardMergeByteIdentical(t *testing.T) {
 				if merged[i].N != pt.N {
 					continue
 				}
-				if merged[i].Sum == nil {
-					merged[i].Sum = pt.Sum
+				if merged[i].Value == nil {
+					merged[i].Value = pt.Value
 				} else {
-					for j := range pt.Sum {
-						if err := merged[i].Sum[j].Add(pt.Sum[j]); err != nil {
+					for j := range pt.Value {
+						if err := merged[i].Value[j].Add(pt.Value[j]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -88,34 +104,69 @@ func TestDelaySweepShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// The delay pass derives exactly the lambda sweep's cell seeds, so both
-// passes evaluate the same instances (and share the kernel cache). The
-// guarantee is structural — same derivation expressions — but pin the
-// seed values so a refactor cannot silently fork them.
-func TestDelaySweepSeedDerivationMatchesLambda(t *testing.T) {
-	sc := &scenario.Scenario{
-		Name:    "seedcheck",
-		Base:    scenario.Exponents{Alpha: 0.15, K: 0.8, Phi: 1, M: 1},
-		Sizes:   []int{256},
-		Schemes: []string{"schemeB"},
-		Delay:   &scenario.DelaySpec{},
+// A delay model that errors or panics is tagged as an evaluation
+// failure. Failing on some seeds leaves the other seeds' statistics in
+// the point; failing on every seed aborts an unsharded pass with the
+// point's first failing seed.
+func TestDelayPassFailures(t *testing.T) {
+	sizes, base, schemes := delayTestArgs()
+	g := testGrid(t, "delayfail", sizes, base, network.Grid)
+	o := Options{Seeds: 3, Workers: 3}
+	healthy := delayEval(schemes, nil, nil)
+
+	// Seed 1 of every point errors and seed 2 panics. The rule keys on
+	// the instance's own seed, so it holds for any scheduling.
+	partial := func(nw *network.Network, tr *traffic.Pattern) ([]delay.Stats, error) {
+		point := 0
+		for i, n := range sizes {
+			if n == nw.Cfg.Params.N {
+				point = i
+			}
+		}
+		switch nw.Cfg.Seed {
+		case g.cellSeed(point, 1):
+			return nil, errors.New("injected failure")
+		case g.cellSeed(point, 2):
+			panic("injected panic")
+		}
+		return healthy(nw, tr)
 	}
-	if err := sc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	o := Options{Seeds: 2, Workers: 2}
-	lam, err := sweepScenario(o, sc, []int{256}, nil)
+	pts, err := delayRun(o, g, nil, len(schemes), partial)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("partial failures aborted the pass: %v", err)
 	}
-	pts, err := sweepDelayScenario(o, sc, []int{256})
-	if err != nil {
-		t.Fatal(err)
+	if len(pts) != len(sizes) {
+		t.Fatalf("%d points, want %d", len(pts), len(sizes))
 	}
-	if len(lam.X) != 1 || len(pts) != 1 {
-		t.Fatalf("unexpected shapes: %d lambda points, %d delay points", len(lam.X), len(pts))
+	for _, pt := range pts {
+		if pt.OK != 1 || pt.Covered != 3 {
+			t.Errorf("n=%d coverage %d/%d, want 1/3", pt.N, pt.OK, pt.Covered)
+		}
 	}
-	if pts[0].OK != lam.OK[0] {
-		t.Errorf("coverage diverged: delay %d, lambda %d", pts[0].OK, lam.OK[0])
+	rows := strings.Join(formatDelayRows(schemes, []float64{0.5, 0.99}, pts), "\n")
+	if got := strings.Count(rows, "seeds-ok=1/3"); got != len(sizes)*len(schemes) {
+		t.Errorf("%d rows report seeds-ok=1/3, want %d:\n%s", got, len(sizes)*len(schemes), rows)
+	}
+
+	for name, eval := range map[string]evalFn[[]delay.Stats]{
+		"error": func(*network.Network, *traffic.Pattern) ([]delay.Stats, error) {
+			return nil, errors.New("always down")
+		},
+		"panic": func(*network.Network, *traffic.Pattern) ([]delay.Stats, error) {
+			panic("always broken")
+		},
+	} {
+		_, err := delayRun(o, g, nil, len(schemes), eval)
+		if err == nil {
+			t.Fatalf("%s: a pass with zero surviving seeds should error", name)
+		}
+		for _, want := range []string{"all 3 seeds failed", "seed 0", engine.PhaseEvaluate + ":"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q lacks %q", name, err, want)
+			}
+		}
+		if strings.Contains(err.Error(), engine.PhaseConstruct) {
+			t.Errorf("%s: evaluation failure tagged as construction: %v", name, err)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func delayMeanAt(sc *scenario.Scenario, pts []delayPoint, scheme string) (float6
 	if len(pts) == 0 {
 		return 0, false
 	}
-	last := pts[len(pts)-1].Mean()
+	last := delayMean(pts[len(pts)-1])
 	for i, name := range sc.DelaySchemes() {
 		if name == scheme {
 			return last[i].Mean, true
@@ -93,11 +93,7 @@ func DelayCapacity(o Options) (*Result, error) {
 			return nil, err
 		}
 		sizes := o.sizes(sc.SizesFor(false), sc.SizesFor(true))
-		lam, err := sweepScenario(o, sc, sizes, nil)
-		if err != nil {
-			return nil, err
-		}
-		dpts, err := sweepDelayScenario(o, sc, sizes)
+		lam, dpts, err := sweepScenario(o, sc, sizes, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +143,12 @@ func DelayCapacity(o Options) (*Result, error) {
 	p := e15StrongScenario().Base.Params(n)
 	fc := &faults.Config{Seed: 7, BSOutageFraction: 0.3, BSOutageStart: slots / 2}
 	lambda := 0.002
-	nw1, tr, err := instanceWith(p, 91, network.Grid, fc)
+	plan, err := faults.New(*fc)
+	if err != nil {
+		return nil, err
+	}
+	cfg := network.Config{Params: p, Seed: 91, BSPlacement: network.Grid, Faults: plan}
+	nw1, tr, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +156,7 @@ func DelayCapacity(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw2, _, err := instanceWith(p, 91, network.Grid, fc)
+	nw2, _, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,6 @@ import (
 
 	"hybridcap/internal/cellcache"
 	"hybridcap/internal/cells"
-	"hybridcap/internal/faults"
 	"hybridcap/internal/measure"
 	"hybridcap/internal/network"
 	"hybridcap/internal/obs"
@@ -129,33 +128,24 @@ func (o Options) sizes(def, quick []int) []int {
 	return def
 }
 
-// instance builds a deterministic network plus permutation traffic for
-// a parameter point and seed.
-func instance(p scaling.Params, seed uint64, placement network.BSPlacement) (*network.Network, *traffic.Pattern, error) {
-	return instanceWith(p, seed, placement, nil)
-}
-
-// instanceWith is instance with an optional fault plan installed into
-// the network (the scenario path: declared outages apply to every
-// instance of a sweep).
-func instanceWith(p scaling.Params, seed uint64, placement network.BSPlacement, fc *faults.Config) (*network.Network, *traffic.Pattern, error) {
-	cfg := network.Config{Params: p, Seed: seed, BSPlacement: placement}
-	if fc != nil && fc.Active() {
-		plan, err := faults.New(*fc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: %w", err)
-		}
-		cfg.Faults = plan
-	}
+// build is the one instance builder: the deterministic network cfg
+// describes plus the permutation traffic drawn from cfg.Seed.
+func build(cfg network.Config) (*network.Network, *traffic.Pattern, error) {
 	nw, err := network.New(cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: %w", err)
 	}
-	tr, err := traffic.NewPermutation(p.N, rng.New(seed).Derive("traffic").Rand())
+	tr, err := traffic.NewPermutation(cfg.Params.N, rng.New(cfg.Seed).Derive("traffic").Rand())
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: %w", err)
 	}
 	return nw, tr, nil
+}
+
+// instance builds a parameter point's instance for a seed and BS
+// placement (default kernel, no faults).
+func instance(p scaling.Params, seed uint64, placement network.BSPlacement) (*network.Network, *traffic.Pattern, error) {
+	return build(network.Config{Params: p, Seed: seed, BSPlacement: placement})
 }
 
 // Runner executes one experiment under the given options.

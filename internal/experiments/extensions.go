@@ -169,11 +169,7 @@ func KernelInvariance(o Options) (*Result, error) {
 		mobility.PowerLaw{D0: 0.3, Beta: 2, D: 1},
 	}
 	evs, err := collect(o, len(kernels), func(i int) (*routing.Evaluation, error) {
-		nw, err := network.New(network.Config{Params: p, Seed: 71, Kernel: kernels[i]})
-		if err != nil {
-			return nil, engine.ConstructErr(err)
-		}
-		tr, err := trafficFor(p.N, 71)
+		nw, tr, err := build(network.Config{Params: p, Seed: 71, Kernel: kernels[i]})
 		if err != nil {
 			return nil, engine.ConstructErr(err)
 		}

@@ -52,13 +52,9 @@ func Resilience(o Options) (*Result, error) {
 			if perr != nil {
 				return seedOutcome{}, engine.ConstructErr(perr)
 			}
-			nw, nerr := network.New(network.Config{Params: p, Seed: uint64(90 + s), BSPlacement: network.Grid, Faults: plan})
-			if nerr != nil {
-				return seedOutcome{}, engine.ConstructErr(nerr)
-			}
-			tr, terr := trafficFor(p.N, uint64(90+s))
-			if terr != nil {
-				return seedOutcome{}, engine.ConstructErr(terr)
+			nw, tr, berr := build(network.Config{Params: p, Seed: uint64(90 + s), BSPlacement: network.Grid, Faults: plan})
+			if berr != nil {
+				return seedOutcome{}, engine.ConstructErr(berr)
 			}
 			ev, serr := scheme.Evaluate(nw, tr)
 			if serr != nil {

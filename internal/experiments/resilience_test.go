@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 
 	"hybridcap/internal/network"
 	"hybridcap/internal/routing"
 	"hybridcap/internal/scaling"
-	"hybridcap/internal/traffic"
 )
 
 // E14 acceptance: the BS-outage curve starts at the healthy scheme-B
@@ -82,51 +80,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// A sweep whose evaluator fails or panics on some seeds still completes
-// with partial per-point coverage; only a point losing every seed
-// aborts.
-func TestSweepLambdaPartialFailures(t *testing.T) {
-	p := scaling.Params{N: 64, Alpha: 0.2, K: -1, M: 1}
-	calls := 0
-	eval := func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
-		calls++
-		switch calls % 3 {
-		case 1:
-			return 0, fmt.Errorf("injected failure")
-		case 2:
-			panic("injected panic")
-		}
-		return 1.5, nil
-	}
-	// The injected eval fails by call order, so pin the serial path:
-	// with workers > 1 the call sequence (and the shared counter) would
-	// be scheduling-dependent.
-	o := Options{Seeds: 3, Workers: 1}
-	series, err := sweepLambda(o, "partial", []int{64, 64}, p, 0, eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if series.Len() != 2 {
-		t.Fatalf("series has %d points, want 2", series.Len())
-	}
-	for i := 0; i < series.Len(); i++ {
-		if series.OK[i] != 1 || series.Attempts[i] != 3 {
-			t.Errorf("point %d coverage %d/%d, want 1/3", i, series.OK[i], series.Attempts[i])
-		}
-		if got, want := series.ErrorRate(i), 2.0/3.0; abs(got-want) > 1e-12 {
-			t.Errorf("point %d error rate %v, want %v", i, got, want)
-		}
-		if series.Y[i] != 1.5 {
-			t.Errorf("point %d mean %v, want 1.5 (only surviving seed)", i, series.Y[i])
-		}
-	}
-
-	allFail := func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
-		return 0, fmt.Errorf("always down")
-	}
-	if _, err := sweepLambda(o, "dead", []int{64}, p, 0, allFail); err == nil {
-		t.Error("sweep with zero surviving seeds should error")
-	}
 }

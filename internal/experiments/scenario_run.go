@@ -65,14 +65,9 @@ func RunScenario(ctx context.Context, sc *scenario.Scenario, o Options) (*Result
 	}
 	rt.Push("scenario " + sc.Name)
 	cacheBefore := mobility.ReadCacheStats()
-	series, err := sweepScenario(o, sc, sizes, rec)
-	var dpts []delayPoint
-	if err == nil && sc.Delay != nil {
-		// The delay pass re-derives the lambda sweep's exact cells, so it
-		// runs inside the same scenario span and cache-delta window.
-		// Validate guarantees delay scenarios are unsharded.
-		dpts, err = sweepDelayScenario(o, sc, sizes)
-	}
+	// The delay pass evaluates the lambda pass's exact cells, so both
+	// run inside the same scenario span and cache-delta window.
+	series, dpts, err := sweepScenario(o, sc, sizes, rec)
 	cacheAfter := mobility.ReadCacheStats()
 	rt.Pop()
 	if err != nil {

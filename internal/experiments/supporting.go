@@ -169,7 +169,7 @@ func NoBSCapacity(o Options) (*Result, error) {
 		XName:       "n",
 		Fits:        map[string]*measure.Fit{},
 	}
-	lam, err := sweepScenario(o, sc, sizes, nil)
+	lam, _, err := sweepScenario(o, sc, sizes, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -447,7 +447,7 @@ func WeakNoBS(o Options) (*Result, error) {
 		XName:       "n",
 		Fits:        map[string]*measure.Fit{},
 	}
-	lam, err := sweepScenario(o, sc, sizes, nil)
+	lam, _, err := sweepScenario(o, sc, sizes, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -15,11 +15,12 @@ import (
 	"hybridcap/internal/traffic"
 )
 
-// evalFn measures one instance, returning a per-node rate.
-type evalFn func(nw *network.Network, tr *traffic.Pattern) (float64, error)
+// evalFn measures one instance: a per-node rate on the lambda pass,
+// per-scheme delay statistics on the delay pass.
+type evalFn[T any] func(nw *network.Network, tr *traffic.Pattern) (T, error)
 
 // schemeEval adapts a routing.Scheme.
-func schemeEval(s routing.Scheme) evalFn {
+func schemeEval(s routing.Scheme) evalFn[float64] {
 	return func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
 		ev, err := s.Evaluate(nw, tr)
 		if err != nil {
@@ -35,7 +36,7 @@ func schemeEval(s routing.Scheme) evalFn {
 // bestOf takes the max of several evaluators (capacity is achieved by
 // the best scheme, e.g. Theta(1/f) + Theta(min(...)) in the strong
 // regime). It fails only if every evaluator fails.
-func bestOf(evals ...evalFn) evalFn {
+func bestOf(evals ...evalFn[float64]) evalFn[float64] {
 	return func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
 		best := 0.0
 		var lastErr error
@@ -62,9 +63,9 @@ func bestOf(evals ...evalFn) evalFn {
 // resolved against the instance's own parameter point (gridMultihop
 // picks its cell side from gamma(n) there) and the point scores the
 // best of them.
-func scenarioEval(names []string) evalFn {
+func scenarioEval(names []string) evalFn[float64] {
 	return func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
-		evals := make([]evalFn, 0, len(names))
+		evals := make([]evalFn[float64], 0, len(names))
 		for _, name := range names {
 			s, err := routing.ByName(name, nw.Cfg.Params)
 			if err != nil {
@@ -76,183 +77,238 @@ func scenarioEval(names []string) evalFn {
 	}
 }
 
-// trafficFor draws the permutation traffic for a node count and seed.
-func trafficFor(n int, seed uint64) (*traffic.Pattern, error) {
-	return traffic.NewPermutation(n, rng.New(seed).Derive("traffic").Rand())
+// sizeGrid is a resolved sizes x seeds grid: one validated parameter
+// point per size, the BS placement and optional fault plan every
+// instance gets, and the only derivation of cell seeds. A scenario's
+// lambda and delay passes run on the same grid, so they evaluate the
+// same instances.
+type sizeGrid struct {
+	name      string
+	sizes     []int
+	params    []scaling.Params
+	srcs      []rng.Source
+	placement network.BSPlacement
+	faults    *faults.Config
 }
 
-// safeEval runs eval with panics converted to errors, so one broken
-// instance cannot tear down a whole sweep.
-func safeEval(eval evalFn, nw *network.Network, tr *traffic.Pattern) (v float64, err error) {
+// newSizeGrid resolves the grid, validating every point before any cell
+// runs. The grid's name salts the seed derivation.
+func newSizeGrid(name string, sizes []int, base scaling.Params, placement network.BSPlacement, fc *faults.Config) (*sizeGrid, error) {
+	src := rng.New(0xE).Derive("sweep").Derive(name)
+	g := &sizeGrid{
+		name:      name,
+		sizes:     sizes,
+		params:    make([]scaling.Params, len(sizes)),
+		srcs:      make([]rng.Source, len(sizes)),
+		placement: placement,
+		faults:    fc,
+	}
+	for i, n := range sizes {
+		p := base.WithN(n)
+		if err := p.Validate(); err != nil {
+			return nil, fmt.Errorf("experiments: %s at n=%d: %w", name, n, err)
+		}
+		g.params[i] = p
+		g.srcs[i] = src.DeriveN("n", n)
+	}
+	return g, nil
+}
+
+// cellSeed derives a cell's seed lazily from its point's source: rng
+// derivation is a pure function of the source value, so worker
+// goroutines may derive concurrently and the grid keeps O(points) seed
+// state instead of a materialized cell list. A cell's seed does not
+// depend on which worker runs it or when.
+func (g *sizeGrid) cellSeed(point, seed int) uint64 {
+	return g.srcs[point].DeriveN("seed", seed).Uint64()
+}
+
+// cellStep is the one cell step of every sweep: it builds the cell's
+// instance (installing a fresh plan of the grid's fault config) and
+// runs eval on it, tagging failures with their phase. The deferred
+// recover keeps a panicking scheme or delay model an evaluate failure;
+// engine.Stream's own guard would catch the panic, but untagged.
+func cellStep[T any](g *sizeGrid, point, seed int, eval evalFn[T]) (v T, err error) {
+	var zero T
+	cfg := network.Config{Params: g.params[point], Seed: g.cellSeed(point, seed), BSPlacement: g.placement}
+	if g.faults != nil && g.faults.Active() {
+		if cfg.Faults, err = faults.New(*g.faults); err != nil {
+			return zero, engine.ConstructErr(fmt.Errorf("experiments: %w", err))
+		}
+	}
+	nw, tr, err := build(cfg)
+	if err != nil {
+		return zero, engine.ConstructErr(err)
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("evaluation panicked: %v", r)
+			v, err = zero, engine.EvaluateErr(fmt.Errorf("evaluation panicked: %v", r))
 		}
 	}()
-	return eval(nw, tr)
-}
-
-// Cell-failure phase tags, owned by the grid engine: a degraded sweep's
-// error says whether instance construction or scheme evaluation broke.
-const (
-	phaseConstruct = engine.PhaseConstruct
-	phaseEvaluate  = engine.PhaseEvaluate
-)
-
-// sweepCell is one (size, seed) point of the grid. Seeds are derived
-// up front from the splittable rng, so the cell is self-contained and
-// its result cannot depend on which worker runs it or when.
-type sweepCell struct {
-	params scaling.Params
-	seed   uint64
-}
-
-// runCell builds the cell's instance (installing the optional fault
-// plan) and evaluates it, tagging failures with their phase.
-func runCell(c sweepCell, placement network.BSPlacement, fc *faults.Config, eval evalFn) (float64, error) {
-	nw, tr, err := instanceWith(c.params, c.seed, placement, fc)
-	if err != nil {
-		return 0, engine.ConstructErr(err)
-	}
-	v, err := safeEval(eval, nw, tr)
-	if err != nil {
-		return 0, engine.EvaluateErr(err)
+	if v, err = eval(nw, tr); err != nil {
+		return zero, engine.EvaluateErr(err)
 	}
 	return v, nil
 }
 
-// sweepLambda runs eval over the sizes x seeds grid for the parameter
-// family and returns the mean-lambda series. The grid cells fan out
-// through the engine's bounded pool and merge back in grid order, so
-// the series is byte-identical to a serial run for every worker count.
-// Failing seeds (errors or panics) are tolerated: the point aggregates
-// the surviving seeds and records its coverage in the series'
-// OK/Attempts counters. Only a point losing every seed aborts the
-// sweep, reporting the point's first failure by seed order.
-func sweepLambda(o Options, name string, sizes []int, base scaling.Params, placement network.BSPlacement, eval evalFn) (*measure.Series, error) {
-	return sweepLambdaWith(o, name, sizes, base, placement, nil, nil, eval)
+// pointAgg folds one pass's cell outcomes per point, in grid order:
+// engine.MeanAgg for the lambda pass, delayAgg for the delay pass.
+type pointAgg[T, V any] interface {
+	Cell(point, seed int, out engine.Outcome[T])
+	Point(point int) (v V, ok int, firstErr error, firstSeed int)
+	Covered(point int) int
+}
+
+// gridPass is what one pass brings to the grid runner besides the grid:
+// the phase name ("sweep" or "delay"), the error prefix, the evaluator,
+// the aggregator and the optional shard spec, cell-cache scope (nil
+// stays uncached) and cell recorder.
+type gridPass[T, V any] struct {
+	phase  string
+	prefix string
+	eval   evalFn[T]
+	agg    pointAgg[T, V]
+	shard  *scenario.ShardSpec
+	scope  scopeFn
+	rec    func(point, seed int, cellSeed uint64, out engine.Outcome[T])
+}
+
+// gridPoint is one point's aggregate after a pass: its size, the
+// aggregator's value, and how many seeds survived out of those covered.
+type gridPoint[V any] struct {
+	N       int
+	Value   V
+	OK      int
+	Covered int
+}
+
+// runGrid is the streaming grid runner behind both passes: cells fan
+// out through the engine's bounded pool and fold into the pass's
+// aggregator in grid order, so the points are byte-identical to a
+// serial run for every worker count while the run holds O(points +
+// workers) state. The run is bracketed in a "<phase> <name>" span and
+// every cell outcome goes through the observability sink. An optional
+// shard spec restricts the run to one contiguous block of the global
+// grid (cells keep their global coordinates and seeds, so shard
+// outputs merge byte-identically to an unsharded run).
+//
+// Failing seeds (errors or panics) are tolerated: a point aggregates
+// its surviving seeds and reports its coverage. Unsharded, a point
+// losing every seed aborts the run, reporting the point's first failure
+// by seed order; under a shard every covered point is returned (whether
+// the full point is dead is the merge's call, not one shard's).
+func runGrid[T, V any](o Options, g *sizeGrid, p gridPass[T, V]) ([]gridPoint[V], error) {
+	eg := engine.Grid{Points: len(g.sizes), Seeds: o.seeds(), Workers: o.workers()}
+	if p.shard != nil {
+		eg.ShardIndex, eg.ShardCount = p.shard.Index, p.shard.Count
+	}
+	if o.CellCache != nil && p.scope != nil {
+		cache, err := newSweepCellCache(o.CellCache, p.scope, g)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.prefix, err)
+		}
+		eg.Cache = cache
+	}
+	finish := observeGrid(o, p.phase+" "+g.name, &eg, g.sizes)
+	serr := engine.Stream(o.ctx(), eg,
+		func(point, seed int) (T, error) { return cellStep(g, point, seed, p.eval) },
+		func(point, seed int, out engine.Outcome[T]) {
+			p.agg.Cell(point, seed, out)
+			if p.rec != nil {
+				p.rec(point, seed, g.cellSeed(point, seed), out)
+			}
+		})
+	finish()
+
+	// A canceled run must fail as a whole: partial grids would look
+	// like degraded-but-valid data, and a daemon must never cache them.
+	// An invalid shard spec surfaces here too, before any cell ran.
+	if serr != nil {
+		return nil, fmt.Errorf("%s: %w", p.prefix, serr)
+	}
+	pts := make([]gridPoint[V], 0, len(g.sizes))
+	for i, n := range g.sizes {
+		v, ok, firstErr, firstSeed := p.agg.Point(i)
+		covered := p.agg.Covered(i)
+		if p.shard == nil && ok == 0 {
+			wrapped := fmt.Errorf("%s at n=%d seed %d: %w", p.prefix, n, firstSeed, firstErr)
+			return nil, fmt.Errorf("%s at n=%d: all %d seeds failed: %w", p.prefix, n, eg.Seeds, wrapped)
+		}
+		if covered > 0 {
+			pts = append(pts, gridPoint[V]{N: n, Value: v, OK: ok, Covered: covered})
+		}
+	}
+	return pts, nil
+}
+
+// lambdaPass is the throughput pass over a grid: eval scores each
+// instance and a point's surviving seeds fold into their mean.
+func lambdaPass(g *sizeGrid, eval evalFn[float64]) gridPass[float64, float64] {
+	return gridPass[float64, float64]{
+		phase:  "sweep",
+		prefix: "experiments: " + g.name,
+		eval:   eval,
+		agg:    engine.NewMeanAgg(len(g.sizes)),
+	}
+}
+
+// lambdaSeries renders a lambda pass's points as the measured series
+// with per-point coverage. A sharded point without a surviving seed has
+// no mean and is left out.
+func lambdaSeries(name string, pts []gridPoint[float64]) *measure.Series {
+	series := &measure.Series{Name: name}
+	for _, pt := range pts {
+		if pt.OK > 0 {
+			series.AddCounted(float64(pt.N), pt.Value, pt.OK, pt.Covered)
+		}
+	}
+	return series
 }
 
 // scopeFn renders the canonical cell-cache scope of one grid point
-// (network size). Nil means the sweep's cells have no declarative
-// scope and must not be cached.
+// (network size). Nil means the pass's cells have no declarative scope
+// and must not be cached.
 type scopeFn func(n int) ([]byte, error)
-
-// sweepLambdaWith is sweepLambda with an optional fault plan installed
-// into every instance of the grid and an optional cell-cache scope (the
-// declarative scenario path; bespoke eval closures pass a nil scope and
-// stay uncached, since nothing canonical describes them).
-func sweepLambdaWith(o Options, name string, sizes []int, base scaling.Params, placement network.BSPlacement, fc *faults.Config, scope scopeFn, eval evalFn) (*measure.Series, error) {
-	return sweepLambdaShard(o, name, sizes, base, placement, fc, scope, nil, nil, eval)
-}
 
 // cellRecorder receives every covered cell's outcome — with the cell's
 // derived rng seed — in grid order; sharded scenario runs use it to
 // assemble the cells artifact that shard-merge tooling consumes.
 type cellRecorder func(point, seed int, cellSeed uint64, out engine.Outcome[float64])
 
-// sweepLambdaShard is the streaming sweep core: cells fan out through
-// the engine's bounded pool and fold into a per-point mean aggregator
-// in grid order, so the series is byte-identical to a serial run for
-// every worker count while the sweep holds O(points + workers) state
-// instead of materializing the grid. An optional shard spec restricts
-// the run to one contiguous block of the global grid (cells keep their
-// global coordinates and seeds, so shard outputs merge byte-identically
-// to an unsharded run).
-//
-// Failing seeds (errors or panics) are tolerated: a point aggregates
-// its surviving seeds and records coverage in the series' OK/Attempts
-// counters. Unsharded, a point losing every seed aborts the sweep,
-// reporting the point's first failure by seed order; under a shard the
-// point is simply left out of the series (whether the full point is
-// dead is the merge's call, not one shard's).
-func sweepLambdaShard(o Options, name string, sizes []int, base scaling.Params, placement network.BSPlacement, fc *faults.Config, scope scopeFn, shard *scenario.ShardSpec, rec cellRecorder, eval evalFn) (*measure.Series, error) {
-	seeds := o.seeds()
-	src := rng.New(0xE).Derive("sweep").Derive(name)
-	params := make([]scaling.Params, len(sizes))
-	srcs := make([]rng.Source, len(sizes))
-	for i, n := range sizes {
-		p := base.WithN(n)
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("experiments: %s at n=%d: %w", name, n, err)
-		}
-		params[i] = p
-		srcs[i] = src.DeriveN("n", n)
-	}
-	// Cell seeds derive lazily from the point's source: rng derivation is
-	// a pure function of the source value, so worker goroutines may
-	// derive concurrently and the sweep keeps O(points) seed state
-	// instead of a materialized cell list.
-	cellSeed := func(point, seed int) uint64 {
-		return srcs[point].DeriveN("seed", seed).Uint64()
-	}
-
-	// Bracket the sweep in a phase span and route every cell outcome
-	// through the sink. The engine delivers observations in grid order,
-	// so the published stream is identical for every worker count.
-	ctx := o.ctx()
-	g := engine.Grid{Points: len(sizes), Seeds: seeds, Workers: o.workers()}
-	if shard != nil {
-		g.ShardIndex, g.ShardCount = shard.Index, shard.Count
-	}
-	if o.CellCache != nil && scope != nil {
-		cache, err := newSweepCellCache(o.CellCache, scope, sizes, cellSeed)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		g.Cache = cache
-	}
-	agg := engine.NewMeanAgg(len(sizes))
-	finish := observeGrid(o, "sweep "+name, &g, sizes)
-	serr := engine.Stream(ctx, g,
-		func(point, seed int) (float64, error) {
-			return runCell(sweepCell{params: params[point], seed: cellSeed(point, seed)}, placement, fc, eval)
-		},
-		func(point, seed int, out engine.Outcome[float64]) {
-			agg.Cell(point, seed, out)
-			if rec != nil {
-				rec(point, seed, cellSeed(point, seed), out)
-			}
-		})
-	finish()
-
-	// A canceled sweep must fail as a whole: partial grids would look
-	// like degraded-but-valid data, and a daemon must never cache them.
-	// An invalid shard spec surfaces here too, before any cell ran.
-	if serr != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", name, serr)
-	}
-
-	series := &measure.Series{Name: name}
-	for i, n := range sizes {
-		mean, ok, firstErr, firstSeed := agg.Point(i)
-		if shard != nil {
-			if covered := agg.Covered(i); covered > 0 && ok > 0 {
-				series.AddCounted(float64(n), mean, ok, covered)
-			}
-			continue
-		}
-		if ok == 0 {
-			wrapped := fmt.Errorf("experiments: %s at n=%d seed %d: %w", name, n, firstSeed, firstErr)
-			return nil, fmt.Errorf("experiments: %s at n=%d: all %d seeds failed: %w", name, n, seeds, wrapped)
-		}
-		series.AddCounted(float64(n), mean, ok, seeds)
-	}
-	return series, nil
-}
-
-// sweepScenario runs a declarative scenario's lambda sweep over the
-// resolved size grid: the scenario's name salts the seed derivation,
-// its scheme set scores each instance, its optional fault plan is
-// installed into every cell, and its optional shard spec selects the
-// block of the global grid this process evaluates. rec, if set,
-// receives every covered cell outcome (the cells-artifact hook).
-func sweepScenario(o Options, sc *scenario.Scenario, sizes []int, rec cellRecorder) (*measure.Series, error) {
+// sweepScenario resolves a declarative scenario's size grid once and
+// runs its lambda pass on it: the scenario's name salts the seed
+// derivation, its scheme set scores each instance, its optional fault
+// plan is installed into every cell, its optional shard spec selects
+// the block of the global grid this process evaluates and its cell
+// scope keys the optional cell cache. rec, if set, receives every
+// covered cell outcome (the cells-artifact hook). A delay scenario then
+// runs its delay pass over the same grid, and so over the same
+// instances; Validate guarantees delay scenarios are unsharded.
+func sweepScenario(o Options, sc *scenario.Scenario, sizes []int, rec cellRecorder) (*measure.Series, []delayPoint, error) {
 	placement, err := sc.PlacementScheme()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: scenario %s: %w", sc.Name, err)
+		return nil, nil, fmt.Errorf("experiments: scenario %s: %w", sc.Name, err)
 	}
-	return sweepLambdaShard(o, sc.Name, sizes, sc.Base.Params(0), placement, sc.FaultConfig(), sc.CellScope, sc.Shard, rec, scenarioEval(sc.Schemes))
+	g, err := newSizeGrid(sc.Name, sizes, sc.Base.Params(0), placement, sc.FaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	lp := lambdaPass(g, scenarioEval(sc.Schemes))
+	lp.shard, lp.scope, lp.rec = sc.Shard, sc.CellScope, rec
+	pts, err := runGrid(o, g, lp)
+	if err != nil {
+		return nil, nil, err
+	}
+	series := lambdaSeries(g.name, pts)
+	if sc.Delay == nil {
+		return series, nil, nil
+	}
+	schemes := sc.DelaySchemes()
+	dpts, err := runGrid(o, g, delayPass(g, len(schemes), delayEval(schemes, sc.DelayQuantiles(), sc.AssocConfig())))
+	if err != nil {
+		return nil, nil, err
+	}
+	return series, dpts, nil
 }
 
 // sweepCellCache adapts the persistent cell store to the engine's
@@ -266,27 +322,26 @@ func sweepScenario(o Options, sc *scenario.Scenario, sizes []int, rec cellRecord
 type sweepCellCache struct {
 	store  *cellcache.Store
 	scopes [][]byte // per point
-	sizes  []int
-	seed   func(point, seed int) uint64
+	grid   *sizeGrid
 }
 
-// newSweepCellCache precomputes the per-point scopes for a sweep.
-func newSweepCellCache(store *cellcache.Store, scope scopeFn, sizes []int, seed func(point, seed int) uint64) (*sweepCellCache, error) {
-	scopes := make([][]byte, len(sizes))
-	for i, n := range sizes {
+// newSweepCellCache precomputes the per-point scopes for a grid.
+func newSweepCellCache(store *cellcache.Store, scope scopeFn, g *sizeGrid) (*sweepCellCache, error) {
+	scopes := make([][]byte, len(g.sizes))
+	for i, n := range g.sizes {
 		b, err := scope(n)
 		if err != nil {
 			return nil, err
 		}
 		scopes[i] = b
 	}
-	return &sweepCellCache{store: store, scopes: scopes, sizes: sizes, seed: seed}, nil
+	return &sweepCellCache{store: store, scopes: scopes, grid: g}, nil
 }
 
 // Get implements engine.CellCache. Every store failure — miss, I/O
 // error, corruption (evicted on the spot) — degrades to a recompute.
 func (c *sweepCellCache) Get(point, seed int) (any, bool) {
-	key := cellcache.Key(c.scopes[point], c.sizes[point], c.seed(point, seed))
+	key := cellcache.Key(c.scopes[point], c.grid.sizes[point], c.grid.cellSeed(point, seed))
 	e, _, err := c.store.Get(key)
 	if err != nil {
 		return nil, false
@@ -301,5 +356,5 @@ func (c *sweepCellCache) Put(point, seed int, v any) {
 	if !ok {
 		return
 	}
-	_ = c.store.Put(c.scopes[point], c.sizes[point], c.seed(point, seed), val)
+	_ = c.store.Put(c.scopes[point], c.grid.sizes[point], c.grid.cellSeed(point, seed), val)
 }

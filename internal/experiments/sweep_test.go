@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"hybridcap/internal/engine"
 	"hybridcap/internal/measure"
 	"hybridcap/internal/network"
 	"hybridcap/internal/routing"
@@ -74,6 +76,26 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
+// testGrid resolves a size grid for the runner tests.
+func testGrid(t *testing.T, name string, sizes []int, base scaling.Params, placement network.BSPlacement) *sizeGrid {
+	t.Helper()
+	g, err := newSizeGrid(name, sizes, base, placement, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// sweepEval runs a lambda pass with the given evaluator over g and
+// renders its series: the runner with its evaluator as the test seam.
+func sweepEval(o Options, g *sizeGrid, eval evalFn[float64]) (*measure.Series, error) {
+	pts, err := runGrid(o, g, lambdaPass(g, eval))
+	if err != nil {
+		return nil, err
+	}
+	return lambdaSeries(g.name, pts), nil
+}
+
 // Degraded sweeps must say which phase broke: instance construction
 // and evaluation failures carry distinct tags in the wrapped error.
 func TestSweepErrorPhases(t *testing.T) {
@@ -83,14 +105,14 @@ func TestSweepErrorPhases(t *testing.T) {
 	allFail := func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
 		return 0, errors.New("boom")
 	}
-	_, err := sweepLambda(Options{Seeds: 2, Workers: 2}, "dead", []int{64}, p, 0, allFail)
+	_, err := sweepEval(Options{Seeds: 2, Workers: 2}, testGrid(t, "dead", []int{64}, p, 0), allFail)
 	if err == nil {
 		t.Fatal("sweep with zero surviving seeds should error")
 	}
-	if !strings.Contains(err.Error(), phaseEvaluate) {
-		t.Errorf("evaluation failure not tagged %q: %v", phaseEvaluate, err)
+	if !strings.Contains(err.Error(), engine.PhaseEvaluate) {
+		t.Errorf("evaluation failure not tagged %q: %v", engine.PhaseEvaluate, err)
 	}
-	if strings.Contains(err.Error(), phaseConstruct) {
+	if strings.Contains(err.Error(), engine.PhaseConstruct) {
 		t.Errorf("evaluation failure tagged as construction: %v", err)
 	}
 	if !strings.Contains(err.Error(), "seed 0") {
@@ -100,15 +122,15 @@ func TestSweepErrorPhases(t *testing.T) {
 	// An unknown BS placement breaks network construction before any
 	// evaluator runs -> tagged as a construction failure.
 	pBS := scaling.Params{N: 64, Alpha: 0.2, K: 0.5, Phi: 1, M: 1}
-	_, err = sweepLambda(Options{Seeds: 2, Workers: 2}, "broken", []int{64}, pBS,
-		network.BSPlacement(99), schemeEval(routing.SchemeA{}))
+	_, err = sweepEval(Options{Seeds: 2, Workers: 2}, testGrid(t, "broken", []int{64}, pBS, network.BSPlacement(99)),
+		schemeEval(routing.SchemeA{}))
 	if err == nil {
 		t.Fatal("unknown placement should abort the sweep")
 	}
-	if !strings.Contains(err.Error(), phaseConstruct) {
-		t.Errorf("construction failure not tagged %q: %v", phaseConstruct, err)
+	if !strings.Contains(err.Error(), engine.PhaseConstruct) {
+		t.Errorf("construction failure not tagged %q: %v", engine.PhaseConstruct, err)
 	}
-	if strings.Contains(err.Error(), phaseEvaluate) {
+	if strings.Contains(err.Error(), engine.PhaseEvaluate) {
 		t.Errorf("construction failure tagged as evaluation: %v", err)
 	}
 }
@@ -117,10 +139,11 @@ func TestSweepErrorPhases(t *testing.T) {
 // configuration, including far more workers than cells.
 func TestSweepWorkerEdgeCases(t *testing.T) {
 	p := scaling.Params{N: 64, Alpha: 0.2, K: -1, M: 1}
+	g := testGrid(t, "edge", []int{64, 128}, p, network.Grid)
 	eval := schemeEval(routing.SchemeA{})
 	var ref *measure.Series
 	for _, workers := range []int{0, 1, 3, 64} {
-		s, err := sweepLambda(Options{Seeds: 2, Workers: workers}, "edge", []int{64, 128}, p, network.Grid, eval)
+		s, err := sweepEval(Options{Seeds: 2, Workers: workers}, g, eval)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -129,5 +152,52 @@ func TestSweepWorkerEdgeCases(t *testing.T) {
 			continue
 		}
 		seriesEqual(t, "edge", ref, s)
+	}
+}
+
+// A sweep whose evaluator fails or panics on some seeds still completes
+// with partial per-point coverage; only a point losing every seed
+// aborts.
+func TestSweepLambdaPartialFailures(t *testing.T) {
+	p := scaling.Params{N: 64, Alpha: 0.2, K: -1, M: 1}
+	calls := 0
+	eval := func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
+		calls++
+		switch calls % 3 {
+		case 1:
+			return 0, fmt.Errorf("injected failure")
+		case 2:
+			panic("injected panic")
+		}
+		return 1.5, nil
+	}
+	// The injected eval fails by call order, so pin the serial path:
+	// with workers > 1 the call sequence (and the shared counter) would
+	// be scheduling-dependent.
+	o := Options{Seeds: 3, Workers: 1}
+	series, err := sweepEval(o, testGrid(t, "partial", []int{64, 64}, p, 0), eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if series.Len() != 2 {
+		t.Fatalf("series has %d points, want 2", series.Len())
+	}
+	for i := 0; i < series.Len(); i++ {
+		if series.OK[i] != 1 || series.Attempts[i] != 3 {
+			t.Errorf("point %d coverage %d/%d, want 1/3", i, series.OK[i], series.Attempts[i])
+		}
+		if got, want := series.ErrorRate(i), 2.0/3.0; abs(got-want) > 1e-12 {
+			t.Errorf("point %d error rate %v, want %v", i, got, want)
+		}
+		if series.Y[i] != 1.5 {
+			t.Errorf("point %d mean %v, want 1.5 (only surviving seed)", i, series.Y[i])
+		}
+	}
+
+	allFail := func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
+		return 0, fmt.Errorf("always down")
+	}
+	if _, err := sweepEval(o, testGrid(t, "dead", []int{64}, p, 0), allFail); err == nil {
+		t.Error("sweep with zero surviving seeds should error")
 	}
 }

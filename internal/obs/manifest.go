@@ -135,13 +135,12 @@ func (m *Manifest) Marshal() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// ParseManifest decodes a manifest, rejecting unknown fields so schema
-// drift fails loudly.
+// ParseManifest decodes a manifest, rejecting unknown fields and bytes
+// after the JSON value (blob.Decode) so schema drift and torn files
+// fail loudly.
 func ParseManifest(data []byte) (*Manifest, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	m := &Manifest{}
-	if err := dec.Decode(m); err != nil {
+	if err := blob.Decode(data, m); err != nil {
 		return nil, fmt.Errorf("obs: parse manifest: %w", err)
 	}
 	if m.Schema != ManifestSchema {

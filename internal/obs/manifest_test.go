@@ -55,6 +55,13 @@ func TestManifestParseRejects(t *testing.T) {
 	if _, err := ParseManifest([]byte("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
+	data, err := sampleManifest().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseManifest(append(data, "x"...)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("torn tail accepted: %v", err)
+	}
 }
 
 // Total sums the per-phase tallies.

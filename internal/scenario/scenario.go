@@ -13,7 +13,6 @@
 package scenario
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -21,6 +20,7 @@ import (
 	"fmt"
 	"os"
 
+	"hybridcap/internal/blob"
 	"hybridcap/internal/delay"
 	"hybridcap/internal/faults"
 	"hybridcap/internal/network"
@@ -477,14 +477,13 @@ func (s *Scenario) CellScope(n int) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Parse decodes and validates a scenario. Unknown fields are rejected,
-// so a typoed knob fails loudly instead of silently running the
+// Parse decodes and validates a scenario. Unknown fields and bytes
+// after the JSON value are rejected (blob.Decode), so a typoed knob or
+// a torn submission fails loudly instead of silently running the
 // default.
 func Parse(data []byte) (*Scenario, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	s := &Scenario{}
-	if err := dec.Decode(s); err != nil {
+	if err := blob.Decode(data, s); err != nil {
 		return nil, fmt.Errorf("scenario: parse: %w", err)
 	}
 	if err := s.Validate(); err != nil {

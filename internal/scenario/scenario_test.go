@@ -126,6 +126,22 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// A complete scenario followed by a torn tail must not parse: the
+// daemon reads submissions through Parse, and a body is one value.
+func TestParseRejectsTrailingBytes(t *testing.T) {
+	data, err := valid().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(data); err != nil {
+		t.Fatalf("valid scenario rejected: %v", err)
+	}
+	torn := append(data, []byte(`{"name": 9, garbage`)...)
+	if _, err := Parse(torn); err == nil || !strings.Contains(err.Error(), "trailing data") {
+		t.Errorf("torn tail accepted: %v", err)
+	}
+}
+
 func TestSizesFor(t *testing.T) {
 	s := valid()
 	if got := s.SizesFor(false); len(got) != 3 {

@@ -464,7 +464,9 @@ func TestSubmitRejectsBadInput(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	_, valid := testScenario(t, "torn")
 	for name, body := range map[string][]byte{
+		"trailing bytes": append(valid, []byte(`{"name": 9, garbage`)...),
 		"not json":       []byte("not json"),
 		"unknown field":  []byte(`{"name":"x","bogus":1}`),
 		"invalid config": []byte(`{"name":"x","sizes":[512],"schemes":["nope"],"placement":"matched"}`),
@@ -481,5 +483,8 @@ func TestSubmitRejectsBadInput(t *testing.T) {
 	}
 	if got := s.submitted.Value(); got != 0 {
 		t.Errorf("rejected submissions counted as admitted: %d", got)
+	}
+	if got := len(s.queue); got != 0 {
+		t.Errorf("rejected submissions enqueued: %d", got)
 	}
 }

@@ -2,6 +2,8 @@
 // every experiment: a bounded worker pool evaluating the cells of a
 // points x seeds grid, with outcomes streamed back in grid order so the
 // result is byte-identical to a serial run for every worker count.
+// Stream is the one grid runner; callers fold its grid-order
+// deliveries themselves (MeanAgg for tolerant per-point means).
 //
 // The engine owns the three properties every sweep in this repository
 // must share:

@@ -25,7 +25,10 @@ func (f observerFunc) ObserveCell(point, seed int, d time.Duration, err error) {
 	f(point, seed, d, err)
 }
 
-// Each must evaluate and deliver every index exactly once for any
+// The TestEach* tests drive Stream over an n x 1 grid, one cell per
+// index (Seeds: 1), the shape every one-seed experiment grid has.
+
+// Stream must evaluate and deliver every index exactly once for any
 // worker count, including more workers than indices and the inline
 // serial path.
 func TestEachDispatchesEveryIndexOnce(t *testing.T) {
@@ -33,10 +36,10 @@ func TestEachDispatchesEveryIndexOnce(t *testing.T) {
 		n := 37
 		counts := make([]int32, n)
 		delivered := make([]int, n)
-		err := Each(context.Background(), workers, n, func(i int) (int, error) {
+		err := Stream(context.Background(), Grid{Points: n, Seeds: 1, Workers: workers}, func(i, _ int) (int, error) {
 			atomic.AddInt32(&counts[i], 1)
 			return i, nil
-		}, func(i int, out Outcome[int]) { delivered[i]++ })
+		}, func(i, _ int, out Outcome[int]) { delivered[i]++ })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -47,23 +50,26 @@ func TestEachDispatchesEveryIndexOnce(t *testing.T) {
 		}
 	}
 	// n <= 0 must be a no-op.
-	err := Each(context.Background(), 4, 0, func(i int) (int, error) {
+	err := Stream(context.Background(), Grid{Points: 0, Seeds: 1, Workers: 4}, func(i, _ int) (int, error) {
 		t.Errorf("dispatched index %d of empty range", i)
 		return 0, nil
-	}, func(i int, out Outcome[int]) { t.Errorf("delivered index %d of empty range", i) })
+	}, func(i, _ int, out Outcome[int]) { t.Errorf("delivered index %d of empty range", i) })
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// eachOutcomes collects Each's deliveries into an index-ordered slice.
+// eachOutcomes runs fn over an n x 1 grid and collects Stream's
+// deliveries into an index-ordered slice.
 func eachOutcomes[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]Outcome[T], error) {
 	outs := make([]Outcome[T], n)
-	err := Each(ctx, workers, n, fn, func(i int, out Outcome[T]) { outs[i] = out })
+	err := Stream(ctx, Grid{Points: n, Seeds: 1, Workers: workers},
+		func(i, _ int) (T, error) { return fn(i) },
+		func(i, _ int, out Outcome[T]) { outs[i] = out })
 	return outs, err
 }
 
-// Each must deliver outcomes in index order, identical for every worker
+// Stream must deliver outcomes in index order, identical for every worker
 // count, with errors kept per cell.
 func TestEachDeterministicAcrossWorkers(t *testing.T) {
 	fn := func(i int) (float64, error) {
@@ -369,7 +375,7 @@ func TestEachCancellationStopsScheduling(t *testing.T) {
 	close(release)
 	res := <-resCh
 	if !errors.Is(res.err, context.Canceled) {
-		t.Errorf("Each returned %v, want context.Canceled", res.err)
+		t.Errorf("Stream returned %v, want context.Canceled", res.err)
 	}
 
 	var done, canceled int

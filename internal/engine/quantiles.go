@@ -5,13 +5,13 @@ import (
 	"sort"
 )
 
-// Quantiles estimates quantiles of successful cell values in bounded
+// Quantiles estimates quantiles of a stream of values in bounded
 // memory with the P-squared algorithm (Jain & Chlamtac, CACM 1985):
 // five markers per requested probability, updated once per observation,
-// no sample storage — O(probabilities), never O(cells). Failed cells
-// are skipped, matching MeanAgg's tolerant aggregation. Marker updates
-// depend only on arrival order, which the engine fixes to grid order,
-// so the estimates are byte-identical for every worker count.
+// no sample storage — O(probabilities), never O(observations). Marker
+// updates depend only on arrival order, so values observed in grid
+// order (Stream's delivery order) give byte-identical estimates for
+// every worker count.
 //
 // The estimator is approximate by construction (that is the price of
 // bounded memory); with fewer than five observations per marker set the
@@ -36,15 +36,6 @@ func NewQuantiles(probs ...float64) (*Quantiles, error) {
 		q.est = append(q.est, newP2(p))
 	}
 	return q, nil
-}
-
-// Cell implements Reducer[float64]: successful cell values feed every
-// estimator, failures are skipped.
-func (q *Quantiles) Cell(_, _ int, out Outcome[float64]) {
-	if out.Err != nil {
-		return
-	}
-	q.Observe(out.Value)
 }
 
 // Observe feeds one value to every estimator.

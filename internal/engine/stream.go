@@ -209,37 +209,6 @@ func Stream[T any](ctx context.Context, g Grid, cell func(point, seed int) (T, e
 	return ctx.Err()
 }
 
-// Reducer folds a stream of cell outcomes. Cells arrive in grid order
-// on a single goroutine, so implementations need no synchronization and
-// deterministic folds (running sums, first-error capture, quantile
-// estimators) produce byte-identical state for every worker count.
-type Reducer[T any] interface {
-	Cell(point, seed int, out Outcome[T])
-}
-
-// Reduce evaluates the grid and folds every covered cell through the
-// reducers, in grid order, without holding outcomes (see Stream for
-// delivery semantics).
-func Reduce[T any](ctx context.Context, g Grid, cell func(point, seed int) (T, error), reducers ...Reducer[T]) error {
-	return Stream(ctx, g, cell, func(p, s int, out Outcome[T]) {
-		for _, r := range reducers {
-			r.Cell(p, s, out)
-		}
-	})
-}
-
-// Each evaluates fn over the indices 0..n-1 on a bounded pool of
-// workers and delivers each outcome in index order, on the caller's
-// goroutine — Stream over an n x 1 grid, for callers that index cells
-// by one number. Completed indices deliver their real outcomes,
-// undispatched ones a PhaseCanceled-tagged error, and the ctx error is
-// returned.
-func Each[T any](ctx context.Context, workers, n int, fn func(i int) (T, error), deliver func(i int, out Outcome[T])) error {
-	return Stream(ctx, Grid{Points: n, Seeds: 1, Workers: workers},
-		func(point, _ int) (T, error) { return fn(point) },
-		func(point, _ int, out Outcome[T]) { deliver(point, out) })
-}
-
 // meanAcc is one grid point's running tolerant-mean state.
 type meanAcc struct {
 	sum       float64
@@ -267,7 +236,8 @@ func NewMeanAgg(points int) *MeanAgg {
 	return &MeanAgg{acc: acc}
 }
 
-// Cell implements Reducer[float64].
+// Cell folds one delivered outcome into its point; feed it from
+// Stream's deliver callback.
 func (a *MeanAgg) Cell(point, seed int, out Outcome[float64]) {
 	p := &a.acc[point]
 	p.covered++
@@ -297,21 +267,3 @@ func (a *MeanAgg) Point(point int) (mean float64, ok int, firstErr error, firstS
 // full seed count on a whole-grid run, possibly fewer (or zero) under a
 // shard.
 func (a *MeanAgg) Covered(point int) int { return a.acc[point].covered }
-
-// FirstErrAgg captures the first failed outcome in grid order and
-// nothing else, so strict consumers (every cell must succeed) hold O(1)
-// error state.
-type FirstErrAgg[T any] struct {
-	// Err is the first failure in grid order, nil while none arrived.
-	Err error
-	// Point and Seed locate the failure; only meaningful when Err is
-	// non-nil.
-	Point, Seed int
-}
-
-// Cell implements Reducer[T].
-func (a *FirstErrAgg[T]) Cell(point, seed int, out Outcome[T]) {
-	if out.Err != nil && a.Err == nil {
-		a.Err, a.Point, a.Seed = out.Err, point, seed
-	}
-}

@@ -174,8 +174,8 @@ func TestStreamCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestReduceMeanMatchesRun is the aggregation-parity gate: folding a
-// grid through MeanAgg must reproduce a plain seed-order loop over the
+// TestReduceMeanMatchesRun is the aggregation-parity gate: folding
+// Stream's deliveries through MeanAgg must reproduce a plain seed-order loop over the
 // cell values bit for bit — same means, same survivor counts, same
 // first failures — for every worker count, including a grid with
 // failing cells.
@@ -214,7 +214,7 @@ func TestReduceMeanMatchesRun(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 8} {
 		agg := NewMeanAgg(points)
-		if err := Reduce(context.Background(), Grid{Points: points, Seeds: seeds, Workers: workers}, cell, agg); err != nil {
+		if err := Stream(context.Background(), Grid{Points: points, Seeds: seeds, Workers: workers}, cell, agg.Cell); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for p, w := range ref {
@@ -364,22 +364,25 @@ func TestRunInvalidShardSpec(t *testing.T) {
 	}
 }
 
-// TestEachFirstErr exercises the strict-consumer pattern: Each plus
-// FirstErrAgg captures the first failure in index order while the other
-// values fold as they arrive, identically for every worker count.
+// TestEachFirstErr exercises the strict-consumer pattern on an n x 1
+// grid: a deliver callback keeping the first failure captures it in
+// index order while the other values fold as they arrive, identically
+// for every worker count.
 func TestEachFirstErr(t *testing.T) {
 	const n = 50
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		var agg FirstErrAgg[int]
-		sum := 0
-		err := Each(context.Background(), workers, n, func(i int) (int, error) {
+		var first error
+		firstAt, sum := -1, 0
+		err := Stream(context.Background(), Grid{Points: n, Seeds: 1, Workers: workers}, func(i, _ int) (int, error) {
 			if i == 17 || i == 33 {
 				return 0, fmt.Errorf("index %d: %w", i, boom)
 			}
 			return i, nil
-		}, func(i int, out Outcome[int]) {
-			agg.Cell(i, 0, out)
+		}, func(i, _ int, out Outcome[int]) {
+			if out.Err != nil && first == nil {
+				first, firstAt = out.Err, i
+			}
 			if out.Err == nil {
 				sum += out.Value
 			}
@@ -387,8 +390,8 @@ func TestEachFirstErr(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !errors.Is(agg.Err, boom) || agg.Point != 17 {
-			t.Fatalf("workers=%d: first error %v at %d, want boom at 17", workers, agg.Err, agg.Point)
+		if !errors.Is(first, boom) || firstAt != 17 {
+			t.Fatalf("workers=%d: first error %v at %d, want boom at 17", workers, first, firstAt)
 		}
 		want := n*(n-1)/2 - 17 - 33
 		if sum != want {
@@ -399,7 +402,7 @@ func TestEachFirstErr(t *testing.T) {
 
 // TestStreamRetainedHeap compares a collected sweep (Stream delivering
 // every outcome into a caller-owned slice held until the sweep ends)
-// with the streaming path (Reduce folding into a MeanAgg) on a
+// with the streaming path (Stream folding into a MeanAgg) on a
 // 256x1024 grid of cheap cells. The per-point means must agree bit for
 // bit, and the streaming run must retain O(points) heap however many
 // cells the grid has. The collected run's retained heap (about 6 MiB of
@@ -447,7 +450,7 @@ func TestStreamRetainedHeap(t *testing.T) {
 	})
 	streamed := retained(func() func() {
 		agg := NewMeanAgg(points)
-		if err := Reduce(context.Background(), grid, cell, agg); err != nil {
+		if err := Stream(context.Background(), grid, cell, agg.Cell); err != nil {
 			t.Fatal(err)
 		}
 		return func() {
@@ -513,13 +516,17 @@ func TestQuantilesDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = Reduce(context.Background(), Grid{Points: points, Seeds: seeds, Workers: workers},
+		err = Stream(context.Background(), Grid{Points: points, Seeds: seeds, Workers: workers},
 			func(point, seed int) (float64, error) {
 				if (point+seed)%11 == 0 {
 					return 0, errors.New("skipped")
 				}
 				return math.Sin(cellValue(point, seed)), nil
-			}, Reducer[float64](q))
+			}, func(_, _ int, out Outcome[float64]) {
+				if out.Err == nil {
+					q.Observe(out.Value)
+				}
+			})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,8 +7,13 @@
 // renderings and the textual rows to compare against the paper.
 //
 // Every grid an experiment evaluates — sizes x seeds sweeps, parameter
-// scans, placement matrices — executes through the deterministic engine
-// in internal/engine; lambda sweeps are additionally described as
+// scans, placement matrices, outage sets — streams through
+// engine.Stream under one observed phase span, and every cell that
+// builds an instance takes one cell step (cellStep: build, optional
+// fault plan, evaluate, phase-tagged failures, one recover). Size
+// sweeps run on runGrid, which tolerates failing seeds; every other
+// grid runs on strictGrid, where the first failure in grid order fails
+// the experiment. Lambda sweeps are additionally described as
 // declarative internal/scenario specs, so the canonical Table-I regimes
 // are data (see Entry.Scenarios) rather than bespoke loops.
 package experiments
@@ -24,7 +29,6 @@ import (
 	"hybridcap/internal/network"
 	"hybridcap/internal/obs"
 	"hybridcap/internal/rng"
-	"hybridcap/internal/scaling"
 	"hybridcap/internal/scenario"
 	"hybridcap/internal/traffic"
 )
@@ -140,12 +144,6 @@ func build(cfg network.Config) (*network.Network, *traffic.Pattern, error) {
 		return nil, nil, fmt.Errorf("experiments: %w", err)
 	}
 	return nw, tr, nil
-}
-
-// instance builds a parameter point's instance for a seed and BS
-// placement (default kernel, no faults).
-func instance(p scaling.Params, seed uint64, placement network.BSPlacement) (*network.Network, *traffic.Pattern, error) {
-	return build(network.Config{Params: p, Seed: seed, BSPlacement: placement})
 }
 
 // Runner executes one experiment under the given options.

@@ -4,13 +4,13 @@ import (
 	"fmt"
 
 	"hybridcap/internal/asciiplot"
-	"hybridcap/internal/engine"
 	"hybridcap/internal/measure"
 	"hybridcap/internal/mobility"
 	"hybridcap/internal/network"
 	"hybridcap/internal/routing"
 	"hybridcap/internal/scaling"
 	"hybridcap/internal/sim"
+	"hybridcap/internal/traffic"
 )
 
 // DelayThroughput (E11) extends the evaluation beyond the paper's
@@ -35,7 +35,7 @@ func DelayThroughput(o Options) (*Result, error) {
 	}
 	lambda := 0.002
 
-	nw1, tr, err := instance(p, 41, 0)
+	nw1, tr, err := build(network.Config{Params: p, Seed: 41})
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ func DelayThroughput(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw2, _, err := instance(p, 41, 0)
+	nw2, _, err := build(network.Config{Params: p, Seed: 41})
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func DelayThroughput(o Options) (*Result, error) {
 	pBS := p
 	pBS.K = 0.8
 	pBS.Phi = 1
-	nw3, _, err := instance(pBS, 41, network.Grid)
+	nw3, _, err := build(network.Config{Params: pBS, Seed: 41, BSPlacement: network.Grid})
 	if err != nil {
 		return nil, err
 	}
@@ -106,24 +106,20 @@ func BSOutage(o Options) (*Result, error) {
 	}
 	series := &measure.Series{Name: "lambda(schemeB)"}
 	outages := []float64{0, 0.25, 0.5, 0.75, 0.9}
-	means, err := gridMeans(o, "grid E12 outages", len(outages), nil,
+	vals, err := strictGrid(o, "grid E12 outages", len(outages), o.seeds(), nil,
 		func(point, seed int) (float64, error) {
-			nw, tr, err := instance(p, uint64(50+seed), network.Grid)
-			if err != nil {
-				return 0, engine.ConstructErr(err)
-			}
-			if err := nw.RemoveBS(outages[point], uint64(60+seed)); err != nil {
-				return 0, engine.ConstructErr(err)
-			}
-			ev, err := (routing.SchemeB{}).Evaluate(nw, tr)
-			if err != nil {
-				return 0, engine.EvaluateErr(err)
-			}
-			return ev.Lambda, nil
+			return cellStep(network.Config{Params: p, Seed: uint64(50 + seed), BSPlacement: network.Grid}, nil,
+				func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
+					if err := nw.RemoveBS(outages[point], uint64(60+seed)); err != nil {
+						return 0, err
+					}
+					return lambdaOf(routing.SchemeB{})(nw, tr)
+				})
 		})
 	if err != nil {
 		return nil, err
 	}
+	means := pointMeans(vals, o.seeds())
 	var baseline float64
 	for i, outage := range outages {
 		mean := means[i]
@@ -168,16 +164,8 @@ func KernelInvariance(o Options) (*Result, error) {
 		mobility.TruncGauss{Sigma: 0.4, D: 1},
 		mobility.PowerLaw{D0: 0.3, Beta: 2, D: 1},
 	}
-	evs, err := collect(o, len(kernels), func(i int) (*routing.Evaluation, error) {
-		nw, tr, err := build(network.Config{Params: p, Seed: 71, Kernel: kernels[i]})
-		if err != nil {
-			return nil, engine.ConstructErr(err)
-		}
-		ev, err := (routing.SchemeA{}).Evaluate(nw, tr)
-		if err != nil {
-			return nil, engine.EvaluateErr(err)
-		}
-		return ev, nil
+	evs, err := strictGrid(o, "grid E13 kernels", len(kernels), 1, nil, func(i, _ int) (*routing.Evaluation, error) {
+		return cellStep(network.Config{Params: p, Seed: 71, Kernel: kernels[i]}, nil, routing.SchemeA{}.Evaluate)
 	})
 	if err != nil {
 		return nil, err

@@ -6,13 +6,13 @@ import (
 
 	"hybridcap/internal/asciiplot"
 	"hybridcap/internal/capacity"
-	"hybridcap/internal/engine"
 	"hybridcap/internal/geom"
 	"hybridcap/internal/linkcap"
 	"hybridcap/internal/measure"
 	"hybridcap/internal/network"
 	"hybridcap/internal/routing"
 	"hybridcap/internal/scaling"
+	"hybridcap/internal/traffic"
 )
 
 // Figure1 reproduces Fig. 1: the local density field rho(X)
@@ -47,18 +47,13 @@ func Figure1(o Options) (*Result, error) {
 		field []float64
 		rep   linkcap.UniformityReport
 	}
-	cells, err := collect(o, len(cases), func(i int) (densityCell, error) {
-		nw, _, err := instance(cases[i].p, 11, network.Matched)
-		if err != nil {
-			return densityCell{}, engine.ConstructErr(err)
-		}
-		g := geom.NewGridCells(gridSide)
-		field := linkcap.DensityField(nw, g)
-		rep, err := linkcap.Uniformity(field)
-		if err != nil {
-			return densityCell{}, engine.EvaluateErr(err)
-		}
-		return densityCell{field: field, rep: rep}, nil
+	cells, err := strictGrid(o, "grid F1 fields", len(cases), 1, nil, func(i, _ int) (densityCell, error) {
+		return cellStep(network.Config{Params: cases[i].p, Seed: 11, BSPlacement: network.Matched}, nil,
+			func(nw *network.Network, _ *traffic.Pattern) (densityCell, error) {
+				field := linkcap.DensityField(nw, geom.NewGridCells(gridSide))
+				rep, err := linkcap.Uniformity(field)
+				return densityCell{field: field, rep: rep}, err
+			})
 	})
 	if err != nil {
 		return nil, err
@@ -94,7 +89,7 @@ func Figure2(o Options) (*Result, error) {
 		n = 256
 	}
 	p := scaling.Params{N: n, Alpha: 0.25, K: 0.6, Phi: 0.5, M: 1, R: 0}
-	nw, tr, err := instance(p, 2, network.Uniform)
+	nw, tr, err := build(network.Config{Params: p, Seed: 2, BSPlacement: network.Uniform})
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +164,7 @@ func figure3(id, title string, phi float64, o Options) (*Result, error) {
 	field := make([]float64, cols*rows)
 	boundary := &measure.Series{Name: "dominance boundary K(alpha)"}
 	// Analytic, but still a grid: each heatmap row is one engine cell.
-	rowVals, err := collect(o, rows, func(r int) ([]float64, error) {
+	rowVals, err := strictGrid(o, "grid "+id+" rows", rows, 1, nil, func(r, _ int) ([]float64, error) {
 		kexp := float64(r) / float64(rows-1)
 		vals := make([]float64, cols)
 		for c := 0; c < cols; c++ {

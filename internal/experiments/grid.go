@@ -2,19 +2,27 @@ package experiments
 
 import "hybridcap/internal/engine"
 
-// collect evaluates fn over the indices 0..n-1 on the options' worker
-// pool and returns the values in index order. Every cell must succeed:
-// otherwise the first failure in index order is returned, a canceled
-// cell included.
-func collect[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
-	vals := make([]T, n)
-	var first engine.FirstErrAgg[T]
-	err := engine.Each(o.ctx(), o.workers(), n, fn, func(i int, out engine.Outcome[T]) {
-		first.Cell(i, 0, out)
-		vals[i] = out.Value
+// strictGrid is the grid runner of every experiment that is not a size
+// sweep: it evaluates cell over a points x seeds grid through
+// engine.Stream on the options' worker pool, observed as one phase span
+// (see observeGrid; sizes labels the cells, nil falls back to point
+// indices), and returns the values in grid order, point p's seed s at
+// p*seeds+s. Every cell must succeed: otherwise the first failure in
+// grid order is returned, a canceled cell included.
+func strictGrid[T any](o Options, phase string, points, seeds int, sizes []int, cell func(point, seed int) (T, error)) ([]T, error) {
+	g := engine.Grid{Points: points, Seeds: seeds, Workers: o.workers()}
+	finish := observeGrid(o, phase, &g, sizes)
+	vals := make([]T, points*seeds)
+	var first error
+	err := engine.Stream(o.ctx(), g, cell, func(point, seed int, out engine.Outcome[T]) {
+		if out.Err != nil && first == nil {
+			first = out.Err
+		}
+		vals[point*seeds+seed] = out.Value
 	})
-	if first.Err != nil {
-		return nil, first.Err
+	finish()
+	if first != nil {
+		return nil, first
 	}
 	if err != nil {
 		return nil, err
@@ -22,27 +30,17 @@ func collect[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
 	return vals, nil
 }
 
-// gridMeans evaluates cell over a points x seeds grid on the options'
-// worker pool, observed as one phase span (see observeGrid; sizes
-// labels the cells), and returns each point's mean over its seeds.
-// Every cell must succeed: otherwise the first failure in grid order is
-// returned, a canceled cell included.
-func gridMeans(o Options, phase string, points int, sizes []int, cell func(point, seed int) (float64, error)) ([]float64, error) {
-	g := engine.Grid{Points: points, Seeds: o.seeds(), Workers: o.workers()}
-	finish := observeGrid(o, phase, &g, sizes)
-	agg := engine.NewMeanAgg(points)
-	err := engine.Reduce(o.ctx(), g, cell, agg)
-	finish()
-	means := make([]float64, points)
-	for i := range means {
-		mean, _, firstErr, _ := agg.Point(i)
-		if firstErr != nil {
-			return nil, firstErr
+// pointMeans folds a strict grid's values into per-point means: each
+// point's seed-order sum divided by seeds, bit-identical to
+// engine.MeanAgg's mean when every seed succeeded.
+func pointMeans(vals []float64, seeds int) []float64 {
+	means := make([]float64, len(vals)/seeds)
+	for p := range means {
+		sum := 0.0
+		for _, v := range vals[p*seeds : (p+1)*seeds] {
+			sum += v
 		}
-		means[i] = mean
+		means[p] = sum / float64(seeds)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return means, nil
+	return means
 }

@@ -109,8 +109,7 @@ func (s *cellSink) finish() {
 // manifest tally. sizes maps point indices to network sizes for cell
 // labels; nil falls back to point indices. The returned finish func
 // pushes the tally and closes the phase span: call it once the grid's
-// engine.Stream (or Reduce, Each) has returned. Unobserved runs get a
-// no-op.
+// engine.Stream has returned. Unobserved runs get a no-op.
 func observeGrid(o Options, phase string, g *engine.Grid, sizes []int) func() {
 	if o.Obs == nil {
 		return func() {}
@@ -154,7 +153,7 @@ func buildManifest(rt *obs.Runtime, sc *scenario.Scenario, o Options, sizes []in
 	if err != nil {
 		return nil, err
 	}
-	lo, hi, err := shardGrid(sc, sizes, o.seeds()).Coverage()
+	lo, hi, err := shardedGrid(len(sizes), o.seeds(), sc.Shard).Coverage()
 	if err != nil {
 		return nil, err
 	}

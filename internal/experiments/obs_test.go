@@ -61,45 +61,53 @@ func TestScenarioObsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // Non-sweep grid experiments publish through the same sink: the
-// registry wraps every runner in an "experiment <id>" span and the grid
-// helpers open phase spans, so figures/tables traces follow
-// run -> experiment -> phase -> cell even off the scenario path. Like
-// the scenario path, the published metrics and trace are byte-identical
-// for Workers=1 and Workers=8 under a frozen clock.
+// registry wraps every runner in an "experiment <id>" span and every
+// strict grid opens a phase span, so figures/tables traces follow
+// run -> experiment -> phase -> cell even off the scenario path. E5 is
+// a points x seeds grid, E13 a one-seed grid. Like the scenario path,
+// the published metrics and trace are byte-identical for Workers=1 and
+// Workers=8 under a frozen clock.
 func TestExperimentObsHierarchy(t *testing.T) {
-	run, err := Lookup("E5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func(workers int) (metrics, trace string) {
-		rt := obs.NewRuntimeWith(obs.NewFrozenClock(obs.Epoch), obs.NewRegistry())
-		if _, err := run(Options{Quick: true, Seeds: 2, Workers: workers, Obs: rt}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		rt.Root.End()
-		var buf bytes.Buffer
-		if err := rt.Root.WriteJSON(&buf); err != nil {
+	for _, tc := range []struct {
+		id    string
+		spans []string
+		cells string
+	}{
+		{"E5", []string{"experiment E5", "grid E5 placements", "cell p=2 seed=1"}, "engine_cells_total 6"},
+		{"E13", []string{"experiment E13", "grid E13 kernels", "cell p=0 seed=0", "cell p=3 seed=0"}, "engine_cells_total 4"},
+	} {
+		run, err := Lookup(tc.id)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return rt.Metrics.Text(), buf.String()
-	}
-	m1, trace := render(1)
-	m8, t8 := render(8)
-	if m1 != m8 {
-		t.Errorf("metrics dumps differ between worker counts:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", m1, m8)
-	}
-	if trace != t8 {
-		t.Errorf("traces differ between worker counts:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", trace, t8)
-	}
-	for _, want := range []string{
-		"experiment E5", "grid E5 placements", "cell p=2 seed=1",
-	} {
-		if !strings.Contains(trace, want) {
-			t.Errorf("trace missing %q:\n%s", want, trace)
+		render := func(workers int) (metrics, trace string) {
+			rt := obs.NewRuntimeWith(obs.NewFrozenClock(obs.Epoch), obs.NewRegistry())
+			if _, err := run(Options{Quick: true, Seeds: 2, Workers: workers, Obs: rt}); err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.id, workers, err)
+			}
+			rt.Root.End()
+			var buf bytes.Buffer
+			if err := rt.Root.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return rt.Metrics.Text(), buf.String()
 		}
-	}
-	if !strings.Contains(m1, "engine_cells_total 6") {
-		t.Errorf("metrics missing the 3 placements x 2 seeds cell count:\n%s", m1)
+		m1, trace := render(1)
+		m8, t8 := render(8)
+		if m1 != m8 {
+			t.Errorf("%s: metrics dumps differ between worker counts:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", tc.id, m1, m8)
+		}
+		if trace != t8 {
+			t.Errorf("%s: traces differ between worker counts:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", tc.id, trace, t8)
+		}
+		for _, want := range tc.spans {
+			if !strings.Contains(trace, want) {
+				t.Errorf("%s: trace missing %q:\n%s", tc.id, want, trace)
+			}
+		}
+		if !strings.Contains(m1, tc.cells+"\n") {
+			t.Errorf("%s: metrics missing %q:\n%s", tc.id, tc.cells, m1)
+		}
 	}
 }
 

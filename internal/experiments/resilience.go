@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"hybridcap/internal/asciiplot"
-	"hybridcap/internal/engine"
 	"hybridcap/internal/faults"
 	"hybridcap/internal/measure"
 	"hybridcap/internal/network"
@@ -36,104 +36,60 @@ func Resilience(o Options) (*Result, error) {
 	fractions := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.95, 1}
 	scheme := routing.SchemeB{Fallback: routing.SchemeA{}}
 
-	type seedOutcome struct {
-		lambda            float64
-		degraded, dropped int
+	// The outage grid's points are the healthy network (no plan
+	// installed) followed by the BS and the edge outage fractions.
+	// Edge fractions live in [0, 1); the BS grid's 1.0 endpoint maps to
+	// a near-total edge outage.
+	configs := []faults.Config{{Seed: faultSeed}}
+	for _, q := range fractions {
+		configs = append(configs, faults.Config{Seed: faultSeed, BSOutageFraction: q})
 	}
-	// The seed grids fold through the streaming path (engine.Each):
-	// outcomes arrive in index order, so the running sums match a
-	// materialized slice bit for bit while only the first failure and
-	// the accumulators stay alive — no per-seed outcome slice.
-	evalAt := func(fc faults.Config) (lambda float64, degraded, dropped int, err error) {
-		var firstErr engine.FirstErrAgg[seedOutcome]
-		sum := 0.0
-		eerr := engine.Each(o.ctx(), o.workers(), o.seeds(), func(s int) (seedOutcome, error) {
-			plan, perr := faults.New(fc)
-			if perr != nil {
-				return seedOutcome{}, engine.ConstructErr(perr)
-			}
-			nw, tr, berr := build(network.Config{Params: p, Seed: uint64(90 + s), BSPlacement: network.Grid, Faults: plan})
-			if berr != nil {
-				return seedOutcome{}, engine.ConstructErr(berr)
-			}
-			ev, serr := scheme.Evaluate(nw, tr)
-			if serr != nil {
-				return seedOutcome{}, engine.EvaluateErr(serr)
-			}
-			return seedOutcome{lambda: ev.Lambda, degraded: ev.Degraded, dropped: ev.Dropped}, nil
-		}, func(s int, out engine.Outcome[seedOutcome]) {
-			firstErr.Cell(s, 0, out)
-			sum += out.Value.lambda
-			degraded += out.Value.degraded
-			dropped += out.Value.dropped
-		})
-		if firstErr.Err != nil {
-			return 0, 0, 0, firstErr.Err
-		}
-		if eerr != nil {
-			return 0, 0, 0, eerr
-		}
-		return sum / float64(o.seeds()), degraded / o.seeds(), dropped / o.seeds(), nil
+	for _, q := range fractions {
+		configs = append(configs, faults.Config{Seed: faultSeed, EdgeOutageFraction: math.Min(q, 0.99)})
 	}
-
-	// Reference rates: the healthy scheme-B rate (no plan installed at
-	// all) and the pure ad hoc floor.
-	healthy, _, _, err := evalAt(faults.Config{Seed: faultSeed})
+	seeds := o.seeds()
+	evs, err := strictGrid(o, "grid E14 outages", len(configs), seeds, nil, func(point, seed int) (*routing.Evaluation, error) {
+		cfg := network.Config{Params: p, Seed: uint64(90 + seed), BSPlacement: network.Grid}
+		return cellStep(cfg, &configs[point], scheme.Evaluate)
+	})
 	if err != nil {
 		return nil, err
 	}
-	var floorErr engine.FirstErrAgg[float64]
-	floorSum := 0.0
-	ferr := engine.Each(o.ctx(), o.workers(), o.seeds(), func(s int) (float64, error) {
-		nw, tr, ierr := instance(p, uint64(90+s), network.Grid)
-		if ierr != nil {
-			return 0, engine.ConstructErr(ierr)
+	// at folds a point's seeds in seed order.
+	at := func(point int) (lambda float64, degraded, dropped int) {
+		for _, ev := range evs[point*seeds : (point+1)*seeds] {
+			lambda += ev.Lambda
+			degraded += ev.Degraded
+			dropped += ev.Dropped
 		}
-		ev, eerr := (routing.SchemeA{}).Evaluate(nw, tr)
-		if eerr != nil {
-			return 0, engine.EvaluateErr(eerr)
-		}
-		return ev.Lambda, nil
-	}, func(s int, out engine.Outcome[float64]) {
-		floorErr.Cell(s, 0, out)
-		floorSum += out.Value
+		return lambda / float64(seeds), degraded / seeds, dropped / seeds
+	}
+	// The pure ad hoc floor.
+	floors, err := strictGrid(o, "grid E14 floor", 1, seeds, nil, func(_, seed int) (float64, error) {
+		return cellStep(network.Config{Params: p, Seed: uint64(90 + seed), BSPlacement: network.Grid}, nil,
+			lambdaOf(routing.SchemeA{}))
 	})
-	if floorErr.Err != nil {
-		return nil, floorErr.Err
+	if err != nil {
+		return nil, err
 	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	floor := floorSum / float64(o.seeds())
+	healthy, _, _ := at(0)
 	res.Rows = append(res.Rows,
-		fmt.Sprintf("healthy schemeB lambda=%.5g, pure ad hoc floor (schemeA)=%.5g", healthy, floor))
+		fmt.Sprintf("healthy schemeB lambda=%.5g, pure ad hoc floor (schemeA)=%.5g", healthy, pointMeans(floors, seeds)[0]))
 
 	bsSeries := &measure.Series{Name: "lambda vs BS outage"}
-	for _, q := range fractions {
-		lambda, degraded, dropped, err := evalAt(faults.Config{Seed: faultSeed, BSOutageFraction: q})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: E14 BS outage %.2f: %w", q, err)
-		}
+	edgeSeries := &measure.Series{Name: "lambda vs edge outage"}
+	for i, q := range fractions {
+		lambda, degraded, dropped := at(1 + i)
 		bsSeries.Add(q, lambda)
 		res.Rows = append(res.Rows, fmt.Sprintf("bs-outage=%.2f lambda=%.5g relative=%.3f degraded=%d dropped=%d",
 			q, lambda, lambda/healthy, degraded, dropped))
 	}
-
-	edgeSeries := &measure.Series{Name: "lambda vs edge outage"}
-	for _, q := range fractions {
-		// Edge fractions live in [0, 1); map the BS grid's 1.0 endpoint
-		// to a near-total edge outage.
-		eq := q
-		if eq >= 1 {
-			eq = 0.99
-		}
-		lambda, degraded, dropped, err := evalAt(faults.Config{Seed: faultSeed, EdgeOutageFraction: eq})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: E14 edge outage %.2f: %w", eq, err)
-		}
+	for i, q := range fractions {
+		pt := 1 + len(fractions) + i
+		lambda, degraded, dropped := at(pt)
 		edgeSeries.Add(q, lambda)
 		res.Rows = append(res.Rows, fmt.Sprintf("edge-outage=%.2f lambda=%.5g relative=%.3f degraded=%d dropped=%d",
-			eq, lambda, lambda/healthy, degraded, dropped))
+			configs[pt].EdgeOutageFraction, lambda, lambda/healthy, degraded, dropped))
 	}
 	res.Series = append(res.Series, bsSeries, edgeSeries)
 	res.Rows = append(res.Rows,

@@ -29,7 +29,7 @@ func TestResilienceCurveShape(t *testing.T) {
 	p := scaling.Params{N: 1024, Alpha: 0.4, K: 0.8, Phi: 1, M: 1}
 	sum := 0.0
 	for s := 0; s < o.seeds(); s++ {
-		nw, tr, err := instance(p, uint64(90+s), network.Grid)
+		nw, tr, err := build(network.Config{Params: p, Seed: uint64(90 + s), BSPlacement: network.Grid})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestResilienceCurveShape(t *testing.T) {
 	// Total outage lands on the scheme-A floor.
 	sumA := 0.0
 	for s := 0; s < o.seeds(); s++ {
-		nw, tr, err := instance(p, uint64(90+s), network.Grid)
+		nw, tr, err := build(network.Config{Params: p, Seed: uint64(90 + s), BSPlacement: network.Grid})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func RunScenario(ctx context.Context, sc *scenario.Scenario, o Options) (*Result
 		res.Rows = append(res.Rows, formatDelayRows(sc.DelaySchemes(), sc.DelayQuantiles(), dpts)...)
 	}
 	if sc.Shard != nil {
-		lo, hi, cerr := shardGrid(sc, sizes, seeds).Coverage()
+		lo, hi, cerr := shardedGrid(len(sizes), seeds, sc.Shard).Coverage()
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -151,16 +151,6 @@ func AssembleScenario(sc *scenario.Scenario, sizes []int, seeds int, series *mea
 	}
 	res.Ascii = ascii
 	return res, nil
-}
-
-// shardGrid is the engine grid shape of a scenario's resolved sweep,
-// with its shard spec installed (no-op when unsharded).
-func shardGrid(sc *scenario.Scenario, sizes []int, seeds int) engine.Grid {
-	g := engine.Grid{Points: len(sizes), Seeds: seeds}
-	if sc.Shard != nil {
-		g.ShardIndex, g.ShardCount = sc.Shard.Index, sc.Shard.Count
-	}
-	return g
 }
 
 // newCellsRecorder prepares the cells artifact for a sharded run: the

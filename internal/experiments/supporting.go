@@ -6,7 +6,6 @@ import (
 
 	"hybridcap/internal/asciiplot"
 	"hybridcap/internal/capacity"
-	"hybridcap/internal/engine"
 	"hybridcap/internal/flow"
 	"hybridcap/internal/geom"
 	"hybridcap/internal/linkcap"
@@ -56,16 +55,11 @@ func UniformDensity(o Options) (*Result, error) {
 			return nil, fmt.Errorf("experiments: E1 point %v: %w", p, err)
 		}
 	}
-	reps, err := collect(o, len(points), func(i int) (linkcap.UniformityReport, error) {
-		nw, _, err := instance(points[i], 21, network.Matched)
-		if err != nil {
-			return linkcap.UniformityReport{}, engine.ConstructErr(err)
-		}
-		rep, err := linkcap.Uniformity(linkcap.DensityField(nw, g))
-		if err != nil {
-			return linkcap.UniformityReport{}, engine.EvaluateErr(err)
-		}
-		return rep, nil
+	reps, err := strictGrid(o, "grid E1 points", len(points), 1, nil, func(i, _ int) (linkcap.UniformityReport, error) {
+		return cellStep(network.Config{Params: points[i], Seed: 21, BSPlacement: network.Matched}, nil,
+			func(nw *network.Network, _ *traffic.Pattern) (linkcap.UniformityReport, error) {
+				return linkcap.Uniformity(linkcap.DensityField(nw, g))
+			})
 	})
 	if err != nil {
 		return nil, err
@@ -112,16 +106,11 @@ func OptimalRT(o Options) (*Result, error) {
 	series := &measure.Series{Name: "scheduled pairs per slot"}
 	critical := 1 / math.Sqrt(float64(n))
 	mults := []float64{0.05, 0.1, 0.2, 0.3, 0.5, 1, 2, 4, 8}
-	reps, err := collect(o, len(mults), func(i int) (*sim.ContactReport, error) {
-		nw, _, err := instance(p, 22, 0)
-		if err != nil {
-			return nil, engine.ConstructErr(err)
-		}
-		rep, err := sim.MeasureContacts(nw, sim.ContactConfig{RT: mults[i] * critical, Slots: slots, Delta: -1})
-		if err != nil {
-			return nil, engine.EvaluateErr(err)
-		}
-		return rep, nil
+	reps, err := strictGrid(o, "grid E2 ranges", len(mults), 1, nil, func(i, _ int) (*sim.ContactReport, error) {
+		return cellStep(network.Config{Params: p, Seed: 22}, nil,
+			func(nw *network.Network, _ *traffic.Pattern) (*sim.ContactReport, error) {
+				return sim.MeasureContacts(nw, sim.ContactConfig{RT: mults[i] * critical, Slots: slots, Delta: -1})
+			})
 	})
 	if err != nil {
 		return nil, err
@@ -174,13 +163,9 @@ func NoBSCapacity(o Options) (*Result, error) {
 		return nil, err
 	}
 	bound := &measure.Series{Name: "cutBound"}
-	cuts, err := collect(o, len(sizes), func(i int) (float64, error) {
-		p := base.WithN(sizes[i])
-		nw, tr, err := instance(p, 23, network.Grid)
-		if err != nil {
-			return 0, engine.ConstructErr(err)
-		}
-		return EvaluateHalfTorusCut(nw, tr)
+	cuts, err := strictGrid(o, "grid E3 cut bound", len(sizes), 1, sizes, func(i, _ int) (float64, error) {
+		return cellStep(network.Config{Params: base.WithN(sizes[i]), Seed: 23, BSPlacement: network.Grid}, nil,
+			EvaluateHalfTorusCut)
 	})
 	if err != nil {
 		return nil, err
@@ -225,18 +210,10 @@ func DominanceCrossover(o Options) (*Result, error) {
 	measured := &measure.Series{Name: "measured lambda"}
 	theory := &measure.Series{Name: "theory exponent eval"}
 	kexps := []float64{0.3, 0.45, 0.6, 0.7, 0.8, 0.9, 1.0}
-	lambdas, err := collect(o, len(kexps), func(i int) (float64, error) {
+	eval := bestOf(schemeEval(routing.SchemeA{}), schemeEval(routing.SchemeB{}))
+	lambdas, err := strictGrid(o, "grid E4 K", len(kexps), 1, nil, func(i, _ int) (float64, error) {
 		p := scaling.Params{N: n, Alpha: alpha, K: kexps[i], Phi: 1, M: 1, R: 0}
-		nw, tr, err := instance(p, 24, network.Grid)
-		if err != nil {
-			return 0, engine.ConstructErr(err)
-		}
-		eval := bestOf(schemeEval(routing.SchemeA{}), schemeEval(routing.SchemeB{}))
-		v, err := eval(nw, tr)
-		if err != nil {
-			return 0, engine.EvaluateErr(err)
-		}
-		return v, nil
+		return cellStep(network.Config{Params: p, Seed: 24, BSPlacement: network.Grid}, nil, eval)
 	})
 	if err != nil {
 		return nil, err
@@ -280,21 +257,15 @@ func PlacementInvariance(o Options) (*Result, error) {
 	series := &measure.Series{Name: "lambda"}
 	vals := map[network.BSPlacement]float64{}
 	placements := []network.BSPlacement{network.Matched, network.Uniform, network.Grid}
-	means, err := gridMeans(o, "grid E5 placements", len(placements), nil,
+	lambdas, err := strictGrid(o, "grid E5 placements", len(placements), o.seeds(), nil,
 		func(point, seed int) (float64, error) {
-			nw, tr, err := instance(p, uint64(100*seed+25), placements[point])
-			if err != nil {
-				return 0, engine.ConstructErr(err)
-			}
-			ev, err := (routing.SchemeB{}).Evaluate(nw, tr)
-			if err != nil {
-				return 0, engine.EvaluateErr(err)
-			}
-			return ev.Lambda, nil
+			cfg := network.Config{Params: p, Seed: uint64(100*seed + 25), BSPlacement: placements[point]}
+			return cellStep(cfg, nil, lambdaOf(routing.SchemeB{}))
 		})
 	if err != nil {
 		return nil, err
 	}
+	means := pointMeans(lambdas, o.seeds())
 	for i, placement := range placements {
 		mean := means[i]
 		vals[placement] = mean
@@ -328,29 +299,29 @@ func ClusterIsolation(o Options) (*Result, error) {
 	}
 	series := &measure.Series{Name: "fraction of clusters with close neighbor"}
 	const delta = 1.0
-	fracs, err := gridMeans(o, "grid E6 isolation", len(sizes), sizes,
+	vals, err := strictGrid(o, "grid E6 isolation", len(sizes), o.seeds(), sizes,
 		func(point, seed int) (float64, error) {
 			p := base.WithN(sizes[point])
-			nw, _, err := instance(p, uint64(31+seed), network.Matched)
-			if err != nil {
-				return 0, engine.ConstructErr(err)
-			}
-			centers := nw.Placement.ClusterCenters
-			r := p.ClusterRadius()
-			tooClose := 0
-			for i := range centers {
-				for j := range centers {
-					if i != j && geom.Dist(centers[i], centers[j]) < (4+delta)*r {
-						tooClose++
-						break
+			return cellStep(network.Config{Params: p, Seed: uint64(31 + seed), BSPlacement: network.Matched}, nil,
+				func(nw *network.Network, _ *traffic.Pattern) (float64, error) {
+					centers := nw.Placement.ClusterCenters
+					r := p.ClusterRadius()
+					tooClose := 0
+					for i := range centers {
+						for j := range centers {
+							if i != j && geom.Dist(centers[i], centers[j]) < (4+delta)*r {
+								tooClose++
+								break
+							}
+						}
 					}
-				}
-			}
-			return float64(tooClose) / float64(len(centers)), nil
+					return float64(tooClose) / float64(len(centers)), nil
+				})
 		})
 	if err != nil {
 		return nil, err
 	}
+	fracs := pointMeans(vals, o.seeds())
 	for i, n := range sizes {
 		frac := fracs[i]
 		p := base.WithN(n)
@@ -391,19 +362,14 @@ func TrivialMobilityPersistence(o Options) (*Result, error) {
 		}
 		points = append(points, p)
 	}
-	persistence, err := collect(o, len(points), func(i int) (float64, error) {
+	persistence, err := strictGrid(o, "grid E7 points", len(points), 1, nil, func(i, _ int) (float64, error) {
 		p := points[i]
-		nw, _, err := instance(p, 26, network.Matched)
-		if err != nil {
-			return 0, engine.ConstructErr(err)
-		}
 		// Probe links at the weak-regime optimal range r*sqrt(m/n).
 		rt := p.ClusterRadius() * math.Sqrt(float64(p.NumClusters())/float64(n))
-		pers, err := sim.LinkPersistence(nw, rt, slots)
-		if err != nil {
-			return 0, engine.EvaluateErr(err)
-		}
-		return pers, nil
+		return cellStep(network.Config{Params: p, Seed: 26, BSPlacement: network.Matched}, nil,
+			func(nw *network.Network, _ *traffic.Pattern) (float64, error) {
+				return sim.LinkPersistence(nw, rt, slots)
+			})
 	})
 	if err != nil {
 		return nil, err
@@ -479,17 +445,9 @@ func OptimalPhi(o Options) (*Result, error) {
 	}
 	series := &measure.Series{Name: "lambda(schemeB)"}
 	phis := []float64{-1, -0.75, -0.5, -0.25, 0, 0.25, 0.5, 1}
-	evs, err := collect(o, len(phis), func(i int) (*routing.Evaluation, error) {
+	evs, err := strictGrid(o, "grid E9 phi", len(phis), 1, nil, func(i, _ int) (*routing.Evaluation, error) {
 		p := scaling.Params{N: n, Alpha: 0.25, K: 0.6, Phi: phis[i], M: 1, R: 0}
-		nw, tr, err := instance(p, 27, network.Grid)
-		if err != nil {
-			return nil, engine.ConstructErr(err)
-		}
-		ev, err := (routing.SchemeB{}).Evaluate(nw, tr)
-		if err != nil {
-			return nil, engine.EvaluateErr(err)
-		}
-		return ev, nil
+		return cellStep(network.Config{Params: p, Seed: 27, BSPlacement: network.Grid}, nil, routing.SchemeB{}.Evaluate)
 	})
 	if err != nil {
 		return nil, err
@@ -529,22 +487,21 @@ func AccessRate(o Options) (*Result, error) {
 		mean  float64
 		numBS int
 	}
-	cells, err := collect(o, len(kexps), func(i int) (accessCell, error) {
+	cells, err := strictGrid(o, "grid E10 K", len(kexps), 1, nil, func(i, _ int) (accessCell, error) {
 		p := scaling.Params{N: n, Alpha: 0.25, K: kexps[i], Phi: 0, M: 1, R: 0}
-		nw, _, err := instance(p, 28, network.Uniform)
-		if err != nil {
-			return accessCell{}, engine.ConstructErr(err)
-		}
-		a, err := linkcap.NewAnalytic(nw, 0)
-		if err != nil {
-			return accessCell{}, engine.EvaluateErr(err)
-		}
-		const probes = 128
-		sum := 0.0
-		for i := 0; i < probes; i++ {
-			sum += a.AccessRate(nw.HomePoints()[i*nw.NumMS()/probes], nw.BSPos)
-		}
-		return accessCell{mean: sum / probes, numBS: nw.NumBS()}, nil
+		return cellStep(network.Config{Params: p, Seed: 28, BSPlacement: network.Uniform}, nil,
+			func(nw *network.Network, _ *traffic.Pattern) (accessCell, error) {
+				a, err := linkcap.NewAnalytic(nw, 0)
+				if err != nil {
+					return accessCell{}, err
+				}
+				const probes = 128
+				sum := 0.0
+				for i := 0; i < probes; i++ {
+					sum += a.AccessRate(nw.HomePoints()[i*nw.NumMS()/probes], nw.BSPos)
+				}
+				return accessCell{mean: sum / probes, numBS: nw.NumBS()}, nil
+			})
 	})
 	if err != nil {
 		return nil, err

@@ -33,6 +33,18 @@ func schemeEval(s routing.Scheme) evalFn[float64] {
 	}
 }
 
+// lambdaOf scores an instance by s's rate, unroutable pairs and all
+// (schemeEval is the strict form that fails on them).
+func lambdaOf(s routing.Scheme) evalFn[float64] {
+	return func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
+		ev, err := s.Evaluate(nw, tr)
+		if err != nil {
+			return 0, err
+		}
+		return ev.Lambda, nil
+	}
+}
+
 // bestOf takes the max of several evaluators (capacity is achieved by
 // the best scheme, e.g. Theta(1/f) + Theta(min(...)) in the strong
 // regime). It fails only if every evaluator fails.
@@ -123,16 +135,22 @@ func (g *sizeGrid) cellSeed(point, seed int) uint64 {
 	return g.srcs[point].DeriveN("seed", seed).Uint64()
 }
 
-// cellStep is the one cell step of every sweep: it builds the cell's
-// instance (installing a fresh plan of the grid's fault config) and
-// runs eval on it, tagging failures with their phase. The deferred
-// recover keeps a panicking scheme or delay model an evaluate failure;
-// engine.Stream's own guard would catch the panic, but untagged.
-func cellStep[T any](g *sizeGrid, point, seed int, eval evalFn[T]) (v T, err error) {
+// config is the network configuration of one cell: the point's
+// parameters, the cell's derived seed and the grid's BS placement.
+func (g *sizeGrid) config(point, seed int) network.Config {
+	return network.Config{Params: g.params[point], Seed: g.cellSeed(point, seed), BSPlacement: g.placement}
+}
+
+// cellStep is the one cell step of every experiment: it builds cfg's
+// instance, installing a fresh plan of fc when fc is active (nil or
+// inactive installs none), and runs eval on it, tagging failures with
+// their phase. The deferred recover keeps a panicking evaluator an
+// evaluate failure; engine.Stream's own guard would catch the panic,
+// but untagged.
+func cellStep[T any](cfg network.Config, fc *faults.Config, eval evalFn[T]) (v T, err error) {
 	var zero T
-	cfg := network.Config{Params: g.params[point], Seed: g.cellSeed(point, seed), BSPlacement: g.placement}
-	if g.faults != nil && g.faults.Active() {
-		if cfg.Faults, err = faults.New(*g.faults); err != nil {
+	if fc != nil && fc.Active() {
+		if cfg.Faults, err = faults.New(*fc); err != nil {
 			return zero, engine.ConstructErr(fmt.Errorf("experiments: %w", err))
 		}
 	}
@@ -149,6 +167,16 @@ func cellStep[T any](g *sizeGrid, point, seed int, eval evalFn[T]) (v T, err err
 		return zero, engine.EvaluateErr(err)
 	}
 	return v, nil
+}
+
+// shardedGrid is the engine grid shape of a points x seeds sweep with
+// shard spec s installed (the whole grid when s is nil).
+func shardedGrid(points, seeds int, s *scenario.ShardSpec) engine.Grid {
+	g := engine.Grid{Points: points, Seeds: seeds}
+	if s != nil {
+		g.ShardIndex, g.ShardCount = s.Index, s.Count
+	}
+	return g
 }
 
 // pointAgg folds one pass's cell outcomes per point, in grid order:
@@ -198,10 +226,8 @@ type gridPoint[V any] struct {
 // by seed order; under a shard every covered point is returned (whether
 // the full point is dead is the merge's call, not one shard's).
 func runGrid[T, V any](o Options, g *sizeGrid, p gridPass[T, V]) ([]gridPoint[V], error) {
-	eg := engine.Grid{Points: len(g.sizes), Seeds: o.seeds(), Workers: o.workers()}
-	if p.shard != nil {
-		eg.ShardIndex, eg.ShardCount = p.shard.Index, p.shard.Count
-	}
+	eg := shardedGrid(len(g.sizes), o.seeds(), p.shard)
+	eg.Workers = o.workers()
 	if o.CellCache != nil && p.scope != nil {
 		cache, err := newSweepCellCache(o.CellCache, p.scope, g)
 		if err != nil {
@@ -211,7 +237,7 @@ func runGrid[T, V any](o Options, g *sizeGrid, p gridPass[T, V]) ([]gridPoint[V]
 	}
 	finish := observeGrid(o, p.phase+" "+g.name, &eg, g.sizes)
 	serr := engine.Stream(o.ctx(), eg,
-		func(point, seed int) (T, error) { return cellStep(g, point, seed, p.eval) },
+		func(point, seed int) (T, error) { return cellStep(g.config(point, seed), g.faults, p.eval) },
 		func(point, seed int, out engine.Outcome[T]) {
 			p.agg.Cell(point, seed, out)
 			if p.rec != nil {

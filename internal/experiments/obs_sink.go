@@ -103,10 +103,11 @@ func (s *cellSink) finish() {
 }
 
 // observeGrid attaches the run's observability sink to a grid when the
-// options carry a runtime: it opens a phase span, publishes the grid
-// shape, and routes every cell outcome through a cellSink — counters,
-// the timing histogram, one recorded child span per cell, and the
-// manifest tally. sizes maps point indices to network sizes for cell
+// options carry a runtime: it opens a phase span, counts the grid in
+// engine_grids_total, and routes every cell outcome through a cellSink
+// — counters, the timing histogram, one recorded child span per cell,
+// and the manifest tally, which with the span carries the grid's
+// shape. sizes maps point indices to network sizes for cell
 // labels; nil falls back to point indices. The returned finish func
 // pushes the tally and closes the phase span: call it once the grid's
 // engine.Stream has returned. Unobserved runs get a no-op.
@@ -115,8 +116,7 @@ func observeGrid(o Options, phase string, g *engine.Grid, sizes []int) func() {
 		return func() {}
 	}
 	span := o.Obs.Push(phase)
-	o.Obs.Metrics.Gauge("engine_grid_points").Set(int64(g.Points))
-	o.Obs.Metrics.Gauge("engine_grid_seeds").Set(int64(g.Seeds))
+	o.Obs.Metrics.Counter("engine_grids_total").Inc()
 	sink := newCellSink(o.Obs, phase, span, sizes)
 	g.Obs = sink
 	g.Clock = o.Obs.Clock

@@ -49,7 +49,7 @@ func TestScenarioObsDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("traces differ between worker counts:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", t1, t8)
 	}
 	for _, want := range []string{
-		"engine_cells_total", "engine_cell_seconds_bucket", "engine_grid_points",
+		"engine_cells_total", "engine_cell_seconds_bucket", "engine_grids_total 1\n",
 	} {
 		if !strings.Contains(m1, want) {
 			t.Errorf("metrics dump missing %q:\n%s", want, m1)
@@ -107,6 +107,31 @@ func TestExperimentObsHierarchy(t *testing.T) {
 		}
 		if !strings.Contains(m1, tc.cells+"\n") {
 			t.Errorf("%s: metrics missing %q:\n%s", tc.id, tc.cells, m1)
+		}
+	}
+}
+
+// A run of several experiments counts every grid it runs, whatever its
+// shape: E1 and E13 run one grid each, E5 one, E14 its outage grid and
+// its scheme-A floor grid, so figures -run E1,E5,E13,E14 reports five
+// at any worker count.
+func TestExperimentGridsCounted(t *testing.T) {
+	render := func(workers int) string {
+		rt := obs.NewRuntimeWith(obs.NewFrozenClock(obs.Epoch), obs.NewRegistry())
+		for _, id := range []string{"E1", "E5", "E13", "E14"} {
+			run, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run(Options{Quick: true, Seeds: 2, Workers: workers, Obs: rt}); err != nil {
+				t.Fatalf("%s workers=%d: %v", id, workers, err)
+			}
+		}
+		return rt.Metrics.Text()
+	}
+	for _, workers := range []int{1, 8} {
+		if m := render(workers); !strings.Contains(m, "engine_grids_total 5\n") {
+			t.Errorf("workers=%d: metrics missing %q:\n%s", workers, "engine_grids_total 5", m)
 		}
 	}
 }

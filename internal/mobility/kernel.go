@@ -239,6 +239,6 @@ func (s *Sampler) SampleRadius(rng *rand.Rand) float64 {
 // proportional to s(|x|).
 func (s *Sampler) Sample(rng *rand.Rand) (dx, dy float64) {
 	rho := s.SampleRadius(rng)
-	theta := rng.Float64() * 2 * math.Pi
-	return rho * math.Cos(theta), rho * math.Sin(theta)
+	sin, cos := math.Sincos(rng.Float64() * 2 * math.Pi)
+	return rho * cos, rho * sin
 }

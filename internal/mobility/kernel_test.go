@@ -216,3 +216,26 @@ func TestSamplerGuideMatchesFullSearch(t *testing.T) {
 		}
 	}
 }
+
+// Sample and the disk placements draw an angle and take math.Sincos of
+// it, where they once took math.Cos and math.Sin; the bits must agree
+// for every angle a draw can produce, and for large arguments, which
+// take the other range reduction, or seeded runs would move.
+func TestSincosMatchesSinCos(t *testing.T) {
+	check := func(x float64) {
+		s, c := math.Sincos(x)
+		if math.Float64bits(s) != math.Float64bits(math.Sin(x)) || math.Float64bits(c) != math.Float64bits(math.Cos(x)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin, Cos = (%v, %v)", x, s, c, math.Sin(x), math.Cos(x))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10_000_000; i++ {
+		check(rng.Float64() * 2 * math.Pi)
+	}
+	for _, x := range []float64{0, math.Nextafter(2*math.Pi, 0), math.Pi / 2, math.Pi, 1 << 29, 1 << 30, 1e10, 1e300, math.MaxFloat64} {
+		check(x)
+	}
+	for i := 0; i < 100_000; i++ {
+		check(math.Ldexp(rng.Float64()+1, rng.Intn(1000)))
+	}
+}

@@ -94,8 +94,8 @@ func uniformInDisk(center geom.Point, radius float64, rng *rand.Rand) geom.Point
 		return center
 	}
 	rho := radius * math.Sqrt(rng.Float64())
-	theta := rng.Float64() * 2 * math.Pi
-	return geom.Add(center, rho*math.Cos(theta), rho*math.Sin(theta))
+	sin, cos := math.Sincos(rng.Float64() * 2 * math.Pi)
+	return geom.Add(center, rho*cos, rho*sin)
 }
 
 // SamplePointNear draws one point from the distribution phi(.|q): the

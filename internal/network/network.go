@@ -278,8 +278,8 @@ func randomInDisk(center geom.Point, radius float64, r *rand.Rand) geom.Point {
 		return center
 	}
 	rho := radius * math.Sqrt(r.Float64())
-	theta := r.Float64() * 2 * math.Pi
-	return geom.Add(center, rho*math.Cos(theta), rho*math.Sin(theta))
+	sin, cos := math.Sincos(r.Float64() * 2 * math.Pi)
+	return geom.Add(center, rho*cos, rho*sin)
 }
 
 // assignBSClusters maps every BS to its nearest cluster centre, ties

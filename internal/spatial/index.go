@@ -1,11 +1,18 @@
 // Package spatial provides a uniform-grid spatial index over the unit
 // torus for constant-time neighborhood queries. The simulator rebuilds
 // the index each slot after nodes move; queries then enumerate only the
-// grid cells overlapping the query disk.
+// grid cells the query disk can reach.
+//
+// Nearest without a skip function answers from a per-cell table of the
+// points that can be nearest to some point of the cell, built on the
+// first such query after New or Rebuild; a skip function, or an exact
+// tie on the best distance, falls back to the doubling range scan that
+// defines Nearest's answer.
 package spatial
 
 import (
 	"math"
+	"sync"
 
 	"hybridcap/internal/geom"
 )
@@ -18,8 +25,9 @@ import (
 //
 // Queries visit the cells of a window around q in a fixed row-major
 // order and report a cell's hits in ascending id order; a cell the
-// query disk cannot reach is skipped, which drops no hit and so leaves
-// the reported sequence, and where a callback stops it, unchanged.
+// query disk cannot reach is left out of the window or skipped, which
+// drops no hit and so leaves the reported sequence, and where a
+// callback stops it, unchanged.
 type Index struct {
 	grid geom.Grid
 	// start[c]..start[c+1] is cell c's run of ids and cpts.
@@ -29,6 +37,20 @@ type Index struct {
 	// cell is Rebuild's scratch: the cell of each point.
 	cell []int32
 	pts  []geom.Point
+	// nearOnce guards the lazy build of near, which Rebuild drops.
+	nearOnce sync.Once
+	near     nearTable
+}
+
+// nearTable is Nearest's per-cell candidate table:
+// start[c]..start[c+1] is the run of ids, with their points alongside,
+// that can be nearest to some point of cell c. ok is false where the
+// build ran past its budget and Nearest keeps the doubling scan.
+type nearTable struct {
+	ok    bool
+	start []int32
+	ids   []int32
+	pts   []geom.Point
 }
 
 // New builds an index over pts with grid cells of roughly the given
@@ -54,9 +76,11 @@ func New(pts []geom.Point, side float64) *Index {
 }
 
 // Rebuild repopulates the index with a new point set, reusing its
-// storage: once it has held as many points, it allocates nothing. The
+// storage: once it has held as many points, it allocates nothing. It
+// drops Nearest's table, which the next unskipped Nearest rebuilds. The
 // slice is retained; callers must not mutate it while querying.
 func (ix *Index) Rebuild(pts []geom.Point) {
+	ix.nearOnce = sync.Once{}
 	ix.pts = pts
 	n := len(pts)
 	if nc := ix.grid.NumCells() + 1; len(ix.start) != nc {
@@ -99,50 +123,64 @@ func (ix *Index) Len() int { return len(ix.pts) }
 func (ix *Index) Point(id int) geom.Point { return ix.pts[id] }
 
 // window is a query's cell window: cols columns from col and rows rows
-// from row, wrapped, visited row-major. Each side spans the cells a
-// disk of the query radius can touch plus one, or the whole grid where
-// that would wrap onto itself, so no cell is visited twice. The
-// remaining fields feed axisGap: dc and dr are the first column's and
-// row's offsets from q's cell, fx and fy q's distances past its cell's
-// low edges, and sw and sh the cell sides. On a clamped axis the
-// offsets are not torus offsets, so its side and distance are zero and
-// every gap along it is zero.
+// from row, wrapped, visited row-major. Along each axis it spans the
+// offsets from q's cell whose lower distance bound stays within the
+// query's limit, or the whole grid where a disk of the query radius
+// plus one cell each way would wrap onto itself, so no cell is visited
+// twice. The remaining fields feed axisGap: dc and dr are the first
+// column's and row's offsets from q's cell, fx and fy q's distances
+// past its cell's low edges, and sw and sh the cell sides. On a clamped
+// axis the offsets are not torus offsets, so its side and distance are
+// zero and every gap along it is zero.
 type window struct {
 	col, row, cols, rows int
 	dc, dr               int
 	sw, sh, fx, fy       float64
 }
 
-func (ix *Index) window(q geom.Point, radius float64) window {
+// window returns the window of a query of the given radius around q,
+// where lim bounds the squared distance a visited cell may lie from q.
+func (ix *Index) window(q geom.Point, radius, lim float64) window {
 	g := ix.grid
-	cw, ch := g.CellW(), g.CellH()
-	qc, qr := g.CellOf(q)
+	q = q.Wrapped()
 	// Past 1 every window spans the whole grid; the cap keeps an
 	// infinite radius from overflowing the spans.
 	radius = min(radius, 1)
-	spanC := int(math.Ceil(radius/cw)) + 1
-	spanR := int(math.Ceil(radius/ch)) + 1
-	w := window{cols: 2*spanC + 1, rows: 2*spanR + 1, dc: -spanC, dr: -spanR}
-	if w.cols > g.Cols {
-		w.col, w.cols = 0, g.Cols
-	} else {
-		w.col = qc - spanC
-		if w.col < 0 {
-			w.col += g.Cols
-		}
-		w.sw, w.fx = cw, geom.Wrap(q.X)-float64(qc)*cw
-	}
-	if w.rows > g.Rows {
-		w.row, w.rows = 0, g.Rows
-	} else {
-		w.row = qr - spanR
-		if w.row < 0 {
-			w.row += g.Rows
-		}
-		w.sh, w.fy = ch, geom.Wrap(q.Y)-float64(qr)*ch
-	}
+	var w window
+	w.col, w.cols, w.dc, w.sw, w.fx = axisWindow(q.X, g.CellW(), g.Cols, radius, lim)
+	w.row, w.rows, w.dr, w.sh, w.fy = axisWindow(q.Y, g.CellH(), g.Rows, radius, lim)
 	return w
 }
+
+// axisWindow is one axis of a window: the first cell, the cell count
+// and the first cell's offset from v's cell, then the side and v's
+// distance past its cell's low edge for axisGap (both zero on a clamped
+// axis). The offsets -span..span a disk of the radius can touch, plus
+// one, are trimmed at each end to those whose gap squared is within
+// lim: gaps grow with the offset's size, so what remains is one run
+// around v's cell, and every cell dropped is one the per-cell test
+// would skip.
+func axisWindow(v, side float64, cells int, radius, lim float64) (first, count, off int, sd, f float64) {
+	span := int(math.Ceil(radius/side)) + 1
+	if 2*span+1 > cells {
+		return 0, cells, 0, 0, 0
+	}
+	c := min(int(v*float64(cells)), cells-1)
+	f = v - float64(c)*side
+	lo, hi := -span, span
+	for lo < 0 && sq(axisGap(lo, side, f)) > lim {
+		lo++
+	}
+	for hi > 0 && sq(axisGap(hi, side, f)) > lim {
+		hi--
+	}
+	if first = c + lo; first < 0 {
+		first += cells
+	}
+	return first, hi - lo + 1, lo, side, f
+}
+
+func sq(x float64) float64 { return x * x }
 
 // axisGap bounds from below the distance along one axis from q to any
 // point of the cell d cells past q's own, where side is the cell side
@@ -170,28 +208,27 @@ func (ix *Index) ForEachWithin(q geom.Point, radius float64, fn func(id int) boo
 	}
 	r2 := radius * radius
 	lim := r2 + insideMargin
-	w := ix.window(q, radius)
+	w := ix.window(q, radius, lim)
 	start, ids, cpts := ix.start, ix.ids, ix.cpts
 	gridC, gridR := ix.grid.Cols, ix.grid.Rows
 	row := w.row
 	for ir := 0; ir < w.rows; ir++ {
 		gy := axisGap(w.dr+ir, w.sh, w.fy)
-		if gy2 := gy * gy; gy2 <= lim {
-			base, col := row*gridC, w.col
-			for ic := 0; ic < w.cols; ic++ {
-				if gx := axisGap(w.dc+ic, w.sw, w.fx); gx*gx+gy2 <= lim {
-					c := base + col
-					for k := start[c]; k < start[c+1]; k++ {
-						if geom.Dist2Unit(q, cpts[k]) <= r2 {
-							if !fn(int(ids[k])) {
-								return
-							}
+		gy2 := gy * gy
+		base, col := row*gridC, w.col
+		for ic := 0; ic < w.cols; ic++ {
+			if gx := axisGap(w.dc+ic, w.sw, w.fx); gx*gx+gy2 <= lim {
+				c := base + col
+				for k := start[c]; k < start[c+1]; k++ {
+					if geom.Dist2Unit(q, cpts[k]) <= r2 {
+						if !fn(int(ids[k])) {
+							return
 						}
 					}
 				}
-				if col++; col == gridC {
-					col = 0
-				}
+			}
+			if col++; col == gridC {
+				col = 0
 			}
 		}
 		if row++; row == gridR {
@@ -212,33 +249,32 @@ func (ix *Index) AppendWithin(dst []int32, q geom.Point, radius float64) []int32
 	}
 	r2 := radius * radius
 	lim, inner := r2+insideMargin, r2-insideMargin
-	w := ix.window(q, radius)
+	w := ix.window(q, radius, lim)
 	cw, ch := ix.grid.CellW(), ix.grid.CellH()
 	start, ids, cpts := ix.start, ix.ids, ix.cpts
 	gridC, gridR := ix.grid.Cols, ix.grid.Rows
 	row := w.row
 	for ir := 0; ir < w.rows; ir++ {
 		gy := axisGap(w.dr+ir, w.sh, w.fy)
-		if gy2 := gy * gy; gy2 <= lim {
-			by := axisBound(q.Y, (float64(row)+0.5)*ch, ch)
-			base, col := row*gridC, w.col
-			for ic := 0; ic < w.cols; ic++ {
-				c := base + col
-				lo, hi := start[c], start[c+1]
-				if gx := axisGap(w.dc+ic, w.sw, w.fx); lo < hi && gx*gx+gy2 <= lim {
-					if bx := axisBound(q.X, (float64(col)+0.5)*cw, cw); bx*bx+by*by <= inner {
-						dst = append(dst, ids[lo:hi]...)
-					} else {
-						for k := lo; k < hi; k++ {
-							if geom.Dist2Unit(q, cpts[k]) <= r2 {
-								dst = append(dst, ids[k])
-							}
+		gy2 := gy * gy
+		by := axisBound(q.Y, (float64(row)+0.5)*ch, ch)
+		base, col := row*gridC, w.col
+		for ic := 0; ic < w.cols; ic++ {
+			c := base + col
+			lo, hi := start[c], start[c+1]
+			if gx := axisGap(w.dc+ic, w.sw, w.fx); lo < hi && gx*gx+gy2 <= lim {
+				if bx := axisBound(q.X, (float64(col)+0.5)*cw, cw); bx*bx+by*by <= inner {
+					dst = append(dst, ids[lo:hi]...)
+				} else {
+					for k := lo; k < hi; k++ {
+						if geom.Dist2Unit(q, cpts[k]) <= r2 {
+							dst = append(dst, ids[k])
 						}
 					}
 				}
-				if col++; col == gridC {
-					col = 0
-				}
+			}
+			if col++; col == gridC {
+				col = 0
 			}
 		}
 		if row++; row == gridR {
@@ -254,7 +290,9 @@ func (ix *Index) AppendWithin(dst []int32, q geom.Point, radius float64) []int32
 // its nearest edge outside it, for the skip of a cell no hit can lie
 // in. It dwarfs the few-ulp rounding of Dist2Unit and of the cell
 // bounds, so neither shortcut changes what the exact per-point test
-// would report.
+// would report. Nearest's table takes a point as a candidate with the
+// same slack, which also covers a query that rounding put in a cell it
+// lies a few ulps outside.
 const insideMargin = 1e-12
 
 // axisBound bounds the torus distance along one axis from q to any
@@ -271,7 +309,48 @@ func axisBound(q, centre, side float64) float64 {
 // Nearest returns the id of the point closest to q and its distance,
 // excluding ids for which skip returns true. It returns id = -1 if the
 // index is empty or all points are skipped. skip may be nil.
+//
+// The answer is that of a doubling search: ForEachWithin scans of
+// radius one cell side, then twice that, and so on, keeping the first
+// hit of least geom.Dist2 in scan order, until the best hit lies within
+// the radius scanned. Among points at exactly the same distance the one
+// reported first wins: first by the pass that reaches it, then in the
+// row-major cell order of that pass's window around q, ascending id
+// within a cell. That is not in general the lowest id.
+//
+// With skip nil and q in [0,1)², Nearest reads its cell's row of a
+// table, built on the first such query after New or Rebuild, that lists
+// every point that can be nearest to some point of that cell, and
+// compares those candidates' exact distances; the unique least is the
+// doubling search's answer. A skip function, a q outside [0,1)², an
+// exact tie on the least distance, or a table whose build ran past its
+// budget takes the doubling search itself.
 func (ix *Index) Nearest(q geom.Point, skip func(id int) bool) (id int, dist float64) {
+	if skip == nil && q.X >= 0 && q.X < 1 && q.Y >= 0 && q.Y < 1 {
+		ix.nearOnce.Do(ix.buildNear)
+		if t := &ix.near; t.ok {
+			c := ix.grid.CellIndexOf(q)
+			id, best, tie := -1, math.Inf(1), false
+			for k := t.start[c]; k < t.start[c+1]; k++ {
+				if d := geom.Dist2(q, t.pts[k]); d < best {
+					id, best, tie = int(t.ids[k]), d, false
+				} else if d == best {
+					tie = true
+				}
+			}
+			if !tie {
+				if id < 0 {
+					return -1, math.Inf(1)
+				}
+				return id, math.Sqrt(best)
+			}
+		}
+	}
+	return ix.nearestScan(q, skip)
+}
+
+// nearestScan is Nearest's doubling search.
+func (ix *Index) nearestScan(q geom.Point, skip func(id int) bool) (id int, dist float64) {
 	id = -1
 	best := math.Inf(1)
 	// Double the search radius until the best hit lies within it: a
@@ -298,4 +377,112 @@ func (ix *Index) Nearest(q geom.Point, skip func(id int) bool) (id int, dist flo
 		return -1, math.Inf(1)
 	}
 	return id, math.Sqrt(best)
+}
+
+// nearBudget caps the work of a table build, in cells visited plus
+// points examined, at this many per cell and point of the index. A
+// uniform point set needs a fraction of it; a clustered one, whose far
+// cells would each list most of the cluster, runs past it, and Nearest
+// keeps the doubling search.
+const nearBudget = 64
+
+// buildNear fills Nearest's table. A point can be nearest to some
+// point of a cell only if its least distance to the cell is at most
+// the least, over all points, of the greatest distance to the cell.
+// Each cell gathers such points from rings of cells around it, outward
+// until a ring's least distance, (k-1) cell sides for ring k, clears
+// that bound; both sides of the comparison get insideMargin of slack,
+// so the list holds every point whose computed distance can win.
+func (ix *Index) buildNear() {
+	t := &ix.near
+	g := ix.grid
+	nc := g.NumCells()
+	cw, ch := g.CellW(), g.CellH()
+	step := min(cw, ch)
+	// Offsets -loC..hiC and -loR..hiR reach every cell once, each by
+	// its shorter way round the torus.
+	loC, hiC, loR, hiR := (g.Cols-1)/2, g.Cols/2, (g.Rows-1)/2, g.Rows/2
+	budget := nearBudget * (nc + len(ix.pts))
+	// A candidate is a position in the index's flat runs and its least
+	// squared distance to the cell.
+	type cand struct {
+		k   int32
+		lo2 float64
+	}
+	cands := make([]cand, 0, 64)
+	// Uniform points list about four candidates per cell where cells
+	// are finer than the points' spacing, and a few per point where
+	// they are coarser: a first capacity that rarely regrows.
+	if size := 4 * (nc + len(ix.pts)); cap(t.ids) < size {
+		t.ids, t.pts = make([]int32, 0, size), make([]geom.Point, 0, size)
+	}
+	if cap(t.start) < nc+1 {
+		t.start = make([]int32, 0, nc+1)
+	}
+	start, ids, pts := append(t.start[:0], 0), t.ids[:0], t.pts[:0]
+	for c := 0; c < nc && budget >= 0; c++ {
+		col, row := g.ColRow(c)
+		x0, y0 := float64(col)*cw, float64(row)*ch
+		cands = cands[:0]
+		bound := math.Inf(1)
+		for k := 0; k <= max(hiC, hiR); k++ {
+			for dr := max(-k, -loR); dr <= min(k, hiR); dr++ {
+				// Inner rows of the ring hold its two side cells only.
+				dcStep := 1
+				if dr != k && dr != -k {
+					dcStep = 2 * k
+				}
+				for dc := -k; dc <= k; dc += dcStep {
+					if dc < -loC || dc > hiC {
+						continue
+					}
+					cell := g.Index(col+dc, row+dr)
+					lo, hi := ix.start[cell], ix.start[cell+1]
+					budget -= 1 + int(hi-lo)
+					for j := lo; j < hi; j++ {
+						p := ix.cpts[j]
+						xlo, xhi := axisRange(p.X, x0, cw)
+						ylo, yhi := axisRange(p.Y, y0, ch)
+						lo2 := xlo*xlo + ylo*ylo
+						bound = min(bound, xhi*xhi+yhi*yhi)
+						if lo2 <= bound+insideMargin {
+							cands = append(cands, cand{j, lo2})
+						}
+					}
+				}
+			}
+			if r := float64(k) * step; r*r > bound+2*insideMargin {
+				break
+			}
+		}
+		for _, cd := range cands {
+			if cd.lo2 <= bound+insideMargin {
+				ids = append(ids, ix.ids[cd.k])
+				pts = append(pts, ix.cpts[cd.k])
+			}
+		}
+		start = append(start, int32(len(ids)))
+	}
+	t.start, t.ids, t.pts = start, ids, pts
+	t.ok = budget >= 0
+}
+
+// axisRange returns the least and the greatest torus distance along one
+// axis from v to a coordinate of the cell [a, a+w], where v and a lie
+// in [0,1) and a+w is at most 1.
+func axisRange(v, a, w float64) (lo, hi float64) {
+	d1 := math.Abs(geom.DeltaUnit(v, a))
+	d2 := math.Abs(geom.DeltaUnit(v, a+w))
+	lo, hi = min(d1, d2), max(d1, d2)
+	if v >= a && v <= a+w {
+		lo = 0
+	}
+	anti := v + 0.5
+	if anti >= 1 {
+		anti--
+	}
+	if anti >= a && anti <= a+w {
+		hi = 0.5
+	}
+	return lo, hi
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"hybridcap/internal/geom"
@@ -198,4 +199,27 @@ func latticePoints(side int) []geom.Point {
 		}
 	}
 	return pts
+}
+
+// Read-only queries may run concurrently, the first Nearest calls,
+// which build the table, included; -race checks the build's guard.
+func TestNearestConcurrentFirstCalls(t *testing.T) {
+	pts := randomPoints(300, 13)
+	ix := New(pts, 0.05)
+	ref := New(pts, 0.05)
+	qs := randomPoints(200, 14)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, q := range qs {
+				id, d := ix.Nearest(q, nil)
+				if wantID, wantD := ref.nearestScan(q, nil); id != wantID || d != wantD {
+					t.Errorf("Nearest(%v) = (%d, %v), doubling search (%d, %v)", q, id, d, wantID, wantD)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,8 +1,10 @@
 package spatial
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybridcap/internal/geom"
@@ -259,5 +261,109 @@ func TestRebuildAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Rebuild allocates %v times per call, want 0", allocs)
+	}
+}
+
+// Nearest's table belongs to the point set it was built over: after a
+// Rebuild with other points, and another count of them, Nearest must
+// answer from the new points as a freshly built reference does.
+func TestNearestAfterRebuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	ix := New(randomPoints(200, 27), 0.04)
+	for _, n := range []int{200, 350, 60} {
+		if n != ix.Len() {
+			ix.Rebuild(randomPoints(n, int64(28+n)))
+		}
+		var queries []geom.Point
+		for i := 0; i < 200; i++ {
+			queries = append(queries, geom.Point{X: rng.Float64(), Y: rng.Float64()})
+		}
+		checkAgainstReference(t, fmt.Sprintf("rebuild to %d", n), ix, queries, nil)
+		if !ix.near.ok {
+			t.Fatalf("%d points: Nearest built no table", n)
+		}
+	}
+}
+
+// A cluster far smaller than the torus would give every far cell most
+// of the cluster as candidates; the table build stops at its budget
+// and Nearest answers by the doubling search.
+func TestNearestClusterFallsBack(t *testing.T) {
+	pts := randomPoints(2000, 32)
+	for i := range pts {
+		pts[i].X *= 0.01
+		pts[i].Y *= 0.01
+	}
+	ix := New(pts, 0.001)
+	checkAgainstReference(t, "cluster", ix, randomPoints(50, 33), nil)
+	if ix.near.ok {
+		t.Errorf("table over a %v grid of a 0.01-wide cluster kept %d entries", ix.grid, len(ix.near.ids))
+	}
+}
+
+// Among points at exactly the same distance Nearest reports the one
+// its doubling scan reaches first in row-major cell order, here the
+// higher id: a lower-id rule would answer 0.
+func TestNearestTieGoesToScanOrder(t *testing.T) {
+	for _, pts := range [][]geom.Point{
+		{{X: 0.5, Y: 0.6875}, {X: 0.5, Y: 0.3125}},
+		{{X: 0.6875, Y: 0.5}, {X: 0.3125, Y: 0.5}},
+	} {
+		ix := New(pts, 0.125)
+		q := geom.Point{X: 0.5, Y: 0.5}
+		ref := newReferenceIndex(ix.grid, pts)
+		id, d := ix.Nearest(q, nil)
+		wantID, wantD := ref.nearest(q, nil)
+		if wantID != 1 {
+			t.Fatalf("reference winner %d among %v, want the higher id 1", wantID, pts)
+		}
+		if id != wantID || d != wantD {
+			t.Errorf("Nearest among %v = (%d, %v), reference (%d, %v)", pts, id, d, wantID, wantD)
+		}
+	}
+}
+
+// Every cell's row of Nearest's table lists the brute-force nearest
+// point of every point in the cell: random points, the cell's corners
+// and its centre, over uniform, lattice and coincident point sets on
+// grids from 1x1 up.
+func TestNearestTableCoversCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	uniform := randomPoints(300, 30)
+	uniform = append(uniform, uniform[7], uniform[7])
+	for _, side := range []float64{1, 0.5, 1.0 / 3, 0.1, 0.03, 1.0 / 64} {
+		for _, pts := range [][]geom.Point{uniform, latticePoints(16), randomPoints(3, 31)} {
+			ix := New(pts, side)
+			ix.Nearest(geom.Point{}, nil)
+			if !ix.near.ok {
+				t.Fatalf("side %v, %d points: Nearest built no table", side, len(pts))
+			}
+			g := ix.grid
+			cw, ch := g.CellW(), g.CellH()
+			for c := 0; c < g.NumCells(); c++ {
+				col, row := g.ColRow(c)
+				x0, y0 := float64(col)*cw, float64(row)*ch
+				list := ix.near.ids[ix.near.start[c]:ix.near.start[c+1]]
+				probes := []geom.Point{{X: x0, Y: y0}, {X: x0 + cw/2, Y: y0 + ch/2},
+					{X: math.Nextafter(x0+cw, 0), Y: math.Nextafter(y0+ch, 0)}}
+				for i := 0; i < 20; i++ {
+					probes = append(probes, geom.Point{X: x0 + rng.Float64()*cw, Y: y0 + rng.Float64()*ch})
+				}
+				for _, q := range probes {
+					if g.CellIndexOf(q) != c {
+						continue
+					}
+					best := math.Inf(1)
+					for _, p := range pts {
+						best = min(best, geom.Dist2(q, p))
+					}
+					for i, p := range pts {
+						if geom.Dist2(q, p) == best && !slices.Contains(list, int32(i)) {
+							t.Fatalf("%v, %d points: cell %d's list %v lacks point %d, nearest to %v", g, len(pts), c, list, i, q)
+						}
+					}
+				}
+			}
+		}
 	}
 }

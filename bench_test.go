@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"hybridcap"
+	"hybridcap/internal/delay"
 	"hybridcap/internal/experiments"
 	"hybridcap/internal/geom"
 	"hybridcap/internal/linkcap"
@@ -278,6 +279,50 @@ func BenchmarkPacketSim(b *testing.B) {
 		}
 	}
 	b.ReportMetric(rep.DeliveredRate, "deliveredRate")
+}
+
+// BenchmarkTwoHopBaselines times the two-hop relay and D2D evaluations
+// and the two-hop delay model at n=4096, alpha=0.04 without BSs: the
+// complete-graph regime of the d2d-baseline scenario, where the
+// meeting reach exceeds the torus diameter and every MS neighbors
+// every other. The network is built outside the timed loop.
+func BenchmarkTwoHopBaselines(b *testing.B) {
+	p := scaling.Params{N: 4096, Alpha: 0.04, K: -1, M: 1}
+	nw, err := network.New(network.Config{Params: p, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := traffic.NewPermutation(p.N, rng.New(1).Derive("traffic").Rand())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range []routing.Scheme{routing.TwoHopRelay{}, routing.D2D{}} {
+		b.Run(s.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			var ev *routing.Evaluation
+			for i := 0; i < b.N; i++ {
+				if ev, err = s.Evaluate(nw, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(ev.Lambda, "lambda")
+		})
+	}
+	m, err := routing.DelayModelByName(routing.NameTwoHop, p, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("delay/"+m.Name(), func(b *testing.B) {
+		b.ReportAllocs()
+		sum, count := 0.0, 0
+		observe := func(d delay.Breakdown) { sum, count = sum+d.Total(), count+1 }
+		for i := 0; i < b.N; i++ {
+			if _, err := m.EvaluateDelay(nw, tr, observe); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(sum/float64(count), "meanDelay")
+	})
 }
 
 // BenchmarkAblationSquarelet compares scheme B with 2x2 vs 4x4

@@ -61,7 +61,7 @@ func EvaluateCut(nw *network.Network, tr *traffic.Pattern, region geom.Region, c
 		nbrs = ix.AppendWithin(nbrs[:0], homes[i], a.Reach())
 		for _, j := range nbrs {
 			if int(j) != i && !inside[j] {
-				cb.Wireless += a.MSMS(geom.Dist(homes[i], homes[j]))
+				cb.Wireless += a.MSMSBetween(homes[i], homes[j])
 			}
 		}
 	}

@@ -48,6 +48,24 @@ func FuzzDistMetric(f *testing.F) {
 	})
 }
 
+// FuzzDist2UnitMatchesDist2 folds arbitrary coordinates into [0,1)
+// and checks Dist2Unit bit for bit against its two-branch form and
+// Dist2.
+func FuzzDist2UnitMatchesDist2(f *testing.F) {
+	f.Add(0.0, 0.0, 0.5, 0.5)
+	f.Add(0.25, 0.75, 0.75, 0.25)
+	f.Add(0.9999999999999999, 0.0, 0.0, 0.9999999999999999)
+	f.Add(5e-324, math.Copysign(0, -1), 0.5, 1e-310)
+	f.Fuzz(func(t *testing.T, ax, ay, bx, by float64) {
+		for _, v := range []float64{ax, ay, bx, by} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		checkDist2Unit(t, Pt(ax, ay), Pt(bx, by))
+	})
+}
+
 func FuzzGridCellOf(f *testing.F) {
 	f.Add(7, 0.3, 0.7)
 	f.Add(1, 0.0, 0.0)

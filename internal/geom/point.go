@@ -46,12 +46,14 @@ func Delta(a, b float64) float64 {
 	return d
 }
 
-// DeltaUnit is Delta specialized to coordinates already in [0,1) — the
-// Point invariant — where the raw difference lies in (-1,1) and the
-// round-to-nearest reduces to two comparisons. It returns exactly
-// Delta's value (including at the half-way ties ±0.5, which round away
-// from zero) without the math.Round call that dominates Delta in
-// brute-force nearest scans.
+// DeltaUnit is Delta specialized to raw differences b-a in (-1,1],
+// where the round-to-nearest reduces to two comparisons. That covers
+// coordinates honoring the [0,1) Point invariant, and also a cell's
+// upper edge at exactly 1 against a coordinate in [0,1), which
+// spatial's axisRange passes. It returns exactly Delta's value
+// (including at the half-way ties ±0.5, which round away from zero,
+// and at a difference of 1, which maps to 0) without the math.Round
+// call that dominates Delta in brute-force nearest scans.
 func DeltaUnit(a, b float64) float64 {
 	d := b - a
 	if d >= 0.5 {
@@ -63,12 +65,16 @@ func DeltaUnit(a, b float64) float64 {
 	return d
 }
 
-// Dist2Unit is Dist2 via DeltaUnit: the squared torus distance for
-// points honoring the [0,1) coordinate invariant, bit-identical to
-// Dist2 on such points.
+// Dist2Unit is the squared torus distance for points honoring the
+// [0,1) coordinate invariant, bit-identical to Dist2 on such points.
+// Each raw difference lies strictly inside (-1,1), so doubling it is
+// exact and truncating the double to an integer gives the -1, 0 or +1
+// that DeltaUnit's two comparisons pick, without a branch.
 func Dist2Unit(a, b Point) float64 {
-	dx := DeltaUnit(a.X, b.X)
-	dy := DeltaUnit(a.Y, b.Y)
+	dx := b.X - a.X
+	dx -= float64(int64(dx * 2))
+	dy := b.Y - a.Y
+	dy -= float64(int64(dy * 2))
 	return dx*dx + dy*dy
 }
 
@@ -96,8 +102,10 @@ func Dist(a, b Point) float64 {
 	return math.Sqrt(Dist2(a, b))
 }
 
-// MaxDist is the largest possible torus distance between two points.
-var MaxDist = math.Sqrt2 / 2
+// MaxDist is the largest possible torus distance between two points,
+// the torus diameter: Dist2 never exceeds 1/2, whose square root
+// rounds to this value, so Dist never exceeds it either.
+const MaxDist = math.Sqrt2 / 2
 
 // Lerp moves from a toward b along the shortest torus path by fraction t
 // (t=0 yields a, t=1 yields b).

@@ -204,15 +204,72 @@ func TestDeltaUnitMatchesDelta(t *testing.T) {
 	}
 }
 
-// Dist2Unit inherits the same bit-identity promise componentwise.
+// DeltaUnit's domain is a raw difference in (-1,1]: spatial's
+// axisRange passes a cell's upper edge a+w, which reaches exactly 1, so
+// b = 1 against any a in [0,1) must still land on Delta's value.
+func TestDeltaUnitAtUpperEdge(t *testing.T) {
+	as := []float64{0, math.Copysign(0, -1), 5e-324, 0.25, 0.5, math.Nextafter(0.5, 1), 0.75, math.Nextafter(1, 0)}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 1000; i++ {
+		as = append(as, rng.Float64())
+	}
+	for _, a := range as {
+		want, got := Delta(a, 1), DeltaUnit(a, 1)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DeltaUnit(%v, 1) = %v (bits %x), Delta = %v (bits %x)",
+				a, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// dist2TwoBranch is Dist2Unit in its two-comparison form, through
+// DeltaUnit.
+func dist2TwoBranch(a, b Point) float64 {
+	dx := DeltaUnit(a.X, b.X)
+	dy := DeltaUnit(a.Y, b.Y)
+	return dx*dx + dy*dy
+}
+
+// checkDist2Unit fails t unless Dist2Unit(a, b) has the bits of both
+// the two-branch form and Dist2.
+func checkDist2Unit(t testing.TB, a, b Point) {
+	t.Helper()
+	got := Dist2Unit(a, b)
+	for _, want := range []struct {
+		name string
+		v    float64
+	}{{"two-branch", dist2TwoBranch(a, b)}, {"Dist2", Dist2(a, b)}} {
+		if math.Float64bits(got) != math.Float64bits(want.v) {
+			t.Fatalf("Dist2Unit(%v, %v) = %v (bits %x), %s = %v (bits %x)",
+				a, b, got, math.Float64bits(got), want.name, want.v, math.Float64bits(want.v))
+		}
+	}
+}
+
+// Dist2Unit's branch-free reduction must equal the two-branch form and
+// Dist2 bit for bit on every pair honoring the [0,1) invariant: at the
+// zeros, the largest coordinate below 1, the half-way ties, subnormals,
+// and 10^6 random pairs.
 func TestDist2UnitMatchesDist2(t *testing.T) {
+	edges := []float64{
+		0, math.Copysign(0, -1), math.Nextafter(1, 0),
+		0.5, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1),
+		0.25, 0.75, 0.1, 0.6,
+		5e-324, 2.2250738585072009e-308, math.SmallestNonzeroFloat64 * 3,
+	}
+	for _, ax := range edges {
+		for _, ay := range edges {
+			for _, bx := range edges {
+				for _, by := range edges {
+					checkDist2Unit(t, Point{ax, ay}, Point{bx, by})
+				}
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < 1000000; i++ {
 		a := Point{rng.Float64(), rng.Float64()}
 		b := Point{rng.Float64(), rng.Float64()}
-		want, got := Dist2(a, b), Dist2Unit(a, b)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Dist2Unit(%v, %v) = %v, Dist2 = %v", a, b, got, want)
-		}
+		checkDist2Unit(t, a, b)
 	}
 }

@@ -75,6 +75,29 @@ func (a *Analytic) MSMS(dHome float64) float64 {
 	return 1
 }
 
+// MSMSBetween returns the link capacity between two MSs with
+// home-points p and q, which honor the [0,1) coordinate invariant. It
+// is MSMS(geom.Dist(p, q)) bit for bit: geom.Dist2Unit is geom.Dist2
+// on such points.
+func (a *Analytic) MSMSBetween(p, q geom.Point) float64 {
+	return a.MSMS(math.Sqrt(geom.Dist2Unit(p, q)))
+}
+
+// MSMSSum returns the sum of MSMSBetween(p, homes[id]) over ids in
+// order, leaving out the id at position skip: an MS's aggregate link
+// capacity over a neighbor list that holds the MS itself. MSMSBetween
+// is too large to inline, so the loop spells it out rather than pay a
+// call per term.
+func (a *Analytic) MSMSSum(p geom.Point, homes []geom.Point, ids []int32, skip int) float64 {
+	sum := 0.0
+	for k, id := range ids {
+		if k != skip {
+			sum += a.MSMS(math.Sqrt(geom.Dist2Unit(p, homes[id])))
+		}
+	}
+	return sum
+}
+
 // MSMSAt evaluates the MS-MS link capacity for an arbitrary
 // transmission range rt: pi*rt^2 * f^2 * eta(f*d), the meeting
 // probability within range rt. Valid while rt is small against the

@@ -70,6 +70,35 @@ func TestMSMSVanishesBeyondReach(t *testing.T) {
 	}
 }
 
+// MSMSBetween is MSMS of the home-points' torus distance bit for bit,
+// and MSMSSum the in-order sum of MSMSBetween over a list less one
+// position.
+func TestMSMSBetweenAndSumMatchMSMS(t *testing.T) {
+	nw := uniformNetwork(t, 500, 0.04)
+	a := newAnalytic(t, nw, 0)
+	homes := nw.HomePoints()
+	ids := make([]int32, len(homes))
+	for k := range ids {
+		ids[k] = int32(len(homes) - 1 - k)
+	}
+	for _, i := range []int{0, 1, 250, len(homes) - 1} {
+		p := homes[i]
+		want := 0.0
+		for k, id := range ids {
+			v := a.MSMS(geom.Dist(p, homes[id]))
+			if got := a.MSMSBetween(p, homes[id]); math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("MSMSBetween(%v, %v) = %v, MSMS(Dist) = %v", p, homes[id], got, v)
+			}
+			if k != i {
+				want += v
+			}
+		}
+		if got := a.MSMSSum(p, homes, ids, i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MSMSSum skipping position %d = %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestMSBSVanishesBeyondReach(t *testing.T) {
 	nw := uniformNetwork(t, 1000, 0.25)
 	a := newAnalytic(t, nw, 0)

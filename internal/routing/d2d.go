@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"hybridcap/internal/geom"
 	"hybridcap/internal/linkcap"
 	"hybridcap/internal/network"
 	"hybridcap/internal/rng"
-	"hybridcap/internal/spatial"
 	"hybridcap/internal/traffic"
 )
 
@@ -40,14 +38,14 @@ func (s D2D) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation, er
 		return nil, fmt.Errorf("routing: d2d: %w", err)
 	}
 	homes := nw.HomePoints()
-	ix := spatial.New(homes, a.Reach())
+	nb := newNeighborhoods(homes, a.Reach())
 	rnd := rng.New(0xD2).Derive("d2d").Rand()
 
 	ev := &Evaluation{Detail: map[string]float64{}}
 	nodeLoad := make([]float64, nw.NumMS())
 	lambdaPairs := math.Inf(1)
 	for src, dst := range tr.DestOf {
-		direct := a.MSMS(geom.Dist(homes[src], homes[dst]))
+		direct := a.MSMSBetween(homes[src], homes[dst])
 		if direct <= 0 {
 			ev.Failures++
 			continue
@@ -62,13 +60,12 @@ func (s D2D) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation, er
 	// Node service: as in the two-hop baseline, a node's airtime is its
 	// aggregate link capacity capped at the unit bandwidth.
 	lambdaNodes := math.Inf(1)
-	var nbrs []int32 // nodeServiceRate scratch, reused across nodes
 	for i := 0; i < nw.NumMS(); i++ {
 		if nodeLoad[i] == 0 {
 			continue
 		}
-		var service float64
-		service, nbrs = nodeServiceRate(a, ix, homes, i, rnd, nbrs)
+		nbrs, p := nb.of(i)
+		service := nodeServiceRate(a, homes, i, nbrs, p, rnd)
 		if service <= 0 {
 			ev.Failures++
 			continue

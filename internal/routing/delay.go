@@ -11,7 +11,6 @@ import (
 	"hybridcap/internal/network"
 	"hybridcap/internal/scaling"
 	"hybridcap/internal/scheduler"
-	"hybridcap/internal/spatial"
 	"hybridcap/internal/traffic"
 )
 
@@ -235,23 +234,13 @@ func (delayTwoHop) EvaluateDelay(nw *network.Network, tr *traffic.Pattern, obser
 		return 0, fmt.Errorf("routing: two-hop delay: %w", err)
 	}
 	homes := nw.HomePoints()
-	reach := a.Reach()
-	ix := spatial.New(homes, reach)
+	nb := newNeighborhoods(homes, a.Reach())
 	n := nw.NumMS()
 	rate := make([]float64, n)
 	deg := make([]int, n)
-	// Neighborhood scratch (hotalloc), reused across the node loop.
-	var nbrs []int32
 	for i, hi := range homes {
-		nbrs = ix.AppendWithin(nbrs[:0], hi, reach)
-		sum, d := 0.0, 0
-		for _, id := range nbrs {
-			if int(id) != i {
-				sum += a.MSMS(math.Sqrt(geom.Dist2Unit(hi, homes[id])))
-				d++
-			}
-		}
-		rate[i], deg[i] = sum, d
+		nbrs, p := nb.of(i)
+		rate[i], deg[i] = a.MSMSSum(hi, homes, nbrs, p), len(nbrs)-1
 	}
 	unroutable := 0
 	for src, dst := range tr.DestOf {
@@ -296,7 +285,7 @@ func (delayD2D) EvaluateDelay(nw *network.Network, tr *traffic.Pattern, observe 
 	homes := nw.HomePoints()
 	unroutable := 0
 	for src, dst := range tr.DestOf {
-		mu := a.MSMS(geom.Dist(homes[src], homes[dst]))
+		mu := a.MSMSBetween(homes[src], homes[dst])
 		if mu <= 0 {
 			unroutable++
 			continue

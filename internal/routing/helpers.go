@@ -3,11 +3,13 @@ package routing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"hybridcap/internal/geom"
 	"hybridcap/internal/linkcap"
 	"hybridcap/internal/rng"
+	"hybridcap/internal/spatial"
 )
 
 // maxSampledPairs caps the exact pair enumeration in group capacity
@@ -85,11 +87,9 @@ func (sc *squareletCaps) self(group []int) float64 {
 	return sum
 }
 
-// mu is the link capacity between nodes i and j. Dist2Unit is Dist2 on
-// the wrapped home-points, and MSMS is MSMSAt at the S* range RT, both
-// bit for bit.
+// mu is the link capacity between nodes i and j.
 func (sc *squareletCaps) mu(i, j int) float64 {
-	return sc.a.MSMS(math.Sqrt(geom.Dist2Unit(sc.homes[i], sc.homes[j])))
+	return sc.a.MSMSBetween(sc.homes[i], sc.homes[j])
 }
 
 // sampled estimates the A->B capacity from maxSampledPairs pairs drawn
@@ -241,4 +241,49 @@ func bottleneckRate(ratios, loads []float64, frac float64) float64 {
 		}
 	}
 	return ratios[idx[len(idx)-1]]
+}
+
+// neighborhoods hands out each node's reach neighborhood: the ids a
+// spatial query of the given reach around its home-point reports, the
+// node itself included, in the index's order. Where the reach exceeds
+// the torus diameter, every query reports the whole index in one order
+// that does not depend on the query point, so that list is taken once,
+// with each id's position in it, and no node's neighborhood is
+// gathered or copied again.
+type neighborhoods struct {
+	ix    *spatial.Index
+	homes []geom.Point
+	reach float64
+	// all is the whole index in query order, and pos[id] the position
+	// of id in it, where the reach covers the torus; both nil otherwise.
+	all []int32
+	pos []int32
+	// buf is the query scratch outside that regime.
+	buf []int32
+}
+
+func newNeighborhoods(homes []geom.Point, reach float64) neighborhoods {
+	nb := neighborhoods{ix: spatial.New(homes, reach), homes: homes, reach: reach}
+	if reach > geom.MaxDist {
+		nb.all = nb.ix.AppendWithin(make([]int32, 0, len(homes)), geom.Point{}, reach)
+		nb.pos = make([]int32, len(homes))
+		for p, id := range nb.all {
+			nb.pos[id] = int32(p)
+		}
+	}
+	return nb
+}
+
+// complete reports whether every node lies within reach of every other.
+func (nb *neighborhoods) complete() bool { return nb.all != nil }
+
+// of returns node i's neighborhood and the position of i in it; a
+// query reports its own point, so i is always there. The slice is
+// shared: read it before the next call, and do not modify it.
+func (nb *neighborhoods) of(i int) ([]int32, int) {
+	if nb.all != nil {
+		return nb.all, int(nb.pos[i])
+	}
+	nb.buf = nb.ix.AppendWithin(nb.buf[:0], nb.homes[i], nb.reach)
+	return nb.buf, slices.Index(nb.buf, int32(i))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hybridcap/internal/delay"
@@ -235,10 +236,12 @@ func sameBreakdown(got, want delay.Breakdown) bool {
 
 // The bulk neighborhood scan must reproduce the closure-based passes
 // bit for bit: where every MS meets every other (alpha = 0.04, reach
-// past the torus diameter), under partial reach, and with clustered
-// home-points, for both relay caps.
+// past the torus diameter) with node service both summed in full (at
+// most 512 neighbors) and sampled, under partial reach, and with
+// clustered home-points, for both relay caps.
 func TestNeighborPassesMatchReference(t *testing.T) {
 	points := []scaling.Params{
+		{N: 256, Alpha: 0.04, K: -1, M: 1},
 		{N: 1024, Alpha: 0.04, K: -1, M: 1},
 		{N: 600, Alpha: 0.15, K: -1, M: 1},
 		{N: 1024, Alpha: 0.3, K: -1, M: 1},
@@ -264,6 +267,12 @@ func TestNeighborPassesMatchReference(t *testing.T) {
 						func() (*Evaluation, error) { return refTwoHop(TwoHopRelay{MaxRelays: 8}, nw, tr) }},
 					{"d2d", func() (*Evaluation, error) { return D2D{}.Evaluate(nw, tr) },
 						func() (*Evaluation, error) { return refD2D(D2D{}, nw, tr) }},
+					// A small S* range keeps node service below its cap
+					// of 1, so its sums and draws reach lambdaNodes.
+					{"twoHop/ct0.1", func() (*Evaluation, error) { return TwoHopRelay{CT: 0.1}.Evaluate(nw, tr) },
+						func() (*Evaluation, error) { return refTwoHop(TwoHopRelay{CT: 0.1}, nw, tr) }},
+					{"d2d/ct0.1", func() (*Evaluation, error) { return D2D{CT: 0.1}.Evaluate(nw, tr) },
+						func() (*Evaluation, error) { return refD2D(D2D{CT: 0.1}, nw, tr) }},
 				}
 				for _, c := range cases {
 					want, werr := c.want()
@@ -325,6 +334,38 @@ func TestBaselineAllocationBound(t *testing.T) {
 		perEval := float64(after.TotalAlloc-before.TotalAlloc) / runs
 		if limit := 1.0 * (1 << 20); perEval >= limit {
 			t.Errorf("%s.Evaluate allocates %.0f bytes, want < %.0f", s.Name(), perEval, limit)
+		}
+	}
+}
+
+// neighborhoods must hand out, for every node, exactly the ids its own
+// reach query reports, and the node's position in them: from the one
+// shared list where the reach covers the torus, and per query below it.
+func TestNeighborhoodsMatchQueries(t *testing.T) {
+	for _, p := range []scaling.Params{
+		{N: 300, Alpha: 0.04, K: -1, M: 1},
+		{N: 300, Alpha: 0.3, K: -1, M: 1},
+	} {
+		nw, _ := buildNetPlaced(t, p, 3, network.Grid)
+		a, err := linkcap.NewAnalytic(nw, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		homes, reach := nw.HomePoints(), a.Reach()
+		ix := spatial.New(homes, reach)
+		nb := newNeighborhoods(homes, reach)
+		if want := reach > geom.MaxDist; nb.complete() != want {
+			t.Fatalf("alpha=%v reach=%v: complete() = %v, want %v", p.Alpha, reach, nb.complete(), want)
+		}
+		for i := range homes {
+			want := ix.AppendWithin(nil, homes[i], reach)
+			got, pos := nb.of(i)
+			if !slices.Equal(got, want) {
+				t.Fatalf("alpha=%v node %d: neighborhood differs from its query", p.Alpha, i)
+			}
+			if pos < 0 || got[pos] != int32(i) {
+				t.Fatalf("alpha=%v node %d: position %d does not hold the node", p.Alpha, i, pos)
+			}
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"hybridcap/internal/linkcap"
 	"hybridcap/internal/network"
 	"hybridcap/internal/rng"
-	"hybridcap/internal/spatial"
 	"hybridcap/internal/traffic"
 )
 
@@ -44,35 +43,33 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 		return nil, fmt.Errorf("routing: two-hop relay: %w", err)
 	}
 	homes := nw.HomePoints()
-	ix := spatial.New(homes, a.Reach())
+	reach := a.Reach()
+	nb := newNeighborhoods(homes, reach)
 	rnd := rng.New(0x2).Derive("twohop").Rand()
 
 	ev := &Evaluation{Detail: map[string]float64{}}
 	nodeLoad := make([]float64, nw.NumMS())
 	lambdaPairs := math.Inf(1)
-	reach := a.Reach()
 
 	// Pair-loop scratch (hotalloc): the candidate-relay and weight
-	// buffers are allocated once per evaluation and reused across pairs
-	// and, for relays, by the node-service pass below.
-	var (
-		relays  []int32
-		weights []float64
-	)
+	// buffers are allocated once per evaluation, the relays at their
+	// largest size, and reused across pairs.
+	relays := make([]int32, 0, len(homes))
+	var weights []float64
 	for src, dst := range tr.DestOf {
 		hs, hd := homes[src], homes[dst]
-		direct := a.MSMS(geom.Dist(hs, hd))
+		direct := a.MSMSBetween(hs, hd)
 
 		// Candidate relays: nodes whose home-point can meet both ends,
-		// kept in the index's order.
-		relays = ix.AppendWithin(relays[:0], hs, reach)
-		kept := relays[:0]
-		for _, id := range relays {
-			if int(id) != src && int(id) != dst && math.Sqrt(geom.Dist2Unit(homes[id], hd)) < reach {
-				kept = append(kept, id)
+		// kept in the index's order. Where the reach covers the torus
+		// every node meets the destination.
+		cands, _ := nb.of(src)
+		relays = relays[:0]
+		for _, id := range cands {
+			if int(id) != src && int(id) != dst && (nb.complete() || math.Sqrt(geom.Dist2Unit(homes[id], hd)) < reach) {
+				relays = append(relays, id)
 			}
 		}
-		relays = kept
 		scale := 1.0
 		if len(relays) > maxRelays {
 			// Sample a subset; scale the aggregate up accordingly.
@@ -87,7 +84,7 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 		weights = weights[:0]
 		wsum := 0.0
 		for _, r := range relays {
-			w := math.Min(a.MSMS(math.Sqrt(geom.Dist2Unit(hs, homes[r]))), a.MSMS(math.Sqrt(geom.Dist2Unit(homes[r], hd)))) / 2
+			w := math.Min(a.MSMSBetween(hs, homes[r]), a.MSMSBetween(homes[r], hd)) / 2
 			weights = append(weights, w)
 			wsum += w
 		}
@@ -118,8 +115,8 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 		if nodeLoad[i] == 0 {
 			continue
 		}
-		var service float64
-		service, relays = nodeServiceRate(a, ix, homes, i, rnd, relays)
+		nbrs, p := nb.of(i)
+		service := nodeServiceRate(a, homes, i, nbrs, p, rnd)
 		if service <= 0 {
 			ev.Failures++
 			continue
@@ -144,33 +141,29 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 	return finish(ev), nil
 }
 
-// nodeServiceRate estimates sum_j mu(i, j) over neighbors, sampling
-// beyond a cap, clipped to the unit channel bandwidth. buf is scratch
-// for the neighbor ids; the possibly grown buffer is returned for reuse.
-func nodeServiceRate(a *linkcap.Analytic, ix *spatial.Index, homes []geom.Point, i int, rnd interface{ Intn(int) int }, buf []int32) (float64, []int32) {
-	buf = ix.AppendWithin(buf[:0], homes[i], a.Reach())
-	neighbors := buf[:0]
-	for _, id := range buf {
-		if int(id) != i {
-			neighbors = append(neighbors, id)
-		}
-	}
-	if len(neighbors) == 0 {
-		return 0, neighbors
+// nodeServiceRate estimates sum_j mu(i, j) over node i's neighbors,
+// sampling beyond a cap, clipped to the unit channel bandwidth. nbrs is
+// i's neighborhood as neighborhoods.of gives it, with i itself at
+// position p; the sums and draws skip that position.
+func nodeServiceRate(a *linkcap.Analytic, homes []geom.Point, i int, nbrs []int32, p int, rnd interface{ Intn(int) int }) float64 {
+	m := len(nbrs) - 1
+	if m <= 0 {
+		return 0
 	}
 	const maxProbe = 512
 	hi := homes[i]
 	sum := 0.0
-	if len(neighbors) <= maxProbe {
-		for _, j := range neighbors {
-			sum += a.MSMS(math.Sqrt(geom.Dist2Unit(hi, homes[j])))
-		}
+	if m <= maxProbe {
+		sum = a.MSMSSum(hi, homes, nbrs, p)
 	} else {
 		for s := 0; s < maxProbe; s++ {
-			j := neighbors[rnd.Intn(len(neighbors))]
-			sum += a.MSMS(math.Sqrt(geom.Dist2Unit(hi, homes[j])))
+			k := rnd.Intn(m)
+			if k >= p {
+				k++
+			}
+			sum += a.MSMSBetween(hi, homes[nbrs[k]])
 		}
-		sum = sum / maxProbe * float64(len(neighbors))
+		sum = sum / maxProbe * float64(m)
 	}
-	return math.Min(1, sum), neighbors
+	return math.Min(1, sum)
 }

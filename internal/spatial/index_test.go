@@ -3,6 +3,7 @@ package spatial
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -67,6 +68,48 @@ func TestWithinLargeRadiusCoversAll(t *testing.T) {
 	got := ix.AppendWithin(nil, geom.Point{X: 0.5, Y: 0.5}, geom.MaxDist+0.01)
 	if len(got) != len(pts) {
 		t.Errorf("radius > MaxDist returned %d of %d points", len(got), len(pts))
+	}
+}
+
+// Past the torus diameter every point lies within the radius of every
+// query, and AppendWithin must report them all in one order that does
+// not depend on the query point: the two-hop and D2D baselines take
+// that list once per evaluation in place of one query per node.
+func TestWithinPastDiameterIgnoresQuery(t *testing.T) {
+	clustered := randomPoints(300, 6)
+	for i := range clustered {
+		clustered[i] = geom.Point{X: clustered[i].X * 0.05, Y: clustered[i].Y * 0.05}
+	}
+	lattice := randomPoints(300, 7)
+	for i := range lattice {
+		lattice[i] = geom.Point{X: math.Floor(lattice[i].X*16) / 16, Y: math.Floor(lattice[i].Y*16) / 16}
+	}
+	sets := map[string][]geom.Point{"uniform": randomPoints(500, 5), "clustered": clustered, "lattice": lattice}
+	for _, name := range []string{"uniform", "clustered", "lattice"} {
+		pts := sets[name]
+		rng := rand.New(rand.NewSource(8))
+		queries := []geom.Point{{}, {X: 0.5, Y: 0.5}, {X: math.Nextafter(1, 0), Y: math.Nextafter(1, 0)}, pts[0]}
+		for i := 0; i < 50; i++ {
+			queries = append(queries, geom.Point{X: rng.Float64(), Y: rng.Float64()}, pts[rng.Intn(len(pts))])
+		}
+		for _, side := range []float64{0, 0.05, 1.0 / 16, 0.3, 1.43} {
+			ix := New(pts, side)
+			for _, r := range []float64{math.Nextafter(geom.MaxDist, 1), 1, 1.43, math.Inf(1)} {
+				want := ix.AppendWithin(nil, queries[0], r)
+				seen := make([]bool, len(pts))
+				for _, id := range want {
+					seen[id] = true
+				}
+				if len(want) != len(pts) || slices.Contains(seen, false) {
+					t.Fatalf("%s side=%v r=%v: %d ids, not every point once", name, side, r, len(want))
+				}
+				for _, q := range queries[1:] {
+					if got := ix.AppendWithin(nil, q, r); !slices.Equal(got, want) {
+						t.Fatalf("%s side=%v r=%v: query %v reports another order than %v", name, side, r, q, queries[0])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,37 +1,40 @@
-// Command capsim evaluates one hybrid-network instance: it builds the
-// network for the given scaling parameters, classifies its mobility
-// regime, evaluates the selected communication scheme and prints the
-// sustainable per-node rate next to the theoretical order.
+// Command capsim evaluates the paper's hybrid-network model at one
+// parameter point or over a declarative scenario, and serves scenarios
+// as a daemon. Every evaluation runs through the one scenario path,
+// experiments.RunScenario.
 //
-// Example:
+// Point mode prints the theory for the (alpha, K, phi, M, R) point —
+// instance sizes, mobility regime with both indicators, the capacity
+// and optimal-RT orders, Table I — and then runs the point as a
+// one-size scenario whose lambda is the best of the selected schemes
+// (-scheme NAME evaluates one). -seeds k averages k instances:
 //
 //	capsim -n 4096 -alpha 0.3 -K 0.8 -phi 1 -scheme schemeB -placement grid
 //
 // Fault injection: -bs-outage / -edge-outage / -erasure install a
-// deterministic fault plan (seeded by -fault-seed) before evaluation,
-// and -outage-curve sweeps the BS outage fraction from 0 to 1 printing
-// the capacity-vs-outage curve for every selected scheme.
+// deterministic fault plan (seeded by -fault-seed) in every instance.
+// Experiment E14 gives the capacity-vs-outage curve; a shell loop over
+// -bs-outage gives it at any other point.
 //
 // Scenario mode: -scenario runs a declarative scenario JSON file (see
-// EXPERIMENTS.md "Scenarios") through the grid engine instead of a
-// single instance — new regimes without recompilation:
+// EXPERIMENTS.md "Scenarios") through the grid engine — new regimes
+// without recompilation:
 //
 //	capsim -scenario examples/scenarios/strong-mobility.json -quick
 //
 // Incremental recompute: -cell-cache DIR persists every evaluated grid
-// cell of a scenario sweep; re-running the same regime (or an edited
-// scenario sharing cells with it) replays the stored values
-// byte-identically and only computes the cells that changed. The same
-// flag under -serve shares the cell cache across daemon submissions:
+// cell; re-running the same regime (or an edited scenario sharing cells
+// with it) replays the stored values byte-identically and only computes
+// the cells that changed. The same flag under -serve shares the cell
+// cache across daemon submissions:
 //
 //	capsim -scenario examples/scenarios/strong-mobility.json -cell-cache out/cells
 //
-// Observability: -metrics-out dumps the run's metrics registry
-// (Prometheus text format) and -trace-out its span tree (JSON);
-// -frozen-clock pins every timestamp to a fixed epoch so both files are
-// byte-identical across runs and worker counts. -serve-metrics ADDR
-// serves the live registry (/metrics, /debug/vars) and -pprof ADDR the
-// standard profiler while a long sweep runs:
+// Observability: both modes write <id>.{txt,csv,manifest.json} under
+// -out. -metrics-out dumps the run's metrics registry (Prometheus text
+// format) and -trace-out its span tree (JSON); -frozen-clock pins every
+// timestamp to a fixed epoch so both files are byte-identical across
+// runs and worker counts:
 //
 //	capsim -scenario examples/scenarios/strong-mobility.json -quick \
 //	    -frozen-clock -metrics-out out/metrics.txt -trace-out out/trace.json
@@ -40,18 +43,16 @@
 // service (see README "Scenario service"): POST a scenario JSON to
 // /runs and fetch status/report/manifest by run id, with a bounded
 // admission queue, content-addressed result cache under -cache-dir,
-// and graceful drain on SIGINT/SIGTERM:
+// and graceful drain on SIGINT/SIGTERM. The daemon also serves the live
+// registry (/metrics, /debug/vars) and /debug/pprof:
 //
 //	capsim -serve :8080 -cache-dir out/cache -quick
 package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof
 	"os"
 	"os/signal"
 	"strconv"
@@ -62,21 +63,16 @@ import (
 	"hybridcap/internal/capacity"
 	"hybridcap/internal/cli"
 	"hybridcap/internal/experiments"
-	"hybridcap/internal/faults"
-	"hybridcap/internal/network"
-	"hybridcap/internal/obs"
-	"hybridcap/internal/rng"
 	"hybridcap/internal/routing"
 	"hybridcap/internal/scaling"
 	"hybridcap/internal/scenario"
 	"hybridcap/internal/server"
-	"hybridcap/internal/traffic"
 )
 
 func main() {
 	// SIGINT/SIGTERM cancel the run context: the daemon drains
-	// gracefully, and an in-flight scenario sweep stops scheduling grid
-	// cells promptly instead of running to completion.
+	// gracefully, and an in-flight sweep stops scheduling grid cells
+	// promptly instead of running to completion.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx); err != nil {
@@ -87,25 +83,9 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		n           = flag.Int("n", 4096, "number of mobile stations")
-		alpha       = flag.Float64("alpha", 0.3, "network extension exponent: f(n) = n^alpha")
-		kExp        = flag.Float64("K", 0.6, "BS count exponent: k = n^K (negative = no BSs)")
-		phi         = flag.Float64("phi", 1, "backbone exponent: k*c(n) = n^phi")
-		mExp        = flag.Float64("M", 1, "cluster count exponent: m = n^M (1 = uniform)")
-		rExp        = flag.Float64("R", 0, "cluster radius exponent: r = n^-R")
-		scheme      = flag.String("scheme", "best", "a routing scheme name (see -list-schemes) or best")
 		listSchemes = flag.Bool("list-schemes", false, "print the routing scheme registry with descriptions and exit")
-		placement   = flag.String("placement", "matched", "matched | uniform | grid")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		bsOutage    = flag.Float64("bs-outage", 0, "fraction of base stations failed (nested outage sets)")
-		edgeOutage  = flag.Float64("edge-outage", 0, "fraction of backbone edges failed")
-		erasure     = flag.Float64("erasure", 0, "per-slot wireless erasure probability (packet sims)")
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed of the deterministic fault plan")
-		outageCurve = flag.Bool("outage-curve", false, "sweep the BS outage fraction 0..1 and print the capacity curve")
 		scenarioArg = flag.String("scenario", "", "run a declarative scenario JSON file through the grid engine (uses -out/-quick/-seeds/-workers)")
 		shardArg    = flag.String("shard", "", "with -scenario: run only shard i of k (\"i/k\", e.g. 0/3) of the sweep grid; merge the shard outputs with capmerge")
-		serveAddr   = flag.String("serve-metrics", "", "serve the live metrics registry on this address (/metrics Prometheus text, /debug/vars expvar) while running")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address while running")
 		daemonAddr  = flag.String("serve", "", "run the scenario service on this address (POST /runs; see README \"Scenario service\")")
 		cacheDir    = flag.String("cache-dir", "out/cache", "content-addressed result cache directory (with -serve)")
 		maxQueue    = flag.Int("max-queue", 16, "admission queue bound; a full queue sheds with 429 (with -serve)")
@@ -113,15 +93,15 @@ func run(ctx context.Context) error {
 		runTimeout  = flag.Duration("run-timeout", 0, "per-run deadline, 0 = none (with -serve)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline (with -serve)")
 	)
+	point := bindPoint(flag.CommandLine)
 	common := cli.Bind(flag.CommandLine)
 	flag.Parse()
 
-	if *listSchemes {
+	switch {
+	case *listSchemes:
 		printSchemes()
 		return nil
-	}
-	serveDebug(*serveAddr, *pprofAddr)
-	if *daemonAddr != "" {
+	case *daemonAddr != "":
 		return runServe(ctx, *daemonAddr, common, server.Config{
 			CacheDir:      *cacheDir,
 			CellCacheDir:  common.CellCache,
@@ -130,126 +110,117 @@ func run(ctx context.Context) error {
 			RunTimeout:    *runTimeout,
 			DrainTimeout:  *drainWait,
 		})
-	}
-	if *scenarioArg != "" {
-		return runScenarioFile(ctx, *scenarioArg, *shardArg, common)
-	}
-	if *shardArg != "" {
+	case *shardArg != "" && *scenarioArg == "":
 		return fmt.Errorf("-shard requires -scenario")
 	}
-
-	p := scaling.Params{N: *n, Alpha: *alpha, K: *kExp, Phi: *phi, M: *mExp, R: *rExp}
-	if err := p.Validate(); err != nil {
-		return err
+	var report string
+	var err error
+	if *scenarioArg != "" {
+		report, err = runScenarioFile(ctx, *scenarioArg, *shardArg, common)
+	} else {
+		report, err = runPoint(ctx, point, common)
 	}
-	bsPlacement, err := network.ParsePlacement(*placement)
-	if err != nil {
-		return err
-	}
-	faultCfg := faults.Config{
-		Seed:               *faultSeed,
-		BSOutageFraction:   *bsOutage,
-		EdgeOutageFraction: *edgeOutage,
-		WirelessErasure:    *erasure,
-	}
-	if err := faultCfg.Validate(); err != nil {
-		return err
-	}
-
-	build := func(fc faults.Config) (*network.Network, error) {
-		cfg := network.Config{Params: p, Seed: *seed, BSPlacement: bsPlacement}
-		if fc.Active() {
-			plan, err := faults.New(fc)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Faults = plan
-		}
-		return network.New(cfg)
-	}
-	nw, err := build(faultCfg)
-	if err != nil {
-		return err
-	}
-	tr, err := traffic.NewPermutation(p.N, rng.New(*seed).Derive("traffic").Rand())
-	if err != nil {
-		return err
-	}
-
-	regime, ind := capacity.Classify(p)
-	fmt.Printf("params:    %v\n", p)
-	fmt.Printf("instance:  k=%d m=%d f=%.3g r=%.3g c=%.4g\n",
-		nw.NumBS(), p.NumClusters(), p.F(), p.ClusterRadius(), p.BandwidthC())
-	if faultCfg.Active() {
-		fmt.Printf("faults:    bs-outage=%.2f edge-outage=%.2f erasure=%.2f seed=%d -> %d/%d BSs live\n",
-			faultCfg.BSOutageFraction, faultCfg.EdgeOutageFraction, faultCfg.WirelessErasure,
-			faultCfg.Seed, nw.NumLiveBS(), nw.NumBS())
-	}
-	fmt.Printf("regime:    %v (f*sqrt(gamma)=%.3g, f*sqrt(gammaTilde)=%.3g)\n",
-		regime, ind.MobilityIndex, ind.SubnetIndex)
-	fmt.Printf("theory:    capacity %v, optimal RT %v, %v\n",
-		capacity.PerNodeCapacity(p), capacity.OptimalRT(p), capacity.Dominance(p))
-	fmt.Println()
-	fmt.Print(capacity.FormatTableI(capacity.TableI(p)))
-	fmt.Println()
-
-	schemes, err := selectSchemes(*scheme, p)
-	if err != nil {
-		return err
-	}
-	best := 0.0
-	for _, s := range schemes {
-		ev, err := s.Evaluate(nw, tr)
-		if err != nil {
-			fmt.Printf("%-14s error: %v\n", s.Name(), err)
-			continue
-		}
-		fmt.Printf("%-14s lambda=%.6g bottleneck=%s failures=%d degraded=%d dropped=%d\n",
-			s.Name(), ev.Lambda, ev.Bottleneck, ev.Failures, ev.Degraded, ev.Dropped)
-		if ev.Lambda > best {
-			best = ev.Lambda
-		}
-	}
-	fmt.Printf("best measured lambda: %.6g (theory order evaluates to %.6g at n=%d)\n",
-		best, capacity.PerNodeCapacity(p).Eval(float64(p.N)), p.N)
-
-	if *outageCurve {
-		fmt.Println()
-		if err := printOutageCurve(build, faultCfg, tr, schemes); err != nil {
-			return err
-		}
-	}
-	return nil
+	fmt.Print(report)
+	return err
 }
 
-// printOutageCurve sweeps the BS outage fraction with the other fault
-// knobs held fixed, printing one lambda column per scheme.
-func printOutageCurve(build func(faults.Config) (*network.Network, error), faultCfg faults.Config, tr *traffic.Pattern, schemes []routing.Scheme) error {
-	header := []string{"bs-outage"}
-	for _, s := range schemes {
-		header = append(header, s.Name())
+// pointFlags are point mode's flags: one parameter point of the paper's
+// model, the schemes scoring it, the BS placement and the fault plan.
+type pointFlags struct {
+	p          scaling.Params
+	scheme     string
+	placement  string
+	bsOutage   float64
+	edgeOutage float64
+	erasure    float64
+	faultSeed  uint64
+}
+
+// bindPoint registers point mode's flags on fs; read the result after
+// fs.Parse.
+func bindPoint(fs *flag.FlagSet) *pointFlags {
+	pf := &pointFlags{}
+	fs.IntVar(&pf.p.N, "n", 4096, "number of mobile stations")
+	fs.Float64Var(&pf.p.Alpha, "alpha", 0.3, "network extension exponent: f(n) = n^alpha")
+	fs.Float64Var(&pf.p.K, "K", 0.6, "BS count exponent: k = n^K (negative = no BSs)")
+	fs.Float64Var(&pf.p.Phi, "phi", 1, "backbone exponent: k*c(n) = n^phi")
+	fs.Float64Var(&pf.p.M, "M", 1, "cluster count exponent: m = n^M (1 = uniform)")
+	fs.Float64Var(&pf.p.R, "R", 0, "cluster radius exponent: r = n^-R")
+	fs.StringVar(&pf.scheme, "scheme", "best", "a routing scheme name (see -list-schemes) or best")
+	fs.StringVar(&pf.placement, "placement", "matched", "matched | uniform | grid")
+	fs.Float64Var(&pf.bsOutage, "bs-outage", 0, "fraction of base stations failed (nested outage sets)")
+	fs.Float64Var(&pf.edgeOutage, "edge-outage", 0, "fraction of backbone edges failed")
+	fs.Float64Var(&pf.erasure, "erasure", 0, "per-slot wireless erasure probability (packet sims)")
+	fs.Uint64Var(&pf.faultSeed, "fault-seed", 1, "seed of the deterministic fault plan")
+	return pf
+}
+
+// scenario renders the point as a validated one-size, one-seed
+// scenario, so a bad flag fails before any cell runs.
+func (pf *pointFlags) scenario() (*scenario.Scenario, error) {
+	p := pf.p
+	sc := &scenario.Scenario{
+		Name:        "point", // the report ID, and the salt of the cell seeds
+		Description: "one parameter point",
+		Base:        scenario.Exponents{Alpha: p.Alpha, K: p.K, Phi: p.Phi, M: p.M, R: p.R},
+		Sizes:       []int{p.N},
+		Seeds:       1,
+		Schemes:     schemeNames(pf.scheme, p),
+		Placement:   pf.placement,
 	}
-	fmt.Println("capacity vs BS outage fraction:")
-	fmt.Println(strings.Join(header, "\t"))
-	for _, q := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1} {
-		fc := faultCfg
-		fc.BSOutageFraction = q
-		nw, err := build(fc)
-		if err != nil {
-			return err
-		}
-		row := []string{fmt.Sprintf("%.2f", q)}
-		for _, s := range schemes {
-			ev, err := s.Evaluate(nw, tr)
-			if err != nil {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.6g", ev.Lambda))
-		}
-		fmt.Println(strings.Join(row, "\t"))
+	f := scenario.FaultSpec{Seed: pf.faultSeed, BSOutage: pf.bsOutage, EdgeOutage: pf.edgeOutage, WirelessErasure: pf.erasure}
+	if f != (scenario.FaultSpec{Seed: f.Seed}) {
+		sc.Faults = &f
 	}
-	return nil
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// schemeNames resolves -scheme to a scenario scheme set: "best" is
+// every scheme applicable to the point, anything else names one scheme
+// (scenario validation rejects an unknown name).
+func schemeNames(name string, p scaling.Params) []string {
+	if name != "best" {
+		return []string{name}
+	}
+	names := []string{routing.NameSchemeA, routing.NameTwoHop}
+	if p.HasInfrastructure() {
+		names = append(names, routing.NameSchemeB, routing.NameSchemeC)
+	}
+	return names
+}
+
+// runPoint runs the point as a scenario and returns its report under
+// the theory header; the header is returned even when the run fails.
+func runPoint(ctx context.Context, pf *pointFlags, c *cli.Common) (string, error) {
+	sc, err := pf.scenario()
+	if err != nil {
+		return "", err
+	}
+	report, err := runScenario(ctx, sc, c)
+	return header(pf.p) + report, err
+}
+
+// header renders what the capacity theory says about p: instance
+// sizes, the mobility regime with both indicators, the capacity and
+// optimal-RT orders, Table I, and the capacity order evaluated at n.
+func header(p scaling.Params) string {
+	var b strings.Builder
+	regime, ind := capacity.Classify(p)
+	capOrder := capacity.PerNodeCapacity(p)
+	fmt.Fprintf(&b, "params:    %v\n", p)
+	fmt.Fprintf(&b, "instance:  k=%d m=%d f=%.3g r=%.3g c=%.4g\n",
+		p.NumBS(), p.NumClusters(), p.F(), p.ClusterRadius(), p.BandwidthC())
+	fmt.Fprintf(&b, "regime:    %v (f*sqrt(gamma)=%.3g, f*sqrt(gammaTilde)=%.3g)\n",
+		regime, ind.MobilityIndex, ind.SubnetIndex)
+	fmt.Fprintf(&b, "theory:    capacity %v, optimal RT %v, %v\n",
+		capOrder, capacity.OptimalRT(p), capacity.Dominance(p))
+	fmt.Fprintf(&b, "           capacity order evaluates to %.6g at n=%d\n\n", capOrder.Eval(float64(p.N)), p.N)
+	b.WriteString(capacity.FormatTableI(capacity.TableI(p)))
+	b.WriteByte('\n')
+	return b.String()
 }
 
 // printSchemes lists the routing registry, one scheme per line, the
@@ -257,59 +228,6 @@ func printOutageCurve(build func(faults.Config) (*network.Network, error), fault
 func printSchemes() {
 	for _, name := range routing.Names() {
 		fmt.Printf("%-15s %s\n", name, routing.Description(name))
-	}
-}
-
-// selectSchemes resolves -scheme against the routing registry; "best"
-// evaluates every scheme applicable to the parameter point.
-func selectSchemes(name string, p scaling.Params) ([]routing.Scheme, error) {
-	if name == "best" {
-		names := []string{routing.NameSchemeA, routing.NameTwoHop}
-		if p.HasInfrastructure() {
-			names = append(names, routing.NameSchemeB, routing.NameSchemeC)
-		}
-		list := make([]routing.Scheme, 0, len(names))
-		for _, n := range names {
-			s, err := routing.ByName(n, p)
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, s)
-		}
-		return list, nil
-	}
-	s, err := routing.ByName(name, p)
-	if err != nil {
-		return nil, err
-	}
-	return []routing.Scheme{s}, nil
-}
-
-// serveDebug starts the optional debug endpoints: the live metrics
-// registry (Prometheus text plus the expvar bridge) and net/http/pprof.
-// The user asked for these listeners explicitly, so a listener that
-// fails to come up (or dies later) is reported and fatal — silently
-// running without the requested endpoint would hide exactly the
-// failures it exists to expose.
-func serveDebug(metricsAddr, pprofAddr string) {
-	fatalServe := func(name, addr string, h http.Handler) {
-		go func() {
-			// http.ListenAndServe only ever returns a non-nil error.
-			err := http.ListenAndServe(addr, h)
-			fmt.Fprintf(os.Stderr, "capsim: %s listener on %s failed: %v\n", name, addr, err)
-			os.Exit(1)
-		}()
-	}
-	if metricsAddr != "" {
-		obs.PublishExpvar("hybridcap", obs.Default())
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Default().Handler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		fatalServe("-serve-metrics", metricsAddr, mux)
-	}
-	if pprofAddr != "" {
-		// The pprof import registered its handlers on the default mux.
-		fatalServe("-pprof", pprofAddr, nil)
 	}
 }
 
@@ -336,51 +254,57 @@ func runServe(ctx context.Context, addr string, c *cli.Common, cfg server.Config
 	return nil
 }
 
-// runScenarioFile loads a declarative scenario file, executes it
-// through the grid engine under the observability runtime selected by
-// the shared flags, and writes the report artifacts (including the run
-// manifest) plus any requested -metrics-out/-trace-out dumps. The
-// signal context cancels an in-flight sweep promptly. A -shard spec
-// overrides the file's shard field and restricts the run to one block
-// of the sweep grid.
-func runScenarioFile(ctx context.Context, path, shardSpec string, c *cli.Common) error {
+// runScenarioFile loads a declarative scenario file and runs it. A
+// -shard spec overrides the file's shard field and restricts the run
+// to one block of the sweep grid.
+func runScenarioFile(ctx context.Context, path, shardSpec string, c *cli.Common) (string, error) {
 	sc, err := scenario.Load(path)
 	if err != nil {
-		return err
+		return "", err
 	}
 	if shardSpec != "" {
 		sp, err := parseShard(shardSpec)
 		if err != nil {
-			return err
+			return "", err
 		}
 		sc.Shard = sp
 		if err := sc.Validate(); err != nil {
-			return err
+			return "", err
 		}
 	}
+	return runScenario(ctx, sc, c)
+}
+
+// runScenario executes sc through the grid engine under the
+// observability runtime the shared flags select, writes the report
+// artifacts (including the run manifest) plus any requested
+// -metrics-out/-trace-out dumps, and returns the report to print. The
+// signal context cancels an in-flight sweep promptly.
+func runScenario(ctx context.Context, sc *scenario.Scenario, c *cli.Common) (string, error) {
 	rt := c.Runtime()
 	o := c.Options()
 	o.Obs = rt
+	var err error
 	o.CellCache, err = c.CellStore()
 	if err != nil {
-		return err
+		return "", err
 	}
 	res, err := experiments.RunScenario(ctx, sc, o)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Print(res.Text())
+	report := res.Text()
 	if c.Out != "" {
 		if err := res.WriteFiles(c.Out); err != nil {
-			return err
+			return report, err
 		}
+		files := "txt,csv,manifest.json"
 		if res.Cells != nil {
-			fmt.Printf("\nwrote %s/%s.{txt,csv,manifest.json,cells.json}\n", c.Out, res.ID)
-		} else {
-			fmt.Printf("\nwrote %s/%s.{txt,csv,manifest.json}\n", c.Out, res.ID)
+			files += ",cells.json"
 		}
+		report += fmt.Sprintf("\nwrote %s/%s.{%s}\n", c.Out, res.ID, files)
 	}
-	return c.WriteObs(rt)
+	return report, c.WriteObs(rt)
 }
 
 // parseShard parses a -shard spec of the form "i/k" (shard index i of k

@@ -4,8 +4,7 @@
 // mobility wait for a relay contact, multihop forwarding, and the BS
 // uplink/backbone/downlink transit of the infrastructure modes), plus a
 // bounded-memory collector that folds per-pair breakdowns into
-// mean/P50/P99 statistics via the streaming engine's P-squared
-// quantile estimators.
+// mean/P50/P99 statistics via P-squared quantile estimators.
 //
 // The package is deliberately passive: routing schemes and the packet
 // simulator produce Breakdowns, a Collector aggregates them, and the
@@ -15,11 +14,7 @@
 // worker count and shard partition.
 package delay
 
-import (
-	"fmt"
-
-	"hybridcap/internal/engine"
-)
+import "fmt"
 
 // Breakdown is the slot-resolution delay decomposition of one delivered
 // packet (or of one source-destination pair under an analytic delay
@@ -126,10 +121,10 @@ func (s *Stats) Scale(f float64) {
 }
 
 // Collector folds per-pair Breakdowns into Stats in bounded memory: a
-// running mean per component plus one engine.Quantiles estimator over
-// the total delay. Results depend only on observation order.
+// running mean per component plus one P-squared quantiles estimator
+// over the total delay. Results depend only on observation order.
 type Collector struct {
-	q     *engine.Quantiles
+	q     *quantiles
 	sum   Breakdown
 	total float64
 	count int
@@ -142,7 +137,7 @@ func NewCollector(probs ...float64) (*Collector, error) {
 	if len(probs) == 0 {
 		probs = DefaultQuantiles
 	}
-	q, err := engine.NewQuantiles(probs...)
+	q, err := newQuantiles(probs...)
 	if err != nil {
 		return nil, fmt.Errorf("delay: %w", err)
 	}
@@ -155,7 +150,7 @@ func (c *Collector) Observe(b Breakdown) {
 	c.sum.add(b)
 	t := b.Total()
 	c.total += t
-	c.q.Observe(t)
+	c.q.observe(t)
 }
 
 // ObserveUnroutable records one pair the scheme could not serve.
@@ -169,17 +164,15 @@ func (c *Collector) Stats() Stats {
 		Samples:    float64(c.count),
 		Unroutable: float64(c.unrte),
 	}
-	probs := c.q.Probabilities()
-	st.Quantile = make([]float64, len(probs))
+	st.Quantile = make([]float64, len(c.q.probs))
 	if c.count == 0 {
 		return st
 	}
 	st.Mean = c.total / float64(c.count)
 	st.Components = c.sum
 	st.Components.scale(1 / float64(c.count))
-	for i, p := range probs {
-		v, _ := c.q.Quantile(p)
-		st.Quantile[i] = v
+	for i, e := range c.q.est {
+		st.Quantile[i] = e.quantile()
 	}
 	return st
 }

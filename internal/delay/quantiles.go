@@ -1,66 +1,55 @@
-package engine
+package delay
 
 import (
 	"fmt"
 	"sort"
 )
 
-// Quantiles estimates quantiles of a stream of values in bounded
+// quantiles estimates quantiles of a stream of values in bounded
 // memory with the P-squared algorithm (Jain & Chlamtac, CACM 1985):
 // five markers per requested probability, updated once per observation,
 // no sample storage — O(probabilities), never O(observations). Marker
 // updates depend only on arrival order, so values observed in grid
-// order (Stream's delivery order) give byte-identical estimates for
-// every worker count.
+// order (engine.Stream's delivery order) give byte-identical estimates
+// for every worker count.
 //
 // The estimator is approximate by construction (that is the price of
 // bounded memory); with fewer than five observations per marker set the
 // exact sample quantile is returned instead.
-type Quantiles struct {
+type quantiles struct {
 	probs []float64
 	est   []*p2Estimator
 	count int
 }
 
-// NewQuantiles prepares estimators for the given probabilities, each of
+// newQuantiles prepares estimators for the given probabilities, each of
 // which must lie strictly between 0 and 1.
-func NewQuantiles(probs ...float64) (*Quantiles, error) {
+func newQuantiles(probs ...float64) (*quantiles, error) {
 	if len(probs) == 0 {
-		return nil, fmt.Errorf("engine: quantiles: at least one probability is required")
+		return nil, fmt.Errorf("quantiles: at least one probability is required")
 	}
-	q := &Quantiles{probs: append([]float64(nil), probs...)}
+	q := &quantiles{probs: append([]float64(nil), probs...)}
 	for _, p := range q.probs {
 		if p <= 0 || p >= 1 {
-			return nil, fmt.Errorf("engine: quantiles: probability %v outside (0, 1)", p)
+			return nil, fmt.Errorf("quantiles: probability %v outside (0, 1)", p)
 		}
 		q.est = append(q.est, newP2(p))
 	}
 	return q, nil
 }
 
-// Observe feeds one value to every estimator.
-func (q *Quantiles) Observe(v float64) {
+// observe feeds one value to every estimator.
+func (q *quantiles) observe(v float64) {
 	q.count++
 	for _, e := range q.est {
 		e.observe(v)
 	}
 }
 
-// Count reports how many values were observed.
-func (q *Quantiles) Count() int { return q.count }
-
-// Probabilities returns the probabilities the estimator was built with,
-// in construction order. Callers that fold estimates into fixed-shape
-// records (e.g. per-scheme delay stats) iterate this instead of keeping
-// their own copy of the request.
-func (q *Quantiles) Probabilities() []float64 {
-	return append([]float64(nil), q.probs...)
-}
-
-// Quantile returns the current estimate for probability p. The bool is
+// quantile returns the current estimate for probability p. The bool is
 // false when p was not requested at construction or nothing was
 // observed yet.
-func (q *Quantiles) Quantile(p float64) (float64, bool) {
+func (q *quantiles) quantile(p float64) (float64, bool) {
 	for i, qp := range q.probs {
 		if qp == p {
 			if q.count == 0 {

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -469,100 +467,5 @@ func TestStreamRetainedHeap(t *testing.T) {
 	}
 	if collected <= 4*mib {
 		t.Errorf("collected run retained %d bytes, want > 4 MiB", collected)
-	}
-}
-
-// TestQuantilesAccuracy checks the P-squared estimates against exact
-// sample quantiles on a deterministic pseudo-random stream: the
-// estimator is approximate, so the gate is a loose relative tolerance.
-func TestQuantilesAccuracy(t *testing.T) {
-	q, err := NewQuantiles(0.5, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(7))
-	const n = 20000
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = r.NormFloat64()*3 + 10
-		q.Observe(vals[i])
-	}
-	if q.Count() != n {
-		t.Fatalf("count %d, want %d", q.Count(), n)
-	}
-	sort.Float64s(vals)
-	for _, p := range []float64{0.5, 0.95} {
-		got, ok := q.Quantile(p)
-		if !ok {
-			t.Fatalf("p=%v: no estimate", p)
-		}
-		want := vals[int(p*float64(n))]
-		if math.Abs(got-want) > 0.1*math.Abs(want)+0.1 {
-			t.Fatalf("p=%v: estimate %v, exact %v", p, got, want)
-		}
-	}
-	if _, ok := q.Quantile(0.25); ok {
-		t.Fatal("unrequested probability returned an estimate")
-	}
-}
-
-// TestQuantilesDeterministicAcrossWorkers folds the same grid through
-// Quantiles at several worker counts: grid-order delivery must make the
-// estimator state — and therefore the estimates — bit-identical.
-func TestQuantilesDeterministicAcrossWorkers(t *testing.T) {
-	const points, seeds = 40, 25
-	run := func(workers int) (float64, float64) {
-		q, err := NewQuantiles(0.5, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = Stream(context.Background(), Grid{Points: points, Seeds: seeds, Workers: workers},
-			func(point, seed int) (float64, error) {
-				if (point+seed)%11 == 0 {
-					return 0, errors.New("skipped")
-				}
-				return math.Sin(cellValue(point, seed)), nil
-			}, func(_, _ int, out Outcome[float64]) {
-				if out.Err == nil {
-					q.Observe(out.Value)
-				}
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, _ := q.Quantile(0.5)
-		h, _ := q.Quantile(0.9)
-		return m, h
-	}
-	m1, h1 := run(1)
-	for _, workers := range []int{2, 8} {
-		m, h := run(workers)
-		if m != m1 || h != h1 {
-			t.Fatalf("workers=%d: quantiles (%v, %v) differ from serial (%v, %v)", workers, m, h, m1, h1)
-		}
-	}
-}
-
-// TestQuantilesSmallSample proves the exact-sample fallback below five
-// observations.
-func TestQuantilesSmallSample(t *testing.T) {
-	q, err := NewQuantiles(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := q.Quantile(0.5); ok {
-		t.Fatal("empty estimator returned an estimate")
-	}
-	for _, v := range []float64{9, 1, 5} {
-		q.Observe(v)
-	}
-	if got, _ := q.Quantile(0.5); got != 5 {
-		t.Fatalf("median of {1,5,9} = %v, want 5", got)
-	}
-	if _, err := NewQuantiles(); err == nil {
-		t.Fatal("NewQuantiles() accepted zero probabilities")
-	}
-	if _, err := NewQuantiles(1.5); err == nil {
-		t.Fatal("NewQuantiles(1.5) accepted an out-of-range probability")
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"hybridcap/internal/cli"
+	"hybridcap/internal/experiments"
 )
 
 // parsePoint binds point mode's flags on a fresh flag set and parses
@@ -102,5 +104,36 @@ func TestPointRejectsBadFlags(t *testing.T) {
 		if out != "" {
 			t.Errorf("%v: reported before failing:\n%s", tc.args, out)
 		}
+	}
+}
+
+// TestShardMergesThroughCellCache drives -shard as CI's shard smoke
+// does: without -cell-cache a shard fails before anything prints; with
+// one, the unsharded run over the shards' cache reports exactly what a
+// run without a cache reports.
+func TestShardMergesThroughCellCache(t *testing.T) {
+	const sc = "../../examples/scenarios/strong-mobility.json"
+	ctx := context.Background()
+	c := &cli.Common{Quick: true, Seeds: 2, Workers: 2}
+	out, err := runScenarioFile(ctx, sc, "0/3", c)
+	if !errors.Is(err, experiments.ErrShardNoCache) || out != "" {
+		t.Fatalf("-shard 0/3 without -cell-cache: err %v, report %q; want ErrShardNoCache and no report", err, out)
+	}
+	want, err := runScenarioFile(ctx, sc, "", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.CellCache = t.TempDir()
+	for _, shard := range []string{"0/3", "1/3", "2/3"} {
+		out, err := runScenarioFile(ctx, sc, shard, c)
+		if err != nil {
+			t.Fatalf("-shard %s: %v", shard, err)
+		}
+		if !strings.Contains(out, "shard "+shard+": cells [") {
+			t.Errorf("-shard %s report has no shard row:\n%s", shard, out)
+		}
+	}
+	if got, err := runScenarioFile(ctx, sc, "", c); err != nil || got != want {
+		t.Errorf("unsharded run over the shards' cache (err %v):\n--- want\n%s\n--- got\n%s", err, want, got)
 	}
 }

@@ -36,17 +36,9 @@ var deterministicPkgs = map[string]bool{
 	// are a pure function of its value, so a directory written on one
 	// host replays on another.
 	"blob": true,
-	// cells is the per-cell outcome artifact a sharded run writes and
-	// capmerge folds back together; its bytes must reproduce exactly for
-	// the merged report to be byte-identical to an unsharded run.
-	"cells": true,
-	// shardmerge reassembles sharded sweeps into reports byte-identical
-	// to an unsharded run — any ambient nondeterminism would break that
-	// equivalence outright.
-	"shardmerge": true,
 	// delay aggregates per-packet delay statistics whose quantiles and
 	// cross-seed means must reproduce byte-identically across worker
-	// counts and shard merges; its folds depend only on observation
+	// counts and shards; its folds depend only on observation
 	// order, never on ambient state.
 	"delay": true,
 	// spatial's query order (row-major cells, ascending ids within a

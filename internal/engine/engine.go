@@ -150,8 +150,9 @@ type Grid struct {
 	// of the grid: shard j of k owns the global cells [j*n/k, (j+1)*n/k)
 	// in grid order (point varying slowest), so the k shards form an
 	// exact disjoint cover. Cells keep their global coordinates — and
-	// therefore their pre-derived seeds — so any partition of the grid
-	// merges byte-identically to an unsharded run. ShardCount <= 0 runs
-	// the whole grid.
+	// therefore their pre-derived seeds — so under any partition of the
+	// grid each cell computes the value an unsharded run would, and a
+	// shared Cache replays it there. ShardCount <= 0 runs the whole
+	// grid.
 	ShardIndex, ShardCount int
 }

@@ -58,7 +58,7 @@ func TestDelaySweepWorkerInvariance(t *testing.T) {
 // same additions in the same order.
 func TestDelaySweepShardMergeByteIdentical(t *testing.T) {
 	sizes, base, schemes := delayTestArgs()
-	g := testGrid(t, "shardmerge", sizes, base, network.Uniform)
+	g := testGrid(t, "shard-delay", sizes, base, network.Uniform)
 	eval := delayEval(schemes, nil, nil)
 	o := Options{Seeds: 3, Workers: 4}
 	full, err := delayRun(o, g, nil, len(schemes), eval)

@@ -93,7 +93,7 @@ func DelayCapacity(o Options) (*Result, error) {
 			return nil, err
 		}
 		sizes := o.sizes(sc.SizesFor(false), sc.SizesFor(true))
-		lam, dpts, err := sweepScenario(o, sc, sizes, nil)
+		lam, dpts, err := sweepScenario(o, sc, sizes)
 		if err != nil {
 			return nil, err
 		}

@@ -24,7 +24,6 @@ import (
 	"runtime"
 
 	"hybridcap/internal/cellcache"
-	"hybridcap/internal/cells"
 	"hybridcap/internal/measure"
 	"hybridcap/internal/network"
 	"hybridcap/internal/obs"
@@ -54,10 +53,6 @@ type Result struct {
 	// scenario hash, the resolved grid, cache activity and per-phase
 	// cell tallies. Nil for experiments that are not scenario sweeps.
 	Manifest *obs.Manifest
-	// Cells is the raw per-cell artifact of a sharded scenario run,
-	// written alongside the report for shard-merge tooling
-	// (cmd/capmerge). Nil for unsharded runs.
-	Cells *cells.File
 }
 
 // Options tunes experiment cost.

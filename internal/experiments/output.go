@@ -57,15 +57,6 @@ func (r *Result) WriteFiles(dir string) error {
 			return fmt.Errorf("experiments: %w", err)
 		}
 	}
-	if r.Cells != nil {
-		data, err := r.Cells.Marshal()
-		if err != nil {
-			return err
-		}
-		if err := blob.WriteFile(filepath.Join(dir, r.ID+".cells.json"), data); err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-	}
 	if len(r.Series) == 0 {
 		return nil
 	}

@@ -2,17 +2,21 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"hybridcap/internal/asciiplot"
 	"hybridcap/internal/capacity"
-	"hybridcap/internal/cells"
-	"hybridcap/internal/engine"
 	"hybridcap/internal/measure"
 	"hybridcap/internal/mobility"
 	"hybridcap/internal/obs"
 	"hybridcap/internal/scenario"
 )
+
+// ErrShardNoCache marks a sharded scenario run without a cell cache: a
+// shard's cells reach the merged run only through the cache, so without
+// one the shard's work would be lost.
+var ErrShardNoCache = errors.New("a sharded run needs a cell cache to store its cells")
 
 // RunScenario executes one declarative scenario through the grid engine
 // and packages the sweep as a Result: the measured lambda series with
@@ -26,14 +30,20 @@ import (
 // the context error — a canceled run never yields a partial Result.
 //
 // A sharded scenario (sc.Shard set) evaluates only its block of the
-// global grid: the Result carries the shard's partial series, a cells
-// artifact with the raw per-cell outcomes, and a manifest recording the
-// shard identity and grid coverage; fits and charts are deferred to the
-// merged run (cmd/capmerge), whose output is byte-identical to an
-// unsharded run of the same scenario.
+// global grid and stores every successful cell in o.CellCache, which it
+// therefore requires: the Result carries the shard's partial series and
+// a manifest recording the shard identity and grid coverage, with no
+// fit or chart. The shards of a sweep merge through the cache they
+// share: an unsharded run of the same scenario over it replays every
+// stored cell and computes only the rest (failed cells, which are never
+// stored, and the blocks of shards that did not finish), so its report
+// and manifest are the unsharded run's own.
 func RunScenario(ctx context.Context, sc *scenario.Scenario, o Options) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
+	}
+	if sc.Shard != nil && o.CellCache == nil {
+		return nil, fmt.Errorf("experiments: scenario %s: %w", sc.Name, ErrShardNoCache)
 	}
 	o.Ctx = ctx
 	if o.Seeds == 0 && sc.Seeds > 0 {
@@ -49,17 +59,10 @@ func RunScenario(ctx context.Context, sc *scenario.Scenario, o Options) (*Result
 	}
 	sizes := o.sizes(sc.SizesFor(false), sc.SizesFor(true))
 	seeds := o.seeds()
-	var rec cellRecorder
-	var cellsFile *cells.File
 	if sc.Shard != nil {
 		// The static Validate bound uses the declared grid; the resolved
 		// one (quick sizes, defaulted seeds) may be smaller.
 		if err := sc.Shard.CheckGrid(sc.Name, len(sizes)*seeds); err != nil {
-			return nil, err
-		}
-		var err error
-		cellsFile, rec, err = newCellsRecorder(sc, sizes, seeds)
-		if err != nil {
 			return nil, err
 		}
 	}
@@ -67,13 +70,13 @@ func RunScenario(ctx context.Context, sc *scenario.Scenario, o Options) (*Result
 	cacheBefore := mobility.ReadCacheStats()
 	// The delay pass evaluates the lambda pass's exact cells, so both
 	// run inside the same scenario span and cache-delta window.
-	series, dpts, err := sweepScenario(o, sc, sizes, rec)
+	series, dpts, err := sweepScenario(o, sc, sizes)
 	cacheAfter := mobility.ReadCacheStats()
 	rt.Pop()
 	if err != nil {
 		return nil, err
 	}
-	res, err := AssembleScenario(sc, sizes, seeds, series)
+	res, err := assembleScenario(sc, sizes, seeds, series)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +90,6 @@ func RunScenario(ctx context.Context, sc *scenario.Scenario, o Options) (*Result
 		}
 		res.Rows = append(res.Rows, fmt.Sprintf("shard %d/%d: cells [%d,%d) of %d",
 			sc.Shard.Index, sc.Shard.Count, lo, hi, len(sizes)*seeds))
-		res.Cells = cellsFile
 	}
 	man, err := buildManifest(rt, sc, o, sizes, cacheBefore, cacheAfter)
 	if err != nil {
@@ -97,16 +99,13 @@ func RunScenario(ctx context.Context, sc *scenario.Scenario, o Options) (*Result
 	return res, nil
 }
 
-// AssembleScenario packages a scenario sweep's measured series as a
+// assembleScenario packages a scenario sweep's measured series as a
 // Result: the description, the report rows (grid header, fault line,
 // per-point coverage, regime classification), the requested power-law
-// fit and the ascii chart. It is shared by RunScenario and the
-// shard-merge path (cmd/capmerge), so a merged report is assembled by
-// exactly the code an unsharded run uses — the byte-identity guarantee
-// is structural, not re-implemented. For a sharded scenario the fit and
-// chart are skipped: one shard's partial series is not the artifact the
-// paper plots.
-func AssembleScenario(sc *scenario.Scenario, sizes []int, seeds int, series *measure.Series) (*Result, error) {
+// fit and the ascii chart. A sharded run gets neither fit nor chart:
+// one shard's partial series is not the artifact the paper plots. Nor
+// does a one-size series get a chart: a single point spans no decade.
+func assembleScenario(sc *scenario.Scenario, sizes []int, seeds int, series *measure.Series) (*Result, error) {
 	desc := sc.Description
 	if desc == "" {
 		desc = fmt.Sprintf("scenario %s", sc.Name)
@@ -144,6 +143,9 @@ func AssembleScenario(sc *scenario.Scenario, sizes []int, seeds int, series *mea
 		}
 		res.Fits = map[string]*measure.Fit{sc.Name: fit}
 	}
+	if series.Len() < 2 {
+		return res, nil
+	}
 	chart := asciiplot.LineChart{LogX: true, LogY: true, Title: "lambda vs n"}
 	ascii, err := chart.Render([]string{series.Name}, [][]float64{series.X}, [][]float64{series.Y})
 	if err != nil {
@@ -151,43 +153,4 @@ func AssembleScenario(sc *scenario.Scenario, sizes []int, seeds int, series *mea
 	}
 	res.Ascii = ascii
 	return res, nil
-}
-
-// newCellsRecorder prepares the cells artifact for a sharded run: the
-// shard-stripped canonical scenario (the sweep's shard-blind content
-// address) plus a recorder appending every covered cell outcome in grid
-// order.
-func newCellsRecorder(sc *scenario.Scenario, sizes []int, seeds int) (*cells.File, cellRecorder, error) {
-	base := sc.WithoutShard()
-	baseJSON, err := base.Marshal()
-	if err != nil {
-		return nil, nil, err
-	}
-	baseHash, err := base.SHA256()
-	if err != nil {
-		return nil, nil, err
-	}
-	f := &cells.File{
-		Schema:         cells.Schema,
-		Name:           sc.Name,
-		ScenarioSHA256: baseHash,
-		Scenario:       string(baseJSON),
-		Sizes:          append([]int(nil), sizes...),
-		Seeds:          seeds,
-		GridCells:      len(sizes) * seeds,
-	}
-	rec := func(point, seed int, cellSeed uint64, out engine.Outcome[float64]) {
-		c := cells.Cell{
-			Index: point*seeds + seed,
-			N:     sizes[point],
-			Seed:  cellSeed,
-			Value: out.Value,
-		}
-		if out.Err != nil {
-			c.Err = out.Err.Error()
-			c.Value = 0
-		}
-		f.Cells = append(f.Cells, c)
-	}
-	return f, rec, nil
 }

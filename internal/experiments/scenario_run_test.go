@@ -45,6 +45,26 @@ func TestRunScenario(t *testing.T) {
 	}
 }
 
+// A log-log chart needs two points: a one-size scenario (capsim's point
+// mode) reports its row without a chart, and a two-size one keeps it.
+func TestOneSizeScenarioHasNoChart(t *testing.T) {
+	for _, sizes := range [][]int{{128}, {128, 256}} {
+		sc := tinyScenario()
+		sc.Sizes, sc.Fit = sizes, false
+		res, err := RunScenario(context.Background(), sc, Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("%v: %v", sizes, err)
+		}
+		text := res.Text()
+		if !strings.Contains(text, "n=   128 lambda=") {
+			t.Errorf("%v: report missing the n=128 row:\n%s", sizes, text)
+		}
+		if hasChart := strings.Contains(text, "lambda vs n"); hasChart != (len(sizes) > 1) {
+			t.Errorf("%v sizes: chart drawn = %v:\n%s", sizes, hasChart, text)
+		}
+	}
+}
+
 // The scenario's own seed count applies when the options leave Seeds
 // unset, and an invalid scenario is rejected before any cell runs.
 func TestRunScenarioSeedsAndValidation(t *testing.T) {

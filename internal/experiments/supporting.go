@@ -158,7 +158,7 @@ func NoBSCapacity(o Options) (*Result, error) {
 		XName:       "n",
 		Fits:        map[string]*measure.Fit{},
 	}
-	lam, _, err := sweepScenario(o, sc, sizes, nil)
+	lam, _, err := sweepScenario(o, sc, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +413,7 @@ func WeakNoBS(o Options) (*Result, error) {
 		XName:       "n",
 		Fits:        map[string]*measure.Fit{},
 	}
-	lam, _, err := sweepScenario(o, sc, sizes, nil)
+	lam, _, err := sweepScenario(o, sc, sizes)
 	if err != nil {
 		return nil, err
 	}

@@ -189,8 +189,8 @@ type pointAgg[T, V any] interface {
 
 // gridPass is what one pass brings to the grid runner besides the grid:
 // the phase name ("sweep" or "delay"), the error prefix, the evaluator,
-// the aggregator and the optional shard spec, cell-cache scope (nil
-// stays uncached) and cell recorder.
+// the aggregator and the optional shard spec and cell-cache scope (nil
+// stays uncached).
 type gridPass[T, V any] struct {
 	phase  string
 	prefix string
@@ -198,7 +198,6 @@ type gridPass[T, V any] struct {
 	agg    pointAgg[T, V]
 	shard  *scenario.ShardSpec
 	scope  scopeFn
-	rec    func(point, seed int, cellSeed uint64, out engine.Outcome[T])
 }
 
 // gridPoint is one point's aggregate after a pass: its size, the
@@ -217,14 +216,14 @@ type gridPoint[V any] struct {
 // workers) state. The run is bracketed in a "<phase> <name>" span and
 // every cell outcome goes through the observability sink. An optional
 // shard spec restricts the run to one contiguous block of the global
-// grid (cells keep their global coordinates and seeds, so shard
-// outputs merge byte-identically to an unsharded run).
+// grid (cells keep their global coordinates and seeds, so a shard's
+// cells are exactly the unsharded run's).
 //
 // Failing seeds (errors or panics) are tolerated: a point aggregates
 // its surviving seeds and reports its coverage. Unsharded, a point
 // losing every seed aborts the run, reporting the point's first failure
 // by seed order; under a shard every covered point is returned (whether
-// the full point is dead is the merge's call, not one shard's).
+// the full point is dead is the unsharded run's call, not one shard's).
 func runGrid[T, V any](o Options, g *sizeGrid, p gridPass[T, V]) ([]gridPoint[V], error) {
 	eg := shardedGrid(len(g.sizes), o.seeds(), p.shard)
 	eg.Workers = o.workers()
@@ -238,12 +237,7 @@ func runGrid[T, V any](o Options, g *sizeGrid, p gridPass[T, V]) ([]gridPoint[V]
 	finish := observeGrid(o, p.phase+" "+g.name, &eg, g.sizes)
 	serr := engine.Stream(o.ctx(), eg,
 		func(point, seed int) (T, error) { return cellStep(g.config(point, seed), g.faults, p.eval) },
-		func(point, seed int, out engine.Outcome[T]) {
-			p.agg.Cell(point, seed, out)
-			if p.rec != nil {
-				p.rec(point, seed, g.cellSeed(point, seed), out)
-			}
-		})
+		p.agg.Cell)
 	finish()
 
 	// A canceled run must fail as a whole: partial grids would look
@@ -296,21 +290,15 @@ func lambdaSeries(name string, pts []gridPoint[float64]) *measure.Series {
 // and must not be cached.
 type scopeFn func(n int) ([]byte, error)
 
-// cellRecorder receives every covered cell's outcome — with the cell's
-// derived rng seed — in grid order; sharded scenario runs use it to
-// assemble the cells artifact that shard-merge tooling consumes.
-type cellRecorder func(point, seed int, cellSeed uint64, out engine.Outcome[float64])
-
 // sweepScenario resolves a declarative scenario's size grid once and
 // runs its lambda pass on it: the scenario's name salts the seed
 // derivation, its scheme set scores each instance, its optional fault
 // plan is installed into every cell, its optional shard spec selects
 // the block of the global grid this process evaluates and its cell
-// scope keys the optional cell cache. rec, if set, receives every
-// covered cell outcome (the cells-artifact hook). A delay scenario then
+// scope keys the optional cell cache. A delay scenario then
 // runs its delay pass over the same grid, and so over the same
 // instances; Validate guarantees delay scenarios are unsharded.
-func sweepScenario(o Options, sc *scenario.Scenario, sizes []int, rec cellRecorder) (*measure.Series, []delayPoint, error) {
+func sweepScenario(o Options, sc *scenario.Scenario, sizes []int) (*measure.Series, []delayPoint, error) {
 	placement, err := sc.PlacementScheme()
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: scenario %s: %w", sc.Name, err)
@@ -320,7 +308,7 @@ func sweepScenario(o Options, sc *scenario.Scenario, sizes []int, rec cellRecord
 		return nil, nil, err
 	}
 	lp := lambdaPass(g, scenarioEval(sc.Schemes))
-	lp.shard, lp.scope, lp.rec = sc.Shard, sc.CellScope, rec
+	lp.shard, lp.scope = sc.Shard, sc.CellScope
 	pts, err := runGrid(o, g, lp)
 	if err != nil {
 		return nil, nil, err
@@ -340,8 +328,9 @@ func sweepScenario(o Options, sc *scenario.Scenario, sizes []int, rec cellRecord
 // sweepCellCache adapts the persistent cell store to the engine's
 // CellCache: grid coordinates map to (scope, n, derived seed) keys, so
 // a cell hits if and only if the exact same instance would be rebuilt.
-// Keys are shard-blind (global coordinates, derived seeds), so a resumed
-// or re-partitioned sweep replays another run's cells. Gets and Puts run
+// Keys are shard-blind (global coordinates, derived seeds), so an
+// unsharded run replays the cells its shards stored, and a resumed or
+// re-partitioned sweep replays another run's cells. Gets and Puts run
 // on worker goroutines; the adapter's state is read-only after
 // construction, the seed derivation is pure, and the store is
 // concurrency-safe.

@@ -109,7 +109,7 @@ func Table1(o Options) (*Result, error) {
 		if regime != row.regime {
 			return nil, fmt.Errorf("experiments: row %s classifies as %v, want %v", row.sc.Name, regime, row.regime)
 		}
-		series, _, err := sweepScenario(o, row.sc, sizes, nil)
+		series, _, err := sweepScenario(o, row.sc, sizes)
 		if err != nil {
 			return nil, err
 		}

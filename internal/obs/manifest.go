@@ -98,12 +98,12 @@ type Manifest struct {
 	// grid, whether or not this run covered all of it.
 	GridCells int `json:"grid_cells,omitempty"`
 	// Coverage lists the global cell ranges this run evaluated, in grid
-	// order: the whole grid as one span for unsharded and merged runs,
-	// one block per shard otherwise. Merge tooling checks the union is
-	// an exact disjoint cover of [0, GridCells).
+	// order: the whole grid as one span for unsharded runs, one block
+	// per shard otherwise. The blocks of a k-way split are an exact
+	// disjoint cover of [0, GridCells).
 	Coverage []CellRange `json:"coverage,omitempty"`
 	// Shard identifies the shard a partial run executed; nil for
-	// unsharded and merged runs.
+	// unsharded runs.
 	Shard *ShardInfo `json:"shard,omitempty"`
 	// Cache is the kernel-cache activity over the run.
 	Cache CacheDelta `json:"cache"`

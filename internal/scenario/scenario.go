@@ -76,8 +76,8 @@ func (f FaultSpec) Config() faults.Config {
 }
 
 // Shard-spec validation sentinels, surfaced by Validate and CheckGrid
-// so callers (CLI flag parsing, the server's submission handler, merge
-// tooling) can classify malformed specs without string matching.
+// so callers (CLI flag parsing, the server's submission handler) can
+// classify malformed specs without string matching.
 var (
 	// ErrShardCount marks a shard count below 1.
 	ErrShardCount = errors.New("shard count must be at least 1")
@@ -98,8 +98,8 @@ var (
 	// scheme set (delay rides the same evaluations as throughput).
 	ErrDelayScheme = errors.New("delay scheme not in the scenario's scheme set")
 	// ErrDelayShard marks a delay request on a sharded scenario: delay
-	// statistics assemble at presentation time and are not part of the
-	// cells artifact shard merges consume.
+	// cells are not stored in the cell cache, through which shards
+	// merge.
 	ErrDelayShard = errors.New("delay accounting does not support sharded runs")
 	// ErrAssocField marks an out-of-range association-dynamics knob.
 	ErrAssocField = errors.New("invalid association field")
@@ -144,10 +144,10 @@ func (a AssocSpec) Config() delay.AssocConfig {
 // grid: shard Index of Count owns the global cells
 // [Index*n/Count, (Index+1)*n/Count) in grid order. Cells keep their
 // global coordinates and pre-derived seeds, so the Count shards are an
-// exact disjoint cover and their merged results are byte-identical to
-// an unsharded run. The spec is grid-only: it shapes which cells this
-// process evaluates, never what any cell computes, so cell cache keys
-// are shard-blind.
+// exact disjoint cover and each cell a shard stores in the cell cache is
+// the one an unsharded run would compute. The spec is grid-only: it
+// shapes which cells this process evaluates, never what any cell
+// computes, so cell cache keys are shard-blind.
 type ShardSpec struct {
 	// Index is this shard's position, in [0, Count).
 	Index int `json:"index"`
@@ -219,8 +219,8 @@ type Scenario struct {
 	// Shard, if set, restricts the run to one contiguous block of the
 	// (size, seed) grid for distributed sweeps; nil runs the whole grid.
 	// Shard identity is excluded from cell cache keys (a cell computes
-	// the same value whichever shard evaluates it) and from the base
-	// scenario hash that shard-merge tooling matches on.
+	// the same value whichever shard evaluates it, so an unsharded run
+	// replays it) and from the base scenario hash manifests record.
 	Shard *ShardSpec `json:"shard,omitempty"`
 }
 
@@ -411,8 +411,7 @@ func (s *Scenario) WithoutShard() *Scenario {
 // BaseSHA256 returns the hex SHA-256 of the shard-stripped canonical
 // encoding: the content address of the underlying sweep, identical for
 // every shard of it (and equal to SHA256 when unsharded). Manifests
-// record it so shard-merge tooling can verify that the outputs it joins
-// describe the same sweep.
+// record it, so a shard's manifest names the sweep it is a block of.
 func (s *Scenario) BaseSHA256() (string, error) {
 	return s.WithoutShard().SHA256()
 }

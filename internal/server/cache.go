@@ -9,8 +9,8 @@ import (
 )
 
 // EntrySchema is the current cache-entry file schema version. Schema 2
-// added the optional cells artifact of sharded runs; schema-1 entries
-// on disk fail validation and are recomputed.
+// added the optional cells field; schema-1 entries on disk fail
+// validation and are recomputed.
 const EntrySchema = 2
 
 // entrySuffix is the filename suffix of one cache entry; the prefix is
@@ -33,8 +33,9 @@ type Entry struct {
 	Report string `json:"report"`
 	// Manifest is the run manifest JSON.
 	Manifest string `json:"manifest"`
-	// Cells is the per-cell outcomes JSON of a sharded run (empty for
-	// unsharded runs, which write no cells artifact).
+	// Cells is a per-cell outcomes field that no run writes (shards
+	// merge through the cell cache). It stays in the payload checksum
+	// so schema-2 entries that carry it still validate and replay.
 	Cells string `json:"cells,omitempty"`
 	// PayloadSHA256 is the hex SHA-256 over Scenario, Report, Manifest
 	// and Cells (NUL-separated), detecting truncated or bit-rotted

@@ -33,7 +33,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /runs/{id}/report", s.handleArtifact("report"))
 	mux.HandleFunc("GET /runs/{id}/manifest", s.handleArtifact("manifest"))
 	mux.HandleFunc("GET /runs/{id}/scenario", s.handleArtifact("scenario"))
-	mux.HandleFunc("GET /runs/{id}/cells", s.handleArtifact("cells"))
 	mux.HandleFunc("GET /schemes", s.handleSchemes)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -178,19 +177,11 @@ func (s *Server) handleArtifact(kind string) http.HandlerFunc {
 			data, ctype = r.manifest, "application/json"
 		case "scenario":
 			data, ctype = r.scenarioJS, "application/json"
-		case "cells":
-			data, ctype = r.cellsJS, "application/json"
 		}
 		s.mu.Unlock()
 		if state != StateDone {
 			writeJSON(w, http.StatusConflict, map[string]string{
 				"error": fmt.Sprintf("run %s is %s, artifacts exist only for completed runs", id, state)})
-			return
-		}
-		if kind == "cells" && len(data) == 0 {
-			// Only sharded runs write a cells artifact.
-			writeJSON(w, http.StatusNotFound, map[string]string{
-				"error": fmt.Sprintf("run %s has no cells artifact (only sharded runs write one)", id)})
 			return
 		}
 		w.Header().Set("Content-Type", ctype)

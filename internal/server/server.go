@@ -152,7 +152,6 @@ type run struct {
 	report      []byte
 	manifest    []byte
 	scenarioJS  []byte
-	cellsJS     []byte
 }
 
 // Server is the scenario daemon. Construct with New, serve with
@@ -351,7 +350,6 @@ func (s *Server) insertCachedLocked(e *Entry) *run {
 		report:     []byte(e.Report),
 		manifest:   []byte(e.Manifest),
 		scenarioJS: []byte(e.Scenario),
-		cellsJS:    []byte(e.Cells),
 	}
 	close(r.done)
 	s.runs[e.ScenarioSHA256] = r
@@ -466,18 +464,13 @@ func (s *Server) runScenario(ctx context.Context, sc *scenario.Scenario) (res *e
 // manifest serve, so replay is byte-identical by construction.
 func (s *Server) finalize(r *run, res *experiments.Result, err error) {
 	state := StateDone
-	var report, manifest, scenarioJS, cellsJS []byte
+	var report, manifest, scenarioJS []byte
 	if err == nil {
 		report = []byte(res.Text())
 		if res.Manifest == nil {
 			err = fmt.Errorf("server: run %s produced no manifest", r.id)
 		} else if manifest, err = res.Manifest.Marshal(); err == nil {
 			scenarioJS, err = r.sc.Marshal()
-		}
-		// Sharded runs carry the per-cell outcomes capmerge needs; an
-		// unsharded run has none and the artifact stays absent.
-		if err == nil && res.Cells != nil {
-			cellsJS, err = res.Cells.Marshal()
 		}
 	}
 	if err != nil {
@@ -493,7 +486,6 @@ func (s *Server) finalize(r *run, res *experiments.Result, err error) {
 			Scenario:       string(scenarioJS),
 			Report:         string(report),
 			Manifest:       string(manifest),
-			Cells:          string(cellsJS),
 		}
 		if perr := s.store.Put(e); perr != nil {
 			// The run itself succeeded; losing persistence degrades the
@@ -512,7 +504,6 @@ func (s *Server) finalize(r *run, res *experiments.Result, err error) {
 	r.report = report
 	r.manifest = manifest
 	r.scenarioJS = scenarioJS
-	r.cellsJS = cellsJS
 	r.finishedAt = s.cfg.Clock.Now()
 	s.mu.Unlock()
 	switch state {

@@ -488,3 +488,43 @@ func TestSubmitRejectsBadInput(t *testing.T) {
 		t.Errorf("rejected submissions enqueued: %d", got)
 	}
 }
+
+// A sharded scenario stores its cells only in the cell cache, so a
+// daemon without one fails the run with RunScenario's refusal, before
+// any cell runs; with a cell cache the same submission completes.
+func TestShardedRunNeedsCellCache(t *testing.T) {
+	body := []byte(`{
+  "name": "svc-shard",
+  "base": {"alpha": 0.7, "k": 0.6, "phi": 1, "m": 0.2, "r": 0.11},
+  "sizes": [512, 1024],
+  "schemes": ["schemeC"],
+  "placement": "matched",
+  "shard": {"index": 0, "count": 2}
+}`)
+	for _, withCache := range []bool{false, true} {
+		s := newTestServer(t, func(c *Config) {
+			if withCache {
+				c.CellCacheDir = t.TempDir()
+			}
+		})
+		ts := httptest.NewServer(s.Handler())
+		st, resp := postScenario(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("cell cache %v: submit code %d, status %+v", withCache, resp.StatusCode, st)
+		}
+		final := waitDone(t, ts, st.ID)
+		ts.Close()
+		if withCache {
+			if final.State != StateDone {
+				t.Errorf("with a cell cache: run %s: %s", final.State, final.Error)
+			}
+			continue
+		}
+		if final.State != StateFailed || !strings.Contains(final.Error, experiments.ErrShardNoCache.Error()) {
+			t.Errorf("without a cell cache: run %s (%q), want failed with %q", final.State, final.Error, experiments.ErrShardNoCache)
+		}
+		if n, err := s.Store().Len(); err != nil || n != 0 {
+			t.Errorf("failed run stored %d result-cache entries (%v)", n, err)
+		}
+	}
+}

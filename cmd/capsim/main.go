@@ -30,8 +30,9 @@
 //
 //	capsim -scenario examples/scenarios/strong-mobility.json -cell-cache out/cells
 //
-// Sharded sweeps: -shard i/k runs one block of a scenario's grid and
-// stores its cells in the -cell-cache it requires. The unsharded run of
+// Sharded sweeps: -shard i/k runs one block of a scenario's grid (delay
+// scenarios included) and stores its cells in the -cell-cache it
+// requires. The unsharded run of
 // the same scenario over the shards' cache is the merge: it replays the
 // stored cells and computes only the rest.
 //
@@ -90,7 +91,7 @@ func run(ctx context.Context) error {
 	var (
 		listSchemes = flag.Bool("list-schemes", false, "print the routing scheme registry with descriptions and exit")
 		scenarioArg = flag.String("scenario", "", "run a declarative scenario JSON file through the grid engine (uses -out/-quick/-seeds/-workers)")
-		shardArg    = flag.String("shard", "", "with -scenario and -cell-cache: run only shard i of k (\"i/k\", e.g. 0/3) of the sweep grid into the cell cache; the unsharded run over that cache is the merge")
+		shardArg    = flag.String("shard", "", "with -scenario and -cell-cache: run only shard i of k (\"i/k\", e.g. 0/3) of the sweep grid into the cell cache, delay scenarios included; the unsharded run over that cache is the merge")
 		daemonAddr  = flag.String("serve", "", "run the scenario service on this address (POST /runs; see README \"Scenario service\")")
 		cacheDir    = flag.String("cache-dir", "out/cache", "content-addressed result cache directory (with -serve)")
 		maxQueue    = flag.Int("max-queue", 16, "admission queue bound; a full queue sheds with 429 (with -serve)")

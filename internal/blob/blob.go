@@ -105,8 +105,7 @@ func (st *Store) Get(key string, v Entry) (evicted bool, err error) {
 // Decode parses exactly one JSON value into v, rejecting unknown
 // fields and anything but whitespace after the value. It is the one
 // strict decoding rule for every JSON document the program reads back:
-// store entries, scenario files and daemon submissions, cells
-// artifacts and run manifests.
+// store entries, scenario files and daemon submissions.
 func Decode(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

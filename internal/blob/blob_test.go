@@ -293,3 +293,25 @@ func TestWriteFileReplaces(t *testing.T) {
 		t.Errorf("directory holds %v, want only the artifact", names)
 	}
 }
+
+// Decode is the strict rule for every JSON document read back: unknown
+// fields, garbage and bytes after the value are rejected; trailing
+// whitespace is not.
+func TestDecodeStrict(t *testing.T) {
+	for _, c := range []struct {
+		name, data string
+		ok         bool
+	}{
+		{"exact", `{"key":"k"}`, true},
+		{"trailing-whitespace", "{\"key\":\"k\"}\n\t ", true},
+		{"unknown-field", `{"key":"k","typo":1}`, false},
+		{"trailing-data", `{"key":"k"}x`, false},
+		{"second-value", `{"key":"k"}{"key":"k"}`, false},
+		{"not-json", "not json", false},
+	} {
+		var r record
+		if err := Decode([]byte(c.data), &r); (err == nil) != c.ok {
+			t.Errorf("%s: Decode = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"hybridcap/internal/blob"
@@ -105,25 +106,34 @@ type Entry struct {
 	// (Go emits the shortest representation that parses back to the
 	// same bits), so a replayed value is bit-identical.
 	Value float64 `json:"value"`
+	// Delay is the cell's optional delay half: the flat per-scheme
+	// delay statistics measured on the same instance as Value. The
+	// cache stores plain floats and never interprets them; a
+	// lambda-only entry omits the field.
+	Delay []float64 `json:"delay,omitempty"`
 	// PayloadSHA256 is the hex SHA-256 over Scope, Point, Seed and the
-	// value's IEEE-754 bits (NUL-separated), detecting truncated or
-	// bit-rotted entries independently of the JSON framing.
+	// IEEE-754 bits of Value and every Delay value (NUL-separated),
+	// detecting truncated or bit-rotted entries independently of the
+	// JSON framing.
 	PayloadSHA256 string `json:"payload_sha256"`
 }
 
-// payloadSum checksums the entry's payload fields. The value is hashed
-// by its bit pattern, so the checksum is exact where a decimal
+// payloadSum checksums the entry's payload fields. Values are hashed
+// by their bit patterns, so the checksum is exact where a decimal
 // rendering could alias.
 func (e *Entry) payloadSum() string {
 	h := sha256.New()
-	for _, s := range []string{
-		e.Scope,
-		strconv.Itoa(e.Point),
-		strconv.FormatUint(e.Seed, 10),
-		strconv.FormatUint(math.Float64bits(e.Value), 16),
-	} {
+	field := func(s string) {
 		_, _ = h.Write([]byte(s))
 		_, _ = h.Write([]byte{0})
+	}
+	bits := func(v float64) string { return strconv.FormatUint(math.Float64bits(v), 16) }
+	field(e.Scope)
+	field(strconv.Itoa(e.Point))
+	field(strconv.FormatUint(e.Seed, 10))
+	field(bits(e.Value))
+	for _, v := range e.Delay {
+		field(bits(v))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -165,11 +175,23 @@ func NewStore(dir string) (*Store, error) {
 // blob.ErrMiss; an invalid one is evicted and reported as
 // blob.ErrCorrupt, so the caller recomputes rather than replaying
 // poison. The returned bool says whether an eviction happened.
-func (st *Store) Get(key string) (*Entry, bool, error) {
+//
+// delayLen is the length of the delay half the caller's cells carry
+// (none: a lambda-only cell). A valid entry of another shape, such as
+// a lambda-only entry stored before its scope's cells gained a delay
+// half, is a miss without eviction: the recomputed cell overwrites it.
+func (st *Store) Get(key string, delayLen ...int) (*Entry, bool, error) {
 	e := &Entry{}
 	evicted, err := st.Store.Get(key, e)
 	if evicted {
 		cacheEvictions.Inc()
+	}
+	want := 0
+	if len(delayLen) > 0 {
+		want = delayLen[0]
+	}
+	if err == nil && len(e.Delay) != want {
+		err = fmt.Errorf("cellcache: %w: entry has %d delay values, want %d", blob.ErrMiss, len(e.Delay), want)
 	}
 	if err != nil {
 		cacheMisses.Inc()
@@ -179,13 +201,16 @@ func (st *Store) Get(key string) (*Entry, bool, error) {
 	return e, false, nil
 }
 
-// Put persists one cell value atomically under Key(scope, point,
-// seed). Non-finite values are rejected — NaN and ±Inf do not
-// survive a JSON round trip, and a cell producing one should recompute
-// (and re-fail) rather than replay.
-func (st *Store) Put(scope []byte, point int, seed uint64, value float64) error {
-	if math.IsNaN(value) || math.IsInf(value, 0) {
-		return fmt.Errorf("cellcache: non-finite value %v is not cacheable", value)
+// nonFinite reports whether v is NaN or ±Inf.
+func nonFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
+// Put persists one cell value and its optional delay half atomically
+// under Key(scope, point, seed). Non-finite values are rejected — NaN
+// and ±Inf do not survive a JSON round trip, and a cell producing one
+// should recompute (and re-fail) rather than replay.
+func (st *Store) Put(scope []byte, point int, seed uint64, value float64, delay ...float64) error {
+	if slices.ContainsFunc(delay, nonFinite) || nonFinite(value) {
+		return fmt.Errorf("cellcache: non-finite value in %v %v is not cacheable", value, delay)
 	}
 	e := &Entry{
 		Schema: EntrySchema,
@@ -194,6 +219,7 @@ func (st *Store) Put(scope []byte, point int, seed uint64, value float64) error 
 		Point:  point,
 		Seed:   seed,
 		Value:  value,
+		Delay:  delay,
 	}
 	e.PayloadSHA256 = e.payloadSum()
 	if err := st.Store.Put(e.Key, e); err != nil {

@@ -73,30 +73,34 @@ func TestGetMiss(t *testing.T) {
 	}
 }
 
-// Entry.Validate must reject bit rot in the value, a seed that no
-// longer hashes to the address, and an entry from another schema
-// version (how a cache-format change invalidates stale data); the
-// store then evicts it so the cell recomputes instead of replaying
+// Entry.Validate must reject bit rot in the value or the delay half, a
+// seed that no longer hashes to the address, and an entry from another
+// schema version (how a cache-format change invalidates stale data);
+// the store then evicts it so the cell recomputes instead of replaying
 // poison. Damage to the file framing is covered once, in
 // internal/blob.
 func TestCorruptionEviction(t *testing.T) {
-	for name, mangle := range map[string]func(e *Entry){
-		"bit-rot":     func(e *Entry) { e.Value = 1.5 },
-		"wrong-seed":  func(e *Entry) { e.Seed = 8 },
-		"schema-skew": func(e *Entry) { e.Schema = EntrySchema + 1 },
+	for name, c := range map[string]struct {
+		delay  []float64
+		mangle func(e *Entry)
+	}{
+		"bit-rot":       {nil, func(e *Entry) { e.Value = 1.5 }},
+		"wrong-seed":    {nil, func(e *Entry) { e.Seed = 8 }},
+		"schema-skew":   {nil, func(e *Entry) { e.Schema = EntrySchema + 1 }},
+		"delay-bit-rot": {[]float64{3, 0.25, 7}, func(e *Entry) { e.Delay[1] = 0.5 }},
 	} {
 		t.Run(name, func(t *testing.T) {
 			st := testStore(t)
 			scope := []byte("scope")
-			if err := st.Put(scope, 64, 9, 0.5); err != nil {
+			if err := st.Put(scope, 64, 9, 0.5, c.delay...); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
 			key := Key(scope, 64, 9)
-			e, _, err := st.Get(key)
+			e, _, err := st.Get(key, len(c.delay))
 			if err != nil {
 				t.Fatalf("Get: %v", err)
 			}
-			mangle(e)
+			c.mangle(e)
 			data, err := json.MarshalIndent(e, "", "  ")
 			if err != nil {
 				t.Fatal(err)
@@ -105,13 +109,51 @@ func TestCorruptionEviction(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := ReadStats()
-			if _, evicted, err := st.Get(key); !errors.Is(err, blob.ErrCorrupt) || !evicted {
+			if _, evicted, err := st.Get(key, len(c.delay)); !errors.Is(err, blob.ErrCorrupt) || !evicted {
 				t.Fatalf("Get: evicted=%v err=%v, want corrupt and evicted", evicted, err)
 			}
 			if d := ReadStats().Evictions - before.Evictions; d != 1 {
 				t.Errorf("evictions moved by %d, want 1", d)
 			}
 		})
+	}
+}
+
+// A delay half replays bit-identically. A valid entry of another shape
+// than the caller's cells carry, such as a lambda-only entry under a
+// scope whose cells gained a delay half, is a miss: counted as one,
+// never as a hit, and not evicted, so the recomputed cell's Put
+// overwrites it.
+func TestDelayHalfShape(t *testing.T) {
+	st := testStore(t)
+	scope := []byte("delay-scope")
+	key := Key(scope, 256, 3)
+	if err := st.Put(scope, 256, 3, 0.125); err != nil {
+		t.Fatalf("Put lambda-only: %v", err)
+	}
+	before := ReadStats()
+	if _, evicted, err := st.Get(key, 3); !errors.Is(err, blob.ErrMiss) || evicted {
+		t.Fatalf("lambda-only entry under a delay scope: evicted=%v err=%v, want an unevicted miss", evicted, err)
+	}
+	if d := ReadStats(); d.Misses-before.Misses != 1 || d.Hits != before.Hits || d.Evictions != before.Evictions {
+		t.Errorf("deltas hits=%d misses=%d evictions=%d, want 0/1/0",
+			d.Hits-before.Hits, d.Misses-before.Misses, d.Evictions-before.Evictions)
+	}
+	delay := []float64{1.0 / 3, 6.103515625e-05, 42}
+	if err := st.Put(scope, 256, 3, 0.125, delay...); err != nil {
+		t.Fatalf("Put with delay: %v", err)
+	}
+	e, _, err := st.Get(key, len(delay))
+	if err != nil {
+		t.Fatalf("Get after overwrite: %v", err)
+	}
+	for i := range delay {
+		if math.Float64bits(e.Delay[i]) != math.Float64bits(delay[i]) {
+			t.Errorf("delay[%d] drifted: got %v want %v", i, e.Delay[i], delay[i])
+		}
+	}
+	if _, _, err := st.Get(key); !errors.Is(err, blob.ErrMiss) {
+		t.Errorf("entry with a delay half served to a lambda-only caller: %v", err)
 	}
 }
 
@@ -151,6 +193,9 @@ func TestPutNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if err := st.Put([]byte("s"), 1, 1, v); err == nil {
 			t.Errorf("Put(%v) accepted", v)
+		}
+		if err := st.Put([]byte("s"), 1, 1, 0.5, 1, v); err == nil {
+			t.Errorf("Put with delay value %v accepted", v)
 		}
 	}
 	if n, _ := st.Len(); n != 0 {

@@ -8,7 +8,8 @@
 //
 // The package is deliberately passive: routing schemes and the packet
 // simulator produce Breakdowns, a Collector aggregates them, and the
-// experiments layer folds per-cell Stats across the (size, seed) grid.
+// experiments layer folds per-cell Stats, as flat forms (AppendFlat),
+// across the (size, seed) grid.
 // Aggregation depends only on observation order, which callers fix to
 // pair/grid order, so delay statistics are byte-identical for every
 // worker count and shard partition.
@@ -108,16 +109,43 @@ func (s *Stats) Add(o Stats) error {
 	return nil
 }
 
-// Scale multiplies every field by f (the 1/ok step of a cross-seed
-// mean).
-func (s *Stats) Scale(f float64) {
-	s.Samples *= f
-	s.Unroutable *= f
-	s.Mean *= f
-	for i := range s.Quantile {
-		s.Quantile[i] *= f
+// flatFixed counts the scalar fields of a Stats' flat form: Samples,
+// Unroutable, Mean and the six Components.
+const flatFixed = 9
+
+// FlatLen is the length of one Stats' flat form with q quantiles.
+func FlatLen(q int) int { return flatFixed + q }
+
+// AppendFlat appends s as FlatLen(len(s.Quantile)) plain floats in a
+// fixed field order. Field-wise sums and scalings of flat forms are
+// exactly Add and a per-field product on Stats, so a cross-seed mean
+// can be folded over flat forms and rendered with StatsFromFlat.
+func (s Stats) AppendFlat(dst []float64) []float64 {
+	c := s.Components
+	dst = append(dst, s.Samples, s.Unroutable, s.Mean,
+		c.SrcQueue, c.MobilityWait, c.Forwarding, c.Uplink, c.Backbone, c.Downlink)
+	return append(dst, s.Quantile...)
+}
+
+// StatsFromFlat splits consecutive flat forms with q quantiles each
+// back into Stats; the Quantile slices alias flat.
+func StatsFromFlat(flat []float64, q int) []Stats {
+	w := FlatLen(q)
+	out := make([]Stats, len(flat)/w)
+	for i := range out {
+		f := flat[i*w : (i+1)*w]
+		out[i] = Stats{
+			Samples:    f[0],
+			Unroutable: f[1],
+			Mean:       f[2],
+			Components: Breakdown{
+				SrcQueue: f[3], MobilityWait: f[4], Forwarding: f[5],
+				Uplink: f[6], Backbone: f[7], Downlink: f[8],
+			},
+			Quantile: f[flatFixed:w:w],
+		}
 	}
-	s.Components.scale(f)
+	return out
 }
 
 // Collector folds per-pair Breakdowns into Stats in bounded memory: a

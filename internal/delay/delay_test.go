@@ -2,6 +2,7 @@ package delay
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -69,24 +70,35 @@ func TestCollectorRejectsBadQuantile(t *testing.T) {
 	}
 }
 
-// Stats.Add / Scale implement the deterministic cross-seed mean: adding
-// k equal cells and scaling by 1/k returns the cell.
-func TestStatsAddScale(t *testing.T) {
-	cell := Stats{
-		Samples: 10, Unroutable: 1, Mean: 4,
-		Quantile:   []float64{3, 8},
-		Components: Breakdown{Uplink: 1, Backbone: 1, Downlink: 2},
+// A Stats' flat form round-trips through StatsFromFlat, and summing
+// flat forms field by field is Stats.Add: the cross-seed mean folds
+// over flat forms exactly as over Stats.
+func TestStatsFlatRoundTrip(t *testing.T) {
+	cells := []Stats{
+		{Samples: 10, Unroutable: 1, Mean: 4, Quantile: []float64{3, 8},
+			Components: Breakdown{SrcQueue: 0.5, MobilityWait: 0.25, Forwarding: 0.125, Uplink: 1, Backbone: 1, Downlink: 2}},
+		{Samples: 7, Mean: 1.0 / 3, Quantile: []float64{0.1, 0.7},
+			Components: Breakdown{Uplink: 0.2, Downlink: 0.3}},
+	}
+	flat := cells[0].AppendFlat(nil)
+	if len(flat) != FlatLen(2) {
+		t.Fatalf("flat form has %d values, want %d", len(flat), FlatLen(2))
+	}
+	if got := StatsFromFlat(cells[1].AppendFlat(flat), 2); !reflect.DeepEqual(got, cells) {
+		t.Errorf("round trip drifted:\n%+v\nwant\n%+v", got, cells)
 	}
 	var acc Stats
-	for i := 0; i < 4; i++ {
-		if err := acc.Add(cell); err != nil {
+	sum := make([]float64, FlatLen(2))
+	for _, c := range cells {
+		if err := acc.Add(c); err != nil {
 			t.Fatal(err)
 		}
+		for k, x := range c.AppendFlat(nil) {
+			sum[k] += x
+		}
 	}
-	acc.Scale(1.0 / 4)
-	if acc.Mean != cell.Mean || acc.Samples != cell.Samples || acc.Quantile[1] != cell.Quantile[1] ||
-		acc.Components.Downlink != cell.Components.Downlink {
-		t.Errorf("mean of equal cells drifted: %+v vs %+v", acc, cell)
+	if got := StatsFromFlat(sum, 2); !reflect.DeepEqual(got, []Stats{acc}) {
+		t.Errorf("flat sum %+v, Add %+v", got[0], acc)
 	}
 }
 

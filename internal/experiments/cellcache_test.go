@@ -3,8 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"hybridcap/internal/blob"
 	"hybridcap/internal/cellcache"
 	"hybridcap/internal/obs"
 )
@@ -128,5 +131,70 @@ func TestCellCacheScopeSharing(t *testing.T) {
 	}
 	if total := res.Manifest.Total(); total.Cached != 0 {
 		t.Errorf("edited scheme set replayed %d cells; stale hits", total.Cached)
+	}
+}
+
+// A cache written when a delay scenario's entries held only lambda
+// stays correct: each lambda-only entry under the delay scope misses
+// (in the store counters and the manifest's cached tally alike), its
+// cell is recomputed, and the recomputed cell overwrites the entry with
+// both halves, so the next run replays every cell.
+func TestLambdaOnlyEntryUnderDelayScopeRecomputed(t *testing.T) {
+	sc := loadShipped(t, "d2d-baseline")
+	dir := t.TempDir()
+	store := openStore(t, dir)
+	o := Options{Quick: true, Seeds: 2, Workers: 2, CellCache: store}
+	ref, err := RunScenario(context.Background(), sc, o)
+	if err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	cells := ref.Manifest.GridCells
+
+	// Strip every entry down to its lambda.
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e cellcache.Entry
+		if err := blob.Decode(data, &e); err != nil {
+			t.Fatal(err)
+		}
+		if len(e.Delay) == 0 {
+			t.Fatalf("delay scenario stored %s without its delay half", f.Name())
+		}
+		if err := store.Put([]byte(e.Scope), e.Point, e.Seed, e.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := store.Len(); err != nil || n != cells {
+		t.Fatalf("cache holds %d entries (%v), want %d", n, err, cells)
+	}
+
+	for _, c := range []struct {
+		name           string
+		misses, cached int
+	}{{"lambda-only entries", cells, 0}, {"overwritten entries", 0, cells}} {
+		before := cellcache.ReadStats()
+		res, err := RunScenario(context.Background(), sc, o)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		d := cellcache.ReadStats()
+		if d.Misses-before.Misses != uint64(c.misses) || d.Hits-before.Hits != uint64(cells-c.misses) ||
+			d.Evictions != before.Evictions {
+			t.Errorf("%s: hits=%d misses=%d evictions=%d, want %d/%d/0", c.name,
+				d.Hits-before.Hits, d.Misses-before.Misses, d.Evictions-before.Evictions, cells-c.misses, c.misses)
+		}
+		if got := res.Manifest.Total().Cached; got != c.cached {
+			t.Errorf("%s: manifest tallies %d cells cached, want %d", c.name, got, c.cached)
+		}
+		if res.Text() != ref.Text() {
+			t.Errorf("%s: report differs from the cold run:\n--- want\n%s\n--- got\n%s", c.name, ref.Text(), res.Text())
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"hybridcap/internal/delay"
@@ -19,12 +21,14 @@ func delayTestArgs() (sizes []int, base scaling.Params, schemes []string) {
 		[]string{"schemeB", "twoHop"}
 }
 
-// delayRun runs the delay pass with the given evaluator over g, on one
-// block of the grid when shard is set.
-func delayRun(o Options, g *sizeGrid, shard *scenario.ShardSpec, schemes int, eval evalFn[[]delay.Stats]) ([]delayPoint, error) {
-	p := delayPass(g, schemes, eval)
-	p.shard = shard
-	return runGrid(o, g, p)
+// delayRun runs a delay scenario's grid over g: each cell scores lambda
+// with lambda and its delay half with delayOf, which accounts schemes
+// at the default quantiles.
+func delayRun(o Options, g *sizeGrid, schemes []string, lambda evalFn[float64], delayOf evalFn[[]float64]) ([]gridPoint, error) {
+	return runGrid(o, g, gridRun{
+		eval:  scenarioCell(lambda, delayOf),
+		width: delayWidth(schemes, delay.DefaultQuantiles),
+	})
 }
 
 // Delay statistics must be byte-identical for every worker count: the
@@ -36,11 +40,11 @@ func TestDelaySweepWorkerInvariance(t *testing.T) {
 	var rows []string
 	for _, workers := range []int{1, 3, 8} {
 		o := Options{Seeds: 3, Workers: workers}
-		pts, err := delayRun(o, g, nil, len(schemes), delayEval(schemes, nil, nil))
+		pts, err := delayRun(o, g, schemes, scenarioEval(schemes), delayEval(schemes, delay.DefaultQuantiles, nil))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		got := formatDelayRows(schemes, []float64{0.5, 0.99}, pts)
+		got := formatDelayRows(schemes, delay.DefaultQuantiles, pts)
 		if rows == nil {
 			rows = got
 			continue
@@ -52,113 +56,141 @@ func TestDelaySweepWorkerInvariance(t *testing.T) {
 	}
 }
 
-// A 3-way sharded delay sweep merged in shard order must reproduce the
-// unsharded sweep byte for byte: shard blocks are contiguous in grid
-// order, and the aggregator keeps sums (not means), so merging is the
-// same additions in the same order.
-func TestDelaySweepShardMergeByteIdentical(t *testing.T) {
+// A delay scenario builds each instance once: both halves of a cell
+// score the same *network.Network, and there is one instance per cell.
+func TestDelayScenarioBuildsEachInstanceOnce(t *testing.T) {
 	sizes, base, schemes := delayTestArgs()
-	g := testGrid(t, "shard-delay", sizes, base, network.Uniform)
-	eval := delayEval(schemes, nil, nil)
-	o := Options{Seeds: 3, Workers: 4}
-	full, err := delayRun(o, g, nil, len(schemes), eval)
+	g := testGrid(t, "buildonce", sizes, base, network.Uniform)
+	var mu sync.Mutex
+	lambdaSaw := map[uint64][]*network.Network{}
+	delaySaw := map[uint64][]*network.Network{}
+	record := func(saw map[uint64][]*network.Network, nw *network.Network) {
+		mu.Lock()
+		defer mu.Unlock()
+		saw[nw.Cfg.Seed] = append(saw[nw.Cfg.Seed], nw)
+	}
+	lambda, delayOf := scenarioEval(schemes), delayEval(schemes, delay.DefaultQuantiles, nil)
+	const seeds = 3
+	_, err := delayRun(Options{Seeds: seeds, Workers: 3}, g, schemes,
+		func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
+			record(lambdaSaw, nw)
+			return lambda(nw, tr)
+		},
+		func(nw *network.Network, tr *traffic.Pattern) ([]float64, error) {
+			record(delaySaw, nw)
+			return delayOf(nw, tr)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	merged := make([]delayPoint, len(sizes))
-	for i, n := range sizes {
-		merged[i] = delayPoint{N: n}
+	if len(lambdaSaw) != len(sizes)*seeds {
+		t.Fatalf("%d instances for %d cells", len(lambdaSaw), len(sizes)*seeds)
 	}
-	const shards = 3
-	for s := 0; s < shards; s++ {
-		sp := &scenario.ShardSpec{Index: s, Count: shards}
-		part, err := delayRun(o, g, sp, len(schemes), eval)
-		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-		for _, pt := range part {
-			for i := range merged {
-				if merged[i].N != pt.N {
-					continue
-				}
-				if merged[i].Value == nil {
-					merged[i].Value = pt.Value
-				} else {
-					for j := range pt.Value {
-						if err := merged[i].Value[j].Add(pt.Value[j]); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				merged[i].OK += pt.OK
-				merged[i].Covered += pt.Covered
-			}
+	for seed, nws := range lambdaSaw {
+		d := delaySaw[seed]
+		if len(nws) != 1 || len(d) != 1 || nws[0] != d[0] {
+			t.Errorf("seed %d: lambda scored %d instance(s), delay %d; want one shared", seed, len(nws), len(d))
 		}
 	}
 
-	want := strings.Join(formatDelayRows(schemes, []float64{0.5, 0.99}, full), "\n")
-	got := strings.Join(formatDelayRows(schemes, []float64{0.5, 0.99}, merged), "\n")
-	if got != want {
-		t.Errorf("3-way shard merge drifted:\n%s\nvs\n%s", got, want)
+	// End to end, the run's manifest has one phase over the whole grid.
+	sc, err := scenario.Load("../../examples/scenarios/d2d-baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunScenario(context.Background(), sc, Options{Quick: true, Seeds: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := res.Manifest
+	grid := len(man.Sizes) * man.Seeds
+	if len(man.Phases) != 1 || man.Phases[0].Phase != "sweep "+sc.Name ||
+		man.Phases[0].Cells != grid || man.Phases[0].OK != grid {
+		t.Errorf("manifest phases %+v, want one sweep phase over %d cells", man.Phases, grid)
 	}
 }
 
-// A delay model that errors or panics is tagged as an evaluation
-// failure. Failing on some seeds leaves the other seeds' statistics in
-// the point; failing on every seed aborts an unsharded pass with the
-// point's first failing seed.
+// A cell has one outcome: a delay model or a lambda evaluator that
+// errors or panics fails the cell, so the point's lambda and delay
+// rows report the same surviving seeds. Failing on every seed aborts
+// an unsharded run with the point's first failing seed.
 func TestDelayPassFailures(t *testing.T) {
 	sizes, base, schemes := delayTestArgs()
 	g := testGrid(t, "delayfail", sizes, base, network.Grid)
 	o := Options{Seeds: 3, Workers: 3}
-	healthy := delayEval(schemes, nil, nil)
-
-	// Seed 1 of every point errors and seed 2 panics. The rule keys on
-	// the instance's own seed, so it holds for any scheduling.
-	partial := func(nw *network.Network, tr *traffic.Pattern) ([]delay.Stats, error) {
-		point := 0
+	lambda, healthy := scenarioEval(schemes), delayEval(schemes, delay.DefaultQuantiles, nil)
+	seedOf := func(nw *network.Network) int {
 		for i, n := range sizes {
-			if n == nw.Cfg.Params.N {
-				point = i
+			if n != nw.Cfg.Params.N {
+				continue
+			}
+			for s := 0; s < o.Seeds; s++ {
+				if g.cellSeed(i, s) == nw.Cfg.Seed {
+					return s
+				}
 			}
 		}
-		switch nw.Cfg.Seed {
-		case g.cellSeed(point, 1):
+		return -1
+	}
+
+	// Seed 0 of every point fails its lambda, seed 1 its delay model,
+	// seed 2's delay model panics. The rule keys on the instance's own
+	// seed, so it holds for any scheduling.
+	partialLambda := func(nw *network.Network, tr *traffic.Pattern) (float64, error) {
+		if seedOf(nw) == 0 {
+			return 0, errors.New("injected lambda failure")
+		}
+		return lambda(nw, tr)
+	}
+	partialDelay := func(nw *network.Network, tr *traffic.Pattern) ([]float64, error) {
+		switch seedOf(nw) {
+		case 1:
 			return nil, errors.New("injected failure")
-		case g.cellSeed(point, 2):
+		case 2:
 			panic("injected panic")
 		}
 		return healthy(nw, tr)
 	}
-	pts, err := delayRun(o, g, nil, len(schemes), partial)
-	if err != nil {
-		t.Fatalf("partial failures aborted the pass: %v", err)
-	}
-	if len(pts) != len(sizes) {
-		t.Fatalf("%d points, want %d", len(pts), len(sizes))
-	}
-	for _, pt := range pts {
-		if pt.OK != 1 || pt.Covered != 3 {
-			t.Errorf("n=%d coverage %d/%d, want 1/3", pt.N, pt.OK, pt.Covered)
+	for _, tc := range []struct {
+		name            string
+		lambda          evalFn[float64]
+		delayOf         evalFn[[]float64]
+		wantOK, covered int
+	}{
+		{"delay", lambda, partialDelay, 1, 3},
+		{"lambda", partialLambda, healthy, 2, 3},
+	} {
+		pts, err := delayRun(o, g, schemes, tc.lambda, tc.delayOf)
+		if err != nil {
+			t.Fatalf("%s: partial failures aborted the run: %v", tc.name, err)
+		}
+		if len(pts) != len(sizes) {
+			t.Fatalf("%s: %d points, want %d", tc.name, len(pts), len(sizes))
+		}
+		for _, pt := range pts {
+			if pt.OK != tc.wantOK || pt.Covered != tc.covered {
+				t.Errorf("%s: n=%d coverage %d/%d, want %d/%d", tc.name, pt.N, pt.OK, pt.Covered, tc.wantOK, tc.covered)
+			}
+		}
+		series := lambdaSeries(g.name, pts)
+		for i := range series.X {
+			if series.OK[i] != tc.wantOK {
+				t.Errorf("%s: lambda at n=%g has %d seeds ok, want %d", tc.name, series.X[i], series.OK[i], tc.wantOK)
+			}
 		}
 	}
-	rows := strings.Join(formatDelayRows(schemes, []float64{0.5, 0.99}, pts), "\n")
-	if got := strings.Count(rows, "seeds-ok=1/3"); got != len(sizes)*len(schemes) {
-		t.Errorf("%d rows report seeds-ok=1/3, want %d:\n%s", got, len(sizes)*len(schemes), rows)
-	}
 
-	for name, eval := range map[string]evalFn[[]delay.Stats]{
-		"error": func(*network.Network, *traffic.Pattern) ([]delay.Stats, error) {
+	for name, eval := range map[string]evalFn[[]float64]{
+		"error": func(*network.Network, *traffic.Pattern) ([]float64, error) {
 			return nil, errors.New("always down")
 		},
-		"panic": func(*network.Network, *traffic.Pattern) ([]delay.Stats, error) {
+		"panic": func(*network.Network, *traffic.Pattern) ([]float64, error) {
 			panic("always broken")
 		},
 	} {
-		_, err := delayRun(o, g, nil, len(schemes), eval)
+		_, err := delayRun(o, g, schemes, lambda, eval)
 		if err == nil {
-			t.Fatalf("%s: a pass with zero surviving seeds should error", name)
+			t.Fatalf("%s: a run with zero surviving seeds should error", name)
 		}
 		for _, want := range []string{"all 3 seeds failed", "seed 0", engine.PhaseEvaluate + ":"} {
 			if !strings.Contains(err.Error(), want) {

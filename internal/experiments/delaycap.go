@@ -44,11 +44,11 @@ func e15WeakScenario() *scenario.Scenario {
 
 // delayMeanAt extracts a scheme's cross-seed mean total delay at the
 // sweep's largest size.
-func delayMeanAt(sc *scenario.Scenario, pts []delayPoint, scheme string) (float64, bool) {
+func delayMeanAt(sc *scenario.Scenario, pts []gridPoint, scheme string) (float64, bool) {
 	if len(pts) == 0 {
 		return 0, false
 	}
-	last := delayMean(pts[len(pts)-1])
+	last := delay.StatsFromFlat(pts[len(pts)-1].Delay, len(sc.DelayQuantiles()))
 	for i, name := range sc.DelaySchemes() {
 		if name == scheme {
 			return last[i].Mean, true
@@ -85,7 +85,7 @@ func DelayCapacity(o Options) (*Result, error) {
 	weak := e15WeakScenario()
 	type regimeOut struct {
 		sc  *scenario.Scenario
-		pts []delayPoint
+		pts []gridPoint
 	}
 	outs := make([]regimeOut, 0, 2)
 	for _, sc := range []*scenario.Scenario{strong, weak} {
@@ -93,7 +93,7 @@ func DelayCapacity(o Options) (*Result, error) {
 			return nil, err
 		}
 		sizes := o.sizes(sc.SizesFor(false), sc.SizesFor(true))
-		lam, dpts, err := sweepScenario(o, sc, sizes)
+		lam, pts, err := sweepScenario(o, sc, sizes)
 		if err != nil {
 			return nil, err
 		}
@@ -104,8 +104,8 @@ func DelayCapacity(o Options) (*Result, error) {
 			res.Rows = append(res.Rows, fmt.Sprintf("%s n=%6.0f lambda=%.5g seeds-ok=%d/%d",
 				sc.Name, lam.X[i], lam.Y[i], lam.OK[i], lam.Attempts[i]))
 		}
-		res.Rows = append(res.Rows, formatDelayRows(sc.DelaySchemes(), sc.DelayQuantiles(), dpts)...)
-		outs = append(outs, regimeOut{sc: sc, pts: dpts})
+		res.Rows = append(res.Rows, formatDelayRows(sc.DelaySchemes(), sc.DelayQuantiles(), pts)...)
+		outs = append(outs, regimeOut{sc: sc, pts: pts})
 	}
 
 	// Table-I ordering checks at the largest size of each regime: both

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hybridcap/internal/blob"
 	"hybridcap/internal/obs"
 	"hybridcap/internal/scenario"
 )
@@ -183,8 +184,8 @@ func TestScenarioManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := obs.ParseManifest(data)
-	if err != nil {
+	var parsed obs.Manifest
+	if err := blob.Decode(data, &parsed); err != nil {
 		t.Fatal(err)
 	}
 	again, err := parsed.Marshal()

@@ -20,24 +20,26 @@ var ErrShardNoCache = errors.New("a sharded run needs a cell cache to store its 
 
 // RunScenario executes one declarative scenario through the grid engine
 // and packages the sweep as a Result: the measured lambda series with
-// per-point coverage, the regime classification and theoretical
-// capacity order at the largest size, and — when the scenario requests
-// it — a power-law fit of the measured exponent. This is the runner
-// behind `capsim -scenario file.json` and the scenario daemon's only
-// execution path (served results match the CLI byte for byte); the
-// built-in Table-I regimes (Entry.Scenarios) execute through the same
-// path. A canceled ctx stops the sweep promptly and fails the run with
-// the context error — a canceled run never yields a partial Result.
+// per-point coverage, the per-scheme delay rows of a delay scenario
+// (measured on the same instances, one build per cell), the regime
+// classification and theoretical capacity order at the largest size,
+// and — when the scenario requests it — a power-law fit of the
+// measured exponent. This is the runner behind `capsim -scenario
+// file.json` and the scenario daemon's only execution path (served
+// results match the CLI byte for byte); the built-in Table-I regimes
+// (Entry.Scenarios) execute through the same path. A canceled ctx stops
+// the sweep promptly and fails the run with the context error — a
+// canceled run never yields a partial Result.
 //
 // A sharded scenario (sc.Shard set) evaluates only its block of the
-// global grid and stores every successful cell in o.CellCache, which it
-// therefore requires: the Result carries the shard's partial series and
-// a manifest recording the shard identity and grid coverage, with no
-// fit or chart. The shards of a sweep merge through the cache they
-// share: an unsharded run of the same scenario over it replays every
-// stored cell and computes only the rest (failed cells, which are never
-// stored, and the blocks of shards that did not finish), so its report
-// and manifest are the unsharded run's own.
+// global grid and stores every successful cell, delay half included, in
+// o.CellCache, which it therefore requires: the Result carries the
+// shard's partial series and a manifest recording the shard identity
+// and grid coverage, with no fit or chart. The shards of a sweep merge
+// through the cache they share: an unsharded run of the same scenario
+// over it replays every stored cell and computes only the rest (failed
+// cells, which are never stored, and the blocks of shards that did not
+// finish), so its report and manifest are the unsharded run's own.
 func RunScenario(ctx context.Context, sc *scenario.Scenario, o Options) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -68,9 +70,7 @@ func RunScenario(ctx context.Context, sc *scenario.Scenario, o Options) (*Result
 	}
 	rt.Push("scenario " + sc.Name)
 	cacheBefore := mobility.ReadCacheStats()
-	// The delay pass evaluates the lambda pass's exact cells, so both
-	// run inside the same scenario span and cache-delta window.
-	series, dpts, err := sweepScenario(o, sc, sizes)
+	series, pts, err := sweepScenario(o, sc, sizes)
 	cacheAfter := mobility.ReadCacheStats()
 	rt.Pop()
 	if err != nil {
@@ -81,7 +81,7 @@ func RunScenario(ctx context.Context, sc *scenario.Scenario, o Options) (*Result
 		return nil, err
 	}
 	if sc.Delay != nil {
-		res.Rows = append(res.Rows, formatDelayRows(sc.DelaySchemes(), sc.DelayQuantiles(), dpts)...)
+		res.Rows = append(res.Rows, formatDelayRows(sc.DelaySchemes(), sc.DelayQuantiles(), pts)...)
 	}
 	if sc.Shard != nil {
 		lo, hi, cerr := shardedGrid(len(sizes), seeds, sc.Shard).Coverage()

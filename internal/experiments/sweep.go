@@ -15,8 +15,8 @@ import (
 	"hybridcap/internal/traffic"
 )
 
-// evalFn measures one instance: a per-node rate on the lambda pass,
-// per-scheme delay statistics on the delay pass.
+// evalFn measures one instance: a per-node rate, flat per-scheme delay
+// statistics, or a scenario cell's both (cellValue).
 type evalFn[T any] func(nw *network.Network, tr *traffic.Pattern) (T, error)
 
 // schemeEval adapts a routing.Scheme.
@@ -89,11 +89,35 @@ func scenarioEval(names []string) evalFn[float64] {
 	}
 }
 
+// cellValue is one scenario cell's result, both halves measured on the
+// one instance the cell builds: the best scheme's lambda and, in a
+// delay scenario, the delay half — every delay scheme's statistics as
+// consecutive delay.Stats flat forms, in the scenario's delay-scheme
+// order.
+type cellValue struct {
+	lambda float64
+	delay  []float64
+}
+
+// scenarioCell scores an instance by lambda and, when delayOf is set,
+// by delayOf as well. The cell has one outcome: it fails if either
+// half fails.
+func scenarioCell(lambda evalFn[float64], delayOf evalFn[[]float64]) evalFn[cellValue] {
+	return func(nw *network.Network, tr *traffic.Pattern) (cellValue, error) {
+		l, err := lambda(nw, tr)
+		if err != nil || delayOf == nil {
+			return cellValue{lambda: l}, err
+		}
+		d, err := delayOf(nw, tr)
+		return cellValue{lambda: l, delay: d}, err
+	}
+}
+
 // sizeGrid is a resolved sizes x seeds grid: one validated parameter
 // point per size, the BS placement and optional fault plan every
-// instance gets, and the only derivation of cell seeds. A scenario's
-// lambda and delay passes run on the same grid, so they evaluate the
-// same instances.
+// instance gets, and the only derivation of cell seeds. Each cell
+// builds its instance once and scores both of a scenario's halves on
+// it.
 type sizeGrid struct {
 	name      string
 	sizes     []int
@@ -179,126 +203,150 @@ func shardedGrid(points, seeds int, s *scenario.ShardSpec) engine.Grid {
 	return g
 }
 
-// pointAgg folds one pass's cell outcomes per point, in grid order:
-// engine.MeanAgg for the lambda pass, delayAgg for the delay pass.
-type pointAgg[T, V any] interface {
-	Cell(point, seed int, out engine.Outcome[T])
-	Point(point int) (v V, ok int, firstErr error, firstSeed int)
-	Covered(point int) int
+// gridAgg folds a scenario's cell outcomes per point in grid order:
+// lambda through engine.MeanAgg's sum-then-divide, the delay half into
+// per-point field sums over the same surviving seeds, so a point's
+// lambda and delay describe one set of instances.
+type gridAgg struct {
+	*engine.MeanAgg
+	delay [][]float64 // per point, one delay half wide; nil without delay
 }
 
-// gridPass is what one pass brings to the grid runner besides the grid:
-// the phase name ("sweep" or "delay"), the error prefix, the evaluator,
-// the aggregator and the optional shard spec and cell-cache scope (nil
-// stays uncached).
-type gridPass[T, V any] struct {
-	phase  string
-	prefix string
-	eval   evalFn[T]
-	agg    pointAgg[T, V]
-	shard  *scenario.ShardSpec
-	scope  scopeFn
+// newGridAgg sizes the aggregator for points whose cells carry a delay
+// half of width values (0: lambda only).
+func newGridAgg(points, width int) *gridAgg {
+	a := &gridAgg{MeanAgg: engine.NewMeanAgg(points)}
+	if width > 0 {
+		a.delay = make([][]float64, points)
+		for i := range a.delay {
+			a.delay[i] = make([]float64, width)
+		}
+	}
+	return a
 }
 
-// gridPoint is one point's aggregate after a pass: its size, the
-// aggregator's value, and how many seeds survived out of those covered.
-type gridPoint[V any] struct {
+// Cell implements the engine reduce callback. The engine delivers cells
+// in grid order, so per-point seed folds are deterministic.
+func (a *gridAgg) Cell(point, seed int, out engine.Outcome[cellValue]) {
+	a.MeanAgg.Cell(point, seed, engine.Outcome[float64]{Value: out.Value.lambda, Err: out.Err})
+	if out.Err != nil || a.delay == nil {
+		return
+	}
+	sum := a.delay[point]
+	for k := range sum {
+		sum[k] += out.Value.delay[k]
+	}
+}
+
+// gridRun is what a scenario brings to the grid runner besides the
+// grid: the cell evaluator, the width of its cells' delay half (0 for
+// a lambda-only scenario), the optional shard spec, and the optional
+// renderer of a point's canonical cell-cache scope by network size
+// (nil stays uncached).
+type gridRun struct {
+	eval  evalFn[cellValue]
+	width int
+	shard *scenario.ShardSpec
+	scope func(n int) ([]byte, error)
+}
+
+// gridPoint is one point's aggregate: its size, the mean lambda and the
+// mean delay half (nil in a lambda-only run) over its surviving seeds,
+// and how many seeds survived out of those covered.
+type gridPoint struct {
 	N       int
-	Value   V
+	Lambda  float64
+	Delay   []float64
 	OK      int
 	Covered int
 }
 
-// runGrid is the streaming grid runner behind both passes: cells fan
-// out through the engine's bounded pool and fold into the pass's
-// aggregator in grid order, so the points are byte-identical to a
-// serial run for every worker count while the run holds O(points +
-// workers) state. The run is bracketed in a "<phase> <name>" span and
-// every cell outcome goes through the observability sink. An optional
-// shard spec restricts the run to one contiguous block of the global
-// grid (cells keep their global coordinates and seeds, so a shard's
-// cells are exactly the unsharded run's).
+// runGrid is the streaming grid runner behind every scenario: cells fan
+// out through the engine's bounded pool and fold into one aggregator in
+// grid order, so the points are byte-identical to a serial run for
+// every worker count while the run holds O(points + workers) state. The
+// run is bracketed in a "sweep <name>" span and every cell outcome goes
+// through the observability sink. An optional shard spec restricts the
+// run to one contiguous block of the global grid (cells keep their
+// global coordinates and seeds, so a shard's cells are exactly the
+// unsharded run's).
 //
 // Failing seeds (errors or panics) are tolerated: a point aggregates
 // its surviving seeds and reports its coverage. Unsharded, a point
 // losing every seed aborts the run, reporting the point's first failure
 // by seed order; under a shard every covered point is returned (whether
 // the full point is dead is the unsharded run's call, not one shard's).
-func runGrid[T, V any](o Options, g *sizeGrid, p gridPass[T, V]) ([]gridPoint[V], error) {
-	eg := shardedGrid(len(g.sizes), o.seeds(), p.shard)
+func runGrid(o Options, g *sizeGrid, r gridRun) ([]gridPoint, error) {
+	prefix := "experiments: " + g.name
+	eg := shardedGrid(len(g.sizes), o.seeds(), r.shard)
 	eg.Workers = o.workers()
-	if o.CellCache != nil && p.scope != nil {
-		cache, err := newSweepCellCache(o.CellCache, p.scope, g)
+	if o.CellCache != nil && r.scope != nil {
+		cache, err := newSweepCellCache(o.CellCache, r.scope, g, r.width)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.prefix, err)
+			return nil, fmt.Errorf("%s: %w", prefix, err)
 		}
 		eg.Cache = cache
 	}
-	finish := observeGrid(o, p.phase+" "+g.name, &eg, g.sizes)
+	agg := newGridAgg(len(g.sizes), r.width)
+	finish := observeGrid(o, "sweep "+g.name, &eg, g.sizes)
 	serr := engine.Stream(o.ctx(), eg,
-		func(point, seed int) (T, error) { return cellStep(g.config(point, seed), g.faults, p.eval) },
-		p.agg.Cell)
+		func(point, seed int) (cellValue, error) { return cellStep(g.config(point, seed), g.faults, r.eval) },
+		agg.Cell)
 	finish()
 
 	// A canceled run must fail as a whole: partial grids would look
 	// like degraded-but-valid data, and a daemon must never cache them.
 	// An invalid shard spec surfaces here too, before any cell ran.
 	if serr != nil {
-		return nil, fmt.Errorf("%s: %w", p.prefix, serr)
+		return nil, fmt.Errorf("%s: %w", prefix, serr)
 	}
-	pts := make([]gridPoint[V], 0, len(g.sizes))
+	pts := make([]gridPoint, 0, len(g.sizes))
 	for i, n := range g.sizes {
-		v, ok, firstErr, firstSeed := p.agg.Point(i)
-		covered := p.agg.Covered(i)
-		if p.shard == nil && ok == 0 {
-			wrapped := fmt.Errorf("%s at n=%d seed %d: %w", p.prefix, n, firstSeed, firstErr)
-			return nil, fmt.Errorf("%s at n=%d: all %d seeds failed: %w", p.prefix, n, eg.Seeds, wrapped)
+		lambda, ok, firstErr, firstSeed := agg.Point(i)
+		covered := agg.Covered(i)
+		if r.shard == nil && ok == 0 {
+			wrapped := fmt.Errorf("%s at n=%d seed %d: %w", prefix, n, firstSeed, firstErr)
+			return nil, fmt.Errorf("%s at n=%d: all %d seeds failed: %w", prefix, n, eg.Seeds, wrapped)
 		}
-		if covered > 0 {
-			pts = append(pts, gridPoint[V]{N: n, Value: v, OK: ok, Covered: covered})
+		if covered == 0 {
+			continue
 		}
+		pt := gridPoint{N: n, Lambda: lambda, OK: ok, Covered: covered}
+		if agg.delay != nil {
+			pt.Delay = agg.delay[i]
+			if ok > 0 {
+				f := 1 / float64(ok)
+				for k := range pt.Delay {
+					pt.Delay[k] *= f
+				}
+			}
+		}
+		pts = append(pts, pt)
 	}
 	return pts, nil
 }
 
-// lambdaPass is the throughput pass over a grid: eval scores each
-// instance and a point's surviving seeds fold into their mean.
-func lambdaPass(g *sizeGrid, eval evalFn[float64]) gridPass[float64, float64] {
-	return gridPass[float64, float64]{
-		phase:  "sweep",
-		prefix: "experiments: " + g.name,
-		eval:   eval,
-		agg:    engine.NewMeanAgg(len(g.sizes)),
-	}
-}
-
-// lambdaSeries renders a lambda pass's points as the measured series
+// lambdaSeries renders a run's points as the measured lambda series
 // with per-point coverage. A sharded point without a surviving seed has
 // no mean and is left out.
-func lambdaSeries(name string, pts []gridPoint[float64]) *measure.Series {
+func lambdaSeries(name string, pts []gridPoint) *measure.Series {
 	series := &measure.Series{Name: name}
 	for _, pt := range pts {
 		if pt.OK > 0 {
-			series.AddCounted(float64(pt.N), pt.Value, pt.OK, pt.Covered)
+			series.AddCounted(float64(pt.N), pt.Lambda, pt.OK, pt.Covered)
 		}
 	}
 	return series
 }
 
-// scopeFn renders the canonical cell-cache scope of one grid point
-// (network size). Nil means the pass's cells have no declarative scope
-// and must not be cached.
-type scopeFn func(n int) ([]byte, error)
-
-// sweepScenario resolves a declarative scenario's size grid once and
-// runs its lambda pass on it: the scenario's name salts the seed
-// derivation, its scheme set scores each instance, its optional fault
-// plan is installed into every cell, its optional shard spec selects
-// the block of the global grid this process evaluates and its cell
-// scope keys the optional cell cache. A delay scenario then
-// runs its delay pass over the same grid, and so over the same
-// instances; Validate guarantees delay scenarios are unsharded.
-func sweepScenario(o Options, sc *scenario.Scenario, sizes []int) (*measure.Series, []delayPoint, error) {
+// sweepScenario resolves a declarative scenario's size grid and runs it
+// once: the scenario's name salts the seed derivation, its scheme set
+// scores each instance's lambda, its optional delay spec scores the
+// same instance's delay, its optional fault plan is installed into
+// every cell, its optional shard spec selects the block of the global
+// grid this process evaluates and its cell scope keys the optional cell
+// cache, which stores both halves of every cell.
+func sweepScenario(o Options, sc *scenario.Scenario, sizes []int) (*measure.Series, []gridPoint, error) {
 	placement, err := sc.PlacementScheme()
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: scenario %s: %w", sc.Name, err)
@@ -307,41 +355,41 @@ func sweepScenario(o Options, sc *scenario.Scenario, sizes []int) (*measure.Seri
 	if err != nil {
 		return nil, nil, err
 	}
-	lp := lambdaPass(g, scenarioEval(sc.Schemes))
-	lp.shard, lp.scope = sc.Shard, sc.CellScope
-	pts, err := runGrid(o, g, lp)
+	r := gridRun{shard: sc.Shard, scope: sc.CellScope}
+	var delayOf evalFn[[]float64]
+	if sc.Delay != nil {
+		schemes, probs := sc.DelaySchemes(), sc.DelayQuantiles()
+		delayOf = delayEval(schemes, probs, sc.AssocConfig())
+		r.width = delayWidth(schemes, probs)
+	}
+	r.eval = scenarioCell(scenarioEval(sc.Schemes), delayOf)
+	pts, err := runGrid(o, g, r)
 	if err != nil {
 		return nil, nil, err
 	}
-	series := lambdaSeries(g.name, pts)
-	if sc.Delay == nil {
-		return series, nil, nil
-	}
-	schemes := sc.DelaySchemes()
-	dpts, err := runGrid(o, g, delayPass(g, len(schemes), delayEval(schemes, sc.DelayQuantiles(), sc.AssocConfig())))
-	if err != nil {
-		return nil, nil, err
-	}
-	return series, dpts, nil
+	return lambdaSeries(g.name, pts), pts, nil
 }
 
 // sweepCellCache adapts the persistent cell store to the engine's
 // CellCache: grid coordinates map to (scope, n, derived seed) keys, so
 // a cell hits if and only if the exact same instance would be rebuilt.
-// Keys are shard-blind (global coordinates, derived seeds), so an
-// unsharded run replays the cells its shards stored, and a resumed or
-// re-partitioned sweep replays another run's cells. Gets and Puts run
-// on worker goroutines; the adapter's state is read-only after
-// construction, the seed derivation is pure, and the store is
+// An entry stores both halves of its cell; under a delay scope a stored
+// lambda without its delay half misses, and the recomputed cell
+// overwrites it. Keys are shard-blind (global coordinates, derived
+// seeds), so an unsharded run replays the cells its shards stored, and
+// a resumed or re-partitioned sweep replays another run's cells. Gets
+// and Puts run on worker goroutines; the adapter's state is read-only
+// after construction, the seed derivation is pure, and the store is
 // concurrency-safe.
 type sweepCellCache struct {
 	store  *cellcache.Store
 	scopes [][]byte // per point
 	grid   *sizeGrid
+	width  int // delay-half length of every cell
 }
 
 // newSweepCellCache precomputes the per-point scopes for a grid.
-func newSweepCellCache(store *cellcache.Store, scope scopeFn, g *sizeGrid) (*sweepCellCache, error) {
+func newSweepCellCache(store *cellcache.Store, scope func(n int) ([]byte, error), g *sizeGrid, width int) (*sweepCellCache, error) {
 	scopes := make([][]byte, len(g.sizes))
 	for i, n := range g.sizes {
 		b, err := scope(n)
@@ -350,26 +398,27 @@ func newSweepCellCache(store *cellcache.Store, scope scopeFn, g *sizeGrid) (*swe
 		}
 		scopes[i] = b
 	}
-	return &sweepCellCache{store: store, scopes: scopes, grid: g}, nil
+	return &sweepCellCache{store: store, scopes: scopes, grid: g, width: width}, nil
 }
 
 // Get implements engine.CellCache. Every store failure — miss, I/O
-// error, corruption (evicted on the spot) — degrades to a recompute.
+// error, corruption (evicted on the spot), an entry of another shape —
+// degrades to a recompute.
 func (c *sweepCellCache) Get(point, seed int) (any, bool) {
 	key := cellcache.Key(c.scopes[point], c.grid.sizes[point], c.grid.cellSeed(point, seed))
-	e, _, err := c.store.Get(key)
+	e, _, err := c.store.Get(key, c.width)
 	if err != nil {
 		return nil, false
 	}
-	return e.Value, true
+	return cellValue{lambda: e.Value, delay: e.Delay}, true
 }
 
 // Put implements engine.CellCache. Persistence is best-effort: a full
 // disk or non-finite value loses the entry, never the run.
 func (c *sweepCellCache) Put(point, seed int, v any) {
-	val, ok := v.(float64)
+	val, ok := v.(cellValue)
 	if !ok {
 		return
 	}
-	_ = c.store.Put(c.scopes[point], c.grid.sizes[point], c.grid.cellSeed(point, seed), val)
+	_ = c.store.Put(c.scopes[point], c.grid.sizes[point], c.grid.cellSeed(point, seed), val.lambda, val.delay...)
 }

@@ -86,10 +86,10 @@ func testGrid(t *testing.T, name string, sizes []int, base scaling.Params, place
 	return g
 }
 
-// sweepEval runs a lambda pass with the given evaluator over g and
+// sweepEval runs a lambda-only grid with the given evaluator over g and
 // renders its series: the runner with its evaluator as the test seam.
 func sweepEval(o Options, g *sizeGrid, eval evalFn[float64]) (*measure.Series, error) {
-	pts, err := runGrid(o, g, lambdaPass(g, eval))
+	pts, err := runGrid(o, g, gridRun{eval: scenarioCell(eval, nil)})
 	if err != nil {
 		return nil, err
 	}

@@ -70,7 +70,7 @@ type ShardInfo struct {
 // Manifest is the run manifest written alongside a report: everything
 // needed to say what ran and what came out, without re-reading logs.
 // The encoding is a fixed tree of structs and slices (no maps), so
-// Marshal -> ParseManifest -> Marshal is byte-identical.
+// Marshal -> blob.Decode -> Marshal is byte-identical.
 type Manifest struct {
 	// Schema is the manifest schema version.
 	Schema int `json:"schema"`
@@ -133,20 +133,6 @@ func (m *Manifest) Marshal() ([]byte, error) {
 		return nil, fmt.Errorf("obs: marshal manifest: %w", err)
 	}
 	return append(data, '\n'), nil
-}
-
-// ParseManifest decodes a manifest, rejecting unknown fields and bytes
-// after the JSON value (blob.Decode) so schema drift and torn files
-// fail loudly.
-func ParseManifest(data []byte) (*Manifest, error) {
-	m := &Manifest{}
-	if err := blob.Decode(data, m); err != nil {
-		return nil, fmt.Errorf("obs: parse manifest: %w", err)
-	}
-	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("obs: manifest schema %d, want %d", m.Schema, ManifestSchema)
-	}
-	return m, nil
 }
 
 // WriteFile writes the manifest to path atomically (blob.WriteFile),

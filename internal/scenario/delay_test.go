@@ -30,10 +30,6 @@ func TestValidateDelaySentinels(t *testing.T) {
 		{"delay scheme outside scheme set", func(s *Scenario) {
 			s.Delay = &DelaySpec{Schemes: []string{"twoHop"}}
 		}, ErrDelayScheme},
-		{"delay under shard", func(s *Scenario) {
-			s.Delay = &DelaySpec{}
-			s.Shard = &ShardSpec{Index: 0, Count: 2}
-		}, ErrDelayShard},
 		{"negative time-to-trigger", func(s *Scenario) {
 			s.Assoc = &AssocSpec{TimeToTrigger: -1}
 		}, ErrAssocField},
@@ -48,6 +44,15 @@ func TestValidateDelaySentinels(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: error %v, want sentinel %v", tc.name, err, tc.want)
 		}
+	}
+
+	// Delay halves merge through the cell cache with their lambdas, so a
+	// sharded delay scenario is valid.
+	s := valid()
+	s.Delay = &DelaySpec{}
+	s.Shard = &ShardSpec{Index: 0, Count: 2}
+	if err := s.Validate(); err != nil {
+		t.Errorf("sharded delay scenario rejected: %v", err)
 	}
 }
 

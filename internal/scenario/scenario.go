@@ -97,10 +97,6 @@ var (
 	// ErrDelayScheme marks a delay scheme that is not in the scenario's
 	// scheme set (delay rides the same evaluations as throughput).
 	ErrDelayScheme = errors.New("delay scheme not in the scenario's scheme set")
-	// ErrDelayShard marks a delay request on a sharded scenario: delay
-	// cells are not stored in the cell cache, through which shards
-	// merge.
-	ErrDelayShard = errors.New("delay accounting does not support sharded runs")
 	// ErrAssocField marks an out-of-range association-dynamics knob.
 	ErrAssocField = errors.New("invalid association field")
 )
@@ -333,9 +329,6 @@ func (s *Scenario) Validate() error {
 				return fmt.Errorf("scenario %s: quantile %v: %w", s.Name, q, ErrDelayQuantile)
 			}
 		}
-		if s.Shard != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, ErrDelayShard)
-		}
 	}
 	if s.Assoc != nil {
 		if err := s.Assoc.Config().Validate(); err != nil {
@@ -429,12 +422,10 @@ type cellScope struct {
 	Schemes   []string   `json:"schemes"`
 	Placement string     `json:"placement,omitempty"`
 	Faults    *FaultSpec `json:"faults,omitempty"`
-	// Delay and Assoc are projected conservatively: the cached lambda
-	// value itself does not depend on them, but the sweep's published
-	// cell stream does (delay cells interleave with lambda cells), so
-	// toggling delay accounting invalidates rather than risking a
-	// stale-scope replay. Both are omitempty: scenarios without the new
-	// fields keep their existing byte-identical scopes.
+	// Delay and Assoc shape a cell's delay half, which its entry stores
+	// alongside lambda, so toggling or editing delay accounting
+	// recomputes. Both are omitempty: scenarios without them keep their
+	// existing byte-identical scopes.
 	Delay *DelaySpec `json:"delay,omitempty"`
 	Assoc *AssocSpec `json:"association,omitempty"`
 }

@@ -117,7 +117,11 @@ func (s SchemeA) evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation
 
 // cellGraph is scheme A's capacitated graph over occupied tessellation
 // cells (4-adjacency plus self-edges), with congestion-aware
-// shortest-path routing.
+// shortest-path routing. Its shortest paths run on a monotone bucket
+// queue (see bucketQueue) whose buckets are at most half the lightest
+// edge weight of the pass wide, and its parent rule is order-free: on
+// an exact tie the predecessor with the least (dist, id) wins, so each
+// tree is a function of the final distances alone.
 type cellGraph struct {
 	g        geom.Grid
 	occupied []bool
@@ -132,11 +136,12 @@ type cellGraph struct {
 
 	// Reusable scratch for routeAll/dijkstra, so the per-source
 	// shortest-path passes allocate nothing after the first call.
-	distScratch   []float64
-	parentScratch []int32
-	pqScratch     cellPQ
-	prevLoad      [][]float64
-	edgeWeight    [][]float64
+	distScratch    []float64
+	parentScratch  []int32
+	settledScratch []bool
+	queue          bucketQueue
+	prevLoad       [][]float64
+	edgeWeight     [][]float64
 }
 
 // cellDirs are the 4-adjacency steps in edge order. Each forward step
@@ -292,6 +297,7 @@ func (cg *cellGraph) routeAll(demands map[cellEdge]float64, iters int) int {
 				cg.edgeWeight[c][i] = w
 			}
 		}
+		cg.fixWeights()
 		cg.resetLoads()
 		failures = 0
 		for si, src := range srcs {
@@ -322,40 +328,82 @@ func (cg *cellGraph) routeAll(demands map[cellEdge]float64, iters int) int {
 	return failures
 }
 
+// fixWeights sets the bucket width for the edgeWeight table just
+// filled: half the lightest positive weight, so an edge out of the
+// bucket being settled always lands in a later one (a graph without
+// edges gets width infinity). It must be called whenever edgeWeight
+// changes.
+func (cg *cellGraph) fixWeights() {
+	wmin := math.Inf(1)
+	for c := range cg.edgeWeight {
+		for _, w := range cg.edgeWeight[c] {
+			if w > 0 && w < wmin {
+				wmin = w
+			}
+		}
+	}
+	cg.queue.inv = 2 / wmin
+}
+
 // dijkstra returns the shortest-path parent array from src under the
-// precomputed edgeWeight table (-1 = unreachable). The returned slice
-// is scratch owned by the graph: it is valid until the next call.
+// edgeWeight table fixed by fixWeights (-1 = unreachable). The returned
+// slice is scratch owned by the graph: it is valid until the next call.
+//
+// Every entry of the bucket being drained is final, so the bucket is
+// settled in whatever order it holds. Parents do not depend on that
+// order: a strictly shorter path takes the cell, and on an exact tie
+// the predecessor with the least (dist, id) wins. A binary heap gives
+// the same tree wherever no two tied predecessors also share their
+// own distance, since it settles them in order of dist.
 func (cg *cellGraph) dijkstra(src int) []int32 {
 	n := len(cg.nbr)
 	if cg.distScratch == nil {
 		cg.distScratch = make([]float64, n)
 		cg.parentScratch = make([]int32, n)
+		cg.settledScratch = make([]bool, n)
+		edges := 0
+		for c := range cg.nbr {
+			edges += len(cg.nbr[c])
+		}
+		cg.queue.init(edges + 1)
 	}
-	dist, parent := cg.distScratch, cg.parentScratch
+	dist, parent, settled := cg.distScratch, cg.parentScratch, cg.settledScratch
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parent[i] = -1
+		settled[i] = false
 	}
 	if !cg.occupied[src] {
 		return parent
 	}
 	dist[src] = 0
 	parent[src] = int32(src)
-	pq := &cg.pqScratch
-	pq.items = append(pq.items[:0], cellPQItem{cell: int32(src), dist: 0})
-	for len(pq.items) > 0 {
-		top := pq.pop()
-		c := int(top.cell)
-		if top.dist > dist[c] {
+	q := &cg.queue
+	q.reset()
+	q.push(int32(src), 0)
+	for {
+		c, ok := q.pop()
+		if !ok {
+			break
+		}
+		if settled[c] {
 			continue
 		}
+		settled[c] = true
+		d := dist[c]
 		w := cg.edgeWeight[c]
 		for i, nb := range cg.nbr[c] {
-			nd := top.dist + w[i]
+			nd := d + w[i]
 			if nd < dist[nb] {
 				dist[nb] = nd
-				parent[nb] = int32(c)
-				pq.push(cellPQItem{cell: nb, dist: nd})
+				parent[nb] = c
+				q.push(nb, nd)
+			} else if nd == dist[nb] {
+				// p < 0 only where an infinite weight meets a cell
+				// not yet reached.
+				if p := parent[nb]; p >= 0 && (d < dist[p] || d == dist[p] && c < p) {
+					parent[nb] = c
+				}
 			}
 		}
 	}
@@ -388,60 +436,135 @@ func (cg *cellGraph) bottleneck() (tail, strict float64) {
 	return bottleneckRate(ratios, loads, DefaultTailFrac), bottleneckRate(ratios, loads, 0)
 }
 
-type cellPQItem struct {
-	cell int32
+// ringBuckets is the bucket queue's horizon: the ring holds entries up
+// to this many buckets past the one being drained. With buckets half
+// the lightest weight wide, one relaxation reaches 2*wmax/wmin+1
+// buckets ahead, at most about 25 on the Table I grids, so the ring
+// seldom spills.
+const ringBuckets = 1 << 8
+
+// bucketQueue is a monotone bucket queue (Dial's algorithm, with
+// Dinitz's width of a fraction of the lightest weight) over a ring of
+// ringBuckets list heads. An entry of distance d lies in absolute
+// bucket floor(d*inv). Entries beyond the ring's horizon wait in an
+// overflow list and are linked into the ring when the horizon reaches
+// the least of them; an empty ring jumps straight to it. Its memory is
+// the fixed ring plus an entry and an overflow slot per push, sized
+// once per graph, whatever the weight spread.
+type bucketQueue struct {
+	// inv is the inverse bucket width.
+	inv float64
+	// head is the ring of bucket list heads into ents (-1 = empty).
+	head []int32
+	ents []queueEntry
+	// over lists the ents beyond the horizon, overMin the least of
+	// their buckets (MaxUint64 when over is empty).
+	over    []int32
+	overMin uint64
+	// cur is the absolute bucket being drained; live counts the ents
+	// linked into the ring.
+	cur  uint64
+	live int
+}
+
+type queueEntry struct {
 	dist float64
+	cell int32
+	next int32
 }
 
-// cellPQ is a binary min-heap on dist, specialized to avoid the
-// interface boxing of container/heap in the dijkstra inner loop.
-//
-// Exact-order contract: the heap array after every push and pop is the
-// one container/heap would hold — up while strictly less than the
-// parent, down preferring the left child unless the right is strictly
-// less — so equal-distance ties pop in the same order and parent arrays
-// stay bit-identical to the generic version. The sifts shift parents or
-// children into the gap and write the moving item once, at its final
-// slot, which leaves the same array as swapping it level by level.
-type cellPQ struct {
-	items []cellPQItem
-}
+// maxBucket caps bucket indices, so distances past it share one bucket.
+const maxBucket = 1 << 62
 
-func (p *cellPQ) push(it cellPQItem) {
-	p.items = append(p.items, it)
-	items := p.items
-	j := len(items) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(it.dist < items[i].dist) {
-			break
-		}
-		items[j] = items[i]
-		j = i
+// init sizes the queue once for a graph whose Dijkstra pushes at most
+// pushes entries per source: one for the source and one per strict
+// improvement, at most one per edge since every cell is settled once.
+func (q *bucketQueue) init(pushes int) {
+	q.head = make([]int32, ringBuckets)
+	for i := range q.head {
+		q.head[i] = -1
 	}
-	items[j] = it
+	q.ents = make([]queueEntry, 0, pushes)
+	q.over = make([]int32, 0, pushes)
 }
 
-func (p *cellPQ) pop() cellPQItem {
-	items := p.items
-	n := len(items) - 1
-	top, last := items[0], items[n]
-	i := 0
+// reset empties the queue; a drained queue's ring is already empty.
+func (q *bucketQueue) reset() {
+	q.ents = q.ents[:0]
+	q.over = q.over[:0]
+	q.overMin = math.MaxUint64
+	q.cur = 0
+	q.live = 0
+}
+
+// bucket returns the absolute bucket of distance d. It is monotone in
+// d, so no push lands before the bucket being drained: a relaxation
+// starts from a cell in that bucket, and an overflow entry is never
+// before the least of them.
+func (q *bucketQueue) bucket(d float64) uint64 {
+	if k := d * q.inv; k < maxBucket {
+		return uint64(k)
+	}
+	return maxBucket
+}
+
+func (q *bucketQueue) push(cell int32, d float64) {
+	b := q.bucket(d)
+	i := int32(len(q.ents))
+	q.ents = append(q.ents, queueEntry{dist: d, cell: cell})
+	if b >= q.cur+ringBuckets {
+		q.over = append(q.over, i)
+		q.overMin = min(q.overMin, b)
+		return
+	}
+	q.link(i, b)
+}
+
+func (q *bucketQueue) link(i int32, b uint64) {
+	s := b & (ringBuckets - 1)
+	q.ents[i].next = q.head[s]
+	q.head[s] = i
+	q.live++
+}
+
+// pop removes an entry of the least nonempty bucket; ok is false once
+// the queue is empty.
+func (q *bucketQueue) pop() (cell int32, ok bool) {
 	for {
-		j := 2*i + 1
-		if j >= n {
-			break
+		if q.live == 0 {
+			if len(q.over) == 0 {
+				return -1, false
+			}
+			q.cur = q.overMin
+			q.spill()
 		}
-		if j2 := j + 1; j2 < n && items[j2].dist < items[j].dist {
-			j = j2
+		s := q.cur & (ringBuckets - 1)
+		if h := q.head[s]; h >= 0 {
+			e := &q.ents[h]
+			q.head[s] = e.next
+			q.live--
+			return e.cell, true
 		}
-		if !(items[j].dist < last.dist) {
-			break
+		q.cur++
+		if q.cur+ringBuckets > q.overMin {
+			q.spill()
 		}
-		items[i] = items[j]
-		i = j
 	}
-	items[i] = last
-	p.items = items[:n]
-	return top
+}
+
+// spill links the overflow entries now within the horizon into the
+// ring and keeps the rest.
+func (q *bucketQueue) spill() {
+	rest := q.over[:0]
+	q.overMin = math.MaxUint64
+	for _, i := range q.over {
+		b := q.bucket(q.ents[i].dist)
+		if b >= q.cur+ringBuckets {
+			rest = append(rest, i)
+			q.overMin = min(q.overMin, b)
+			continue
+		}
+		q.link(i, b)
+	}
+	q.over = rest
 }

@@ -266,6 +266,11 @@ func refDijkstra(cg *cellGraph, weight [][]float64, src int) []int32 {
 	return parent
 }
 
+type cellPQItem struct {
+	cell int32
+	dist float64
+}
+
 // refPQ is the container/heap sift order with level-by-level swaps.
 type refPQ []cellPQItem
 
@@ -302,27 +307,6 @@ func (p *refPQ) pop() cellPQItem {
 	}
 	*p = h[:n]
 	return h[n]
-}
-
-// cellPQ must hold exactly the swapping heap's array after every push
-// and pop. Dijkstra distances rarely tie, so the keys here are drawn
-// from a handful of values to make ties the common case.
-func TestCellPQMatchesSwappingHeap(t *testing.T) {
-	rnd := rand.New(rand.NewSource(1))
-	var got cellPQ
-	var want refPQ
-	for op := 0; op < 10000; op++ {
-		if len(want) == 0 || rnd.Intn(20) < 11 {
-			it := cellPQItem{cell: int32(op), dist: float64(rnd.Intn(6))}
-			got.push(it)
-			want.push(it)
-		} else if g, w := got.pop(), want.pop(); g != w {
-			t.Fatalf("op %d: pop = %v, want %v", op, g, w)
-		}
-		if !slices.Equal(got.items, want) {
-			t.Fatalf("op %d: heap %v, want %v", op, got.items, want)
-		}
-	}
 }
 
 // sameCellGraph reports the first difference in edges, capacities or

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"hybridcap/internal/geom"
 	"hybridcap/internal/linkcap"
@@ -56,29 +57,39 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 	// largest size, and reused across pairs.
 	relays := make([]int32, 0, len(homes))
 	var weights []float64
+	var sample relaySample
+	if nb.complete() {
+		sample = newRelaySample(len(homes), maxRelays)
+	}
 	for src, dst := range tr.DestOf {
 		hs, hd := homes[src], homes[dst]
 		direct := a.MSMSBetween(hs, hd)
 
 		// Candidate relays: nodes whose home-point can meet both ends,
 		// kept in the index's order. Where the reach covers the torus
-		// every node meets the destination.
-		cands, _ := nb.of(src)
+		// every node but the pair is one, and a sample is drawn from
+		// the shared list without copying it.
+		cands, ps := nb.of(src)
 		relays = relays[:0]
-		for _, id := range cands {
-			if int(id) != src && int(id) != dst && (nb.complete() || math.Sqrt(geom.Dist2Unit(homes[id], hd)) < reach) {
-				relays = append(relays, id)
-			}
-		}
 		scale := 1.0
-		if len(relays) > maxRelays {
-			// Sample a subset; scale the aggregate up accordingly.
-			scale = float64(len(relays)) / float64(maxRelays)
-			for i := 0; i < maxRelays; i++ {
-				j := i + rnd.Intn(len(relays)-i)
-				relays[i], relays[j] = relays[j], relays[i]
+		if nb.complete() && len(cands)-2 > maxRelays {
+			scale = float64(len(cands)-2) / float64(maxRelays)
+			relays = sample.draw(relays, cands, ps, int(nb.pos[dst]), rnd)
+		} else {
+			for _, id := range cands {
+				if int(id) != src && int(id) != dst && (nb.complete() || math.Sqrt(geom.Dist2Unit(homes[id], hd)) < reach) {
+					relays = append(relays, id)
+				}
 			}
-			relays = relays[:maxRelays]
+			if len(relays) > maxRelays {
+				// Sample a subset; scale the aggregate up accordingly.
+				scale = float64(len(relays)) / float64(maxRelays)
+				for i := 0; i < maxRelays; i++ {
+					j := i + rnd.Intn(len(relays)-i)
+					relays[i], relays[j] = relays[j], relays[i]
+				}
+				relays = relays[:maxRelays]
+			}
 		}
 		pairCap := direct
 		weights = weights[:0]
@@ -139,6 +150,60 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 		ev.Bottleneck = "node-airtime"
 	}
 	return finish(ev), nil
+}
+
+// relaySample draws a pair's relays in the complete-graph regime: the
+// first k slots of a partial Fisher-Yates shuffle of the shared
+// all-nodes list with the pair's two positions removed. It makes the
+// same draws and yields the same relays, in the same order, as
+// shuffling a copy of that list, but reads the list in place: moved
+// holds, at each position of the virtual list, the id a swap put
+// there (-1 = none), and touched the positions to clear after a pair.
+type relaySample struct {
+	k       int
+	moved   []int32
+	touched []int32
+}
+
+func newRelaySample(n, k int) relaySample {
+	s := relaySample{k: k, moved: make([]int32, n), touched: make([]int32, 0, k)}
+	for i := range s.moved {
+		s.moved[i] = -1
+	}
+	return s
+}
+
+// draw appends the sample to out. all is the shared list and p, q the
+// positions of the pair's two distinct ends in it.
+func (s *relaySample) draw(out, all []int32, p, q int, rnd *rand.Rand) []int32 {
+	if p > q {
+		p, q = q, p
+	}
+	// at returns the id at position i of the list without p and q.
+	at := func(i int) int32 {
+		if id := s.moved[i]; id >= 0 {
+			return id
+		}
+		if i >= p {
+			i++
+		}
+		if i >= q {
+			i++
+		}
+		return all[i]
+	}
+	m := len(all) - 2
+	for i := 0; i < s.k; i++ {
+		j := i + rnd.Intn(m-i)
+		out = append(out, at(j))
+		s.moved[j] = at(i)
+		s.touched = append(s.touched, int32(j))
+	}
+	for _, j := range s.touched {
+		s.moved[j] = -1
+	}
+	s.touched = s.touched[:0]
+	return out
 }
 
 // nodeServiceRate estimates sum_j mu(i, j) over node i's neighbors,

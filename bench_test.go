@@ -16,6 +16,7 @@ import (
 	"hybridcap"
 	"hybridcap/internal/delay"
 	"hybridcap/internal/experiments"
+	"hybridcap/internal/faults"
 	"hybridcap/internal/geom"
 	"hybridcap/internal/linkcap"
 	"hybridcap/internal/network"
@@ -285,7 +286,10 @@ func BenchmarkPacketSim(b *testing.B) {
 // and the two-hop delay model at n=4096, alpha=0.04 without BSs: the
 // complete-graph regime of the d2d-baseline scenario, where the
 // meeting reach exceeds the torus diameter and every MS neighbors
-// every other. The network is built outside the timed loop.
+// every other. delay/schemeB times scheme B's delay model at the
+// handover-churn scenario's largest point: n=4096, alpha=0.15, K=0.8,
+// phi=1, grid BSs, a 30% outage from mid-run and the scenario's
+// association model. Networks are built outside the timed loops.
 func BenchmarkTwoHopBaselines(b *testing.B) {
 	p := scaling.Params{N: 4096, Alpha: 0.04, K: -1, M: 1}
 	nw, err := network.New(network.Config{Params: p, Seed: 1})
@@ -314,6 +318,32 @@ func BenchmarkTwoHopBaselines(b *testing.B) {
 	}
 	b.Run("delay/"+m.Name(), func(b *testing.B) {
 		b.ReportAllocs()
+		sum, count := 0.0, 0
+		observe := func(d delay.Breakdown) { sum, count = sum+d.Total(), count+1 }
+		for i := 0; i < b.N; i++ {
+			if _, err := m.EvaluateDelay(nw, tr, observe); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(sum/float64(count), "meanDelay")
+	})
+	b.Run("delay/"+routing.NameSchemeB, func(b *testing.B) {
+		p := scaling.Params{N: 4096, Alpha: 0.15, K: 0.8, Phi: 1, M: 1}
+		plan, err := faults.New(faults.Config{Seed: 7, BSOutageFraction: 0.3, BSOutageStart: 6000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nw, err := network.New(network.Config{Params: p, Seed: 1, BSPlacement: network.Grid, Faults: plan})
+		if err != nil {
+			b.Fatal(err)
+		}
+		assoc := &delay.AssocConfig{HandoverMargin: 0.02, Hysteresis: 0.01, TimeToTrigger: 8}
+		m, err := routing.DelayModelByName(routing.NameSchemeB, p, assoc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
 		sum, count := 0.0, 0
 		observe := func(d delay.Breakdown) { sum, count = sum+d.Total(), count+1 }
 		for i := 0; i < b.N; i++ {

@@ -98,6 +98,21 @@ func (a *Analytic) MSMSSum(p geom.Point, homes []geom.Point, ids []int32, skip i
 	return sum
 }
 
+// floorMargin is the relative slack MSMSFloor leaves: it dwarfs the
+// few-ulp rounding of the eta interpolation, of its scaling and of a
+// distance's square root, so the bound holds for computed values.
+const floorMargin = 1e-12
+
+// MSMSFloor returns a lower bound on MSMS(d) over every home distance
+// d up to dMax (and an ulp or so past it, as a square root of a squared
+// distance bounded by dMax^2 may round): the least eta table node the
+// interpolation reaches, scaled and capped as MSMS is, less a relative
+// margin. It is zero where the distances reach the end of eta's table.
+func (a *Analytic) MSMSFloor(dMax float64) float64 {
+	v := a.msmsScale * a.eta.MinUpTo(a.f*dMax*(1+floorMargin))
+	return min(1, v) * (1 - floorMargin)
+}
+
 // MSMSAt evaluates the MS-MS link capacity for an arbitrary
 // transmission range rt: pi*rt^2 * f^2 * eta(f*d), the meeting
 // probability within range rt. Valid while rt is small against the

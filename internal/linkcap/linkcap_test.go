@@ -99,6 +99,52 @@ func TestMSMSBetweenAndSumMatchMSMS(t *testing.T) {
 	}
 }
 
+// MSMSFloor never exceeds MSMS(d) for any d up to its bound, for every
+// kernel, in the complete-graph regime (bound past the torus diameter)
+// and below it, uncapped and where MSMS caps at 1; it is zero once the
+// bound reaches the meeting reach.
+func TestMSMSFloorBoundsMSMS(t *testing.T) {
+	kernels := []mobility.Kernel{
+		mobility.UniformDisk{D: 1},
+		mobility.Cone{D: 1},
+		mobility.TruncGauss{Sigma: 0.3, D: 1},
+		mobility.PowerLaw{D0: 0.1, Beta: 2, D: 1},
+	}
+	for _, k := range kernels {
+		for _, alpha := range []float64{0.04, 0.3} {
+			p := scaling.Params{N: 1024, Alpha: alpha, K: -1, M: 1}
+			nw, err := network.New(network.Config{Params: p, Kernel: k, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ct := range []float64{0, 0.1, 400} {
+				a := newAnalytic(t, nw, ct)
+				reach := a.Reach()
+				positive := false
+				for _, dMax := range []float64{0.3 * reach, 0.9 * reach, math.Min(reach, geom.MaxDist)} {
+					floor := a.MSMSFloor(dMax)
+					positive = positive || floor > 0
+					for i := 0; i <= 20000; i++ {
+						d := dMax * float64(i) / 20000
+						if v := a.MSMS(d); floor > v {
+							t.Fatalf("%s alpha=%v ct=%v: MSMSFloor(%v) = %v > MSMS(%v) = %v", k.Name(), alpha, ct, dMax, floor, d, v)
+						}
+					}
+					if v := a.MSMS(math.Nextafter(dMax, math.Inf(1))); floor > v {
+						t.Fatalf("%s alpha=%v ct=%v: MSMSFloor(%v) = %v > MSMS one ulp past it = %v", k.Name(), alpha, ct, dMax, floor, v)
+					}
+				}
+				if !positive {
+					t.Errorf("%s alpha=%v ct=%v: every floor is zero", k.Name(), alpha, ct)
+				}
+				if v := a.MSMSFloor(reach); v != 0 {
+					t.Errorf("%s alpha=%v ct=%v: MSMSFloor(reach) = %v, want 0", k.Name(), alpha, ct, v)
+				}
+			}
+		}
+	}
+}
+
 func TestMSBSVanishesBeyondReach(t *testing.T) {
 	nw := uniformNetwork(t, 1000, 0.25)
 	a := newAnalytic(t, nw, 0)

@@ -3,6 +3,7 @@ package mobility
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // EtaTable tabulates the contact-density convolution of Corollary 1,
@@ -83,6 +84,19 @@ func (t *EtaTable) Eta(x0 float64) float64 {
 	}
 	frac := pos - float64(i)
 	return t.vals[i]*(1-frac) + t.vals[i+1]*frac
+}
+
+// MinUpTo returns the least table value at the nodes 0..int(x/step)+1,
+// which Eta interpolates between for every separation in [0, x], or 0
+// where that reaches past the table (Eta is 0 there). Eta's weighted
+// sum of two nodes can round a few ulps below the lesser of them, so
+// a strict lower bound needs a relative margin on top.
+func (t *EtaTable) MinUpTo(x float64) float64 {
+	pos := math.Abs(x) / t.step
+	if !(pos < etaTableSize) {
+		return 0
+	}
+	return slices.Min(t.vals[:int(pos)+2])
 }
 
 // Sampler returns the underlying normalized-kernel sampler.

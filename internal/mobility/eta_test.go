@@ -51,6 +51,30 @@ func TestEtaVanishesBeyondTwiceSupport(t *testing.T) {
 	}
 }
 
+// MinUpTo is the least table node Eta interpolates between up to x:
+// Eta over [0, x] never falls below it by more than rounding, and it is
+// zero once x reaches the end of the table.
+func TestEtaMinUpToBoundsEta(t *testing.T) {
+	for _, k := range kernels() {
+		et := newEta(t, k)
+		d := k.Support()
+		for _, x := range []float64{0, 0.3 * d, d, 1.7 * d, 1.99 * d} {
+			floor := et.MinUpTo(x)
+			for i := 0; i <= 4000; i++ {
+				x0 := x * float64(i) / 4000
+				if v := et.Eta(x0); v < floor*(1-1e-12) {
+					t.Fatalf("%s: Eta(%v) = %v below MinUpTo(%v) = %v", k.Name(), x0, v, x, floor)
+				}
+			}
+		}
+		for _, x := range []float64{2 * d, 3 * d, math.Inf(1), math.NaN()} {
+			if v := et.MinUpTo(x); v != 0 {
+				t.Errorf("%s: MinUpTo(%v) = %v, want 0", k.Name(), x, v)
+			}
+		}
+	}
+}
+
 func TestEtaSymmetricInput(t *testing.T) {
 	et := newEta(t, Cone{D: 1})
 	if et.Eta(-0.5) != et.Eta(0.5) {

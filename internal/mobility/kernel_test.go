@@ -35,10 +35,15 @@ func TestKernelsNonIncreasing(t *testing.T) {
 	}
 }
 
+// Density must be exactly zero past the support, from the first float
+// above it on: scheme B's access sums leave out every BS past the
+// reach on that promise.
 func TestKernelsFiniteSupport(t *testing.T) {
 	for _, k := range kernels() {
-		if k.Density(k.Support()*1.001) != 0 {
-			t.Errorf("%s: density nonzero beyond support", k.Name())
+		for _, d := range []float64{math.Nextafter(k.Support(), math.Inf(1)), k.Support() * 1.001} {
+			if v := k.Density(d); v != 0 {
+				t.Errorf("%s: density(%v) = %v beyond support, want 0", k.Name(), d, v)
+			}
 		}
 		if k.Density(0) <= 0 {
 			t.Errorf("%s: density at origin should be positive", k.Name())

@@ -57,23 +57,7 @@ func (s D2D) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation, er
 		nodeLoad[dst]++
 	}
 
-	// Node service: as in the two-hop baseline, a node's airtime is its
-	// aggregate link capacity capped at the unit bandwidth.
-	lambdaNodes := math.Inf(1)
-	for i := 0; i < nw.NumMS(); i++ {
-		if nodeLoad[i] == 0 {
-			continue
-		}
-		nbrs, p := nb.of(i)
-		service := nodeServiceRate(a, homes, i, nbrs, p, rnd)
-		if service <= 0 {
-			ev.Failures++
-			continue
-		}
-		if r := service / nodeLoad[i]; r < lambdaNodes {
-			lambdaNodes = r
-		}
-	}
+	lambdaNodes := nodeLambda(ev, a, homes, &nb, nodeLoad, rnd)
 
 	ev.Detail["lambdaPairs"] = lambdaPairs
 	ev.Detail["lambdaNodes"] = lambdaNodes

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"hybridcap/internal/delay"
 	"hybridcap/internal/geom"
@@ -11,6 +12,7 @@ import (
 	"hybridcap/internal/network"
 	"hybridcap/internal/scaling"
 	"hybridcap/internal/scheduler"
+	"hybridcap/internal/spatial"
 	"hybridcap/internal/traffic"
 )
 
@@ -95,18 +97,32 @@ func reassocPenalties(nw *network.Network, assoc *delay.AssocConfig) []float64 {
 	}
 	homes := nw.HomePoints()
 	out := make([]float64, len(homes))
+	ix := spatial.New(nw.BSPos, 0)
+	near := make([]int32, 0, 16)
 	for i, h := range homes {
-		best, bestD := -1, math.Inf(1)
-		for j, y := range nw.BSPos {
-			if d2 := geom.Dist2(h, y); d2 < bestD {
-				best, bestD = j, d2
-			}
-		}
-		if best >= 0 && !nw.BSIsLive(best) {
+		var best int
+		if best, near = nearestLeastID(ix, h, near); !nw.BSIsLive(best) {
 			out[i] = penalty
 		}
 	}
 	return out
+}
+
+// nearestLeastID returns the point of a non-empty index of least
+// geom.Dist2 to q, the least id among ties, and buf, the grown query
+// scratch. Nearest finds the least distance but breaks ties in scan
+// order, so every point a hair past it competes again.
+func nearestLeastID(ix *spatial.Index, q geom.Point, buf []int32) (int, []int32) {
+	_, d := ix.Nearest(q, nil)
+	buf = ix.AppendWithin(buf[:0], q, d*(1+1e-9))
+	best, bestD := -1, math.Inf(1)
+	for _, id := range buf {
+		j := int(id)
+		if d2 := geom.Dist2(q, ix.Point(j)); d2 < bestD || d2 == bestD && j < best {
+			best, bestD = j, d2
+		}
+	}
+	return best, buf
 }
 
 // delaySchemeA models scheme A: Theta(f) squarelet hops, each served by
@@ -238,9 +254,27 @@ func (delayTwoHop) EvaluateDelay(nw *network.Network, tr *traffic.Pattern, obser
 	n := nw.NumMS()
 	rate := make([]float64, n)
 	deg := make([]int, n)
-	for i, hi := range homes {
-		nbrs, p := nb.of(i)
-		rate[i], deg[i] = a.MSMSSum(hi, homes, nbrs, p), len(nbrs)-1
+	if nb.complete() {
+		// Each unordered pair's term is evaluated once and added to both
+		// ends: Dist2Unit is bitwise symmetric, and with x outer and
+		// y > x inner in list order, every row receives its terms in
+		// MSMSSum's order over the list, itself left out. acc holds
+		// each list position's sum so far.
+		acc := make([]float64, n)
+		for x, i := range nb.all {
+			hi, sum := homes[i], acc[x]
+			for y := x + 1; y < n; y++ {
+				v := a.MSMS(math.Sqrt(geom.Dist2Unit(hi, homes[nb.all[y]])))
+				sum += v
+				acc[y] += v
+			}
+			rate[i], deg[i] = sum, n-1
+		}
+	} else {
+		for i, hi := range homes {
+			nbrs, p := nb.of(i)
+			rate[i], deg[i] = a.MSMSSum(hi, homes, nbrs, p), len(nbrs)-1
+		}
 	}
 	unroutable := 0
 	for src, dst := range tr.DestOf {
@@ -337,12 +371,30 @@ func (m delaySchemeB) EvaluateDelay(nw *network.Network, tr *traffic.Pattern, ob
 	rt := defaultAccessRT(nw, m.groupBy, a)
 	homes := nw.HomePoints()
 	// Per-node access wait: the reciprocal aggregate MS-BS capacity over
-	// the live infrastructure, capped at the unit channel bandwidth.
+	// the live infrastructure, capped at the unit channel bandwidth. A
+	// BS past the reach, plus a margin far above the rounding of the
+	// distance and its scaling, lies where the kernel's density is
+	// zero, so its term is exactly +0 and adds nothing: the sum runs
+	// over the BSs within reach only, in ascending live id as over all.
+	// The query's hits are marked in a bitset, whose walk yields them
+	// in that order and leaves it clear.
+	reach := a.BSReach() * (1 + 1e-9)
+	ix := spatial.New(livePos, reach)
+	near := make([]int32, 0, len(livePos))
+	mark := make([]uint64, (len(livePos)+63)/64)
 	wait := make([]float64, len(homes))
 	for i, h := range homes {
+		near = ix.AppendWithin(near[:0], h, reach)
+		for _, j := range near {
+			mark[j>>6] |= 1 << (j & 63)
+		}
 		sum := 0.0
-		for _, y := range livePos {
-			sum += a.MSBSAt(geom.Dist(h, y), rt)
+		for w, word := range mark {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 | bits.TrailingZeros64(word)
+				sum += a.MSBSAt(geom.Dist(h, livePos[j]), rt)
+			}
+			mark[w] = 0
 		}
 		if sum <= 0 {
 			wait[i] = -1

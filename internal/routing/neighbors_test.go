@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"hybridcap/internal/delay"
+	"hybridcap/internal/faults"
 	"hybridcap/internal/geom"
 	"hybridcap/internal/linkcap"
+	"hybridcap/internal/mobility"
 	"hybridcap/internal/network"
 	"hybridcap/internal/rng"
 	"hybridcap/internal/scaling"
@@ -48,6 +50,40 @@ func refNodeServiceRate(a *linkcap.Analytic, ix *spatial.Index, homes []geom.Poi
 		sum = sum / maxProbe * float64(len(neighbors))
 	}
 	return math.Min(1, sum)
+}
+
+// checkNodeService compares nodeServiceRate with refNodeServiceRate on
+// every node of nw in turn, each drawing from its own copy of one
+// stream, so a node that takes a different number of draws shows in
+// the nodes after it. It returns how many sampled nodes (more than 512
+// neighbors) the cap bound and how many it did not.
+func checkNodeService(t *testing.T, name string, nw *network.Network, ct float64) (capped, below int) {
+	t.Helper()
+	a, err := linkcap.NewAnalytic(nw, ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	homes, reach := nw.HomePoints(), a.Reach()
+	ix := spatial.New(homes, reach)
+	nb := newNeighborhoods(homes, reach)
+	floor := a.MSMSFloor(math.Min(reach, geom.MaxDist))
+	rndGot, rndWant := rng.New(5).Rand(), rng.New(5).Rand()
+	for i := range homes {
+		nbrs, p := nb.of(i)
+		got := nodeServiceRate(a, homes, i, nbrs, p, floor, rndGot)
+		want := refNodeServiceRate(a, ix, homes, i, rndWant)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s ct=%v: node %d service = %v, want %v", name, ct, i, got, want)
+		}
+		if len(nbrs)-1 > 512 {
+			if want == 1 {
+				capped++
+			} else {
+				below++
+			}
+		}
+	}
+	return capped, below
 }
 
 // refNodeLambda is the node-airtime pass both baselines share.
@@ -212,6 +248,60 @@ func refDelayTwoHop(nw *network.Network, tr *traffic.Pattern, observe func(delay
 	return unroutable, nil
 }
 
+// refDelaySchemeB is scheme B's delay model with the access sum over
+// every live BS and the nearest BS found by a scan of every BS, least
+// geom.Dist2 first and the least id among ties.
+func refDelaySchemeB(groupBy GroupBy, assoc *delay.AssocConfig) func(*network.Network, *traffic.Pattern, func(delay.Breakdown)) (int, error) {
+	return func(nw *network.Network, tr *traffic.Pattern, observe func(delay.Breakdown)) (int, error) {
+		livePos, _ := nw.LiveBSPositions()
+		a, err := linkcap.NewAnalytic(nw, 0)
+		if err != nil {
+			return 0, err
+		}
+		rt := defaultAccessRT(nw, groupBy, a)
+		homes := nw.HomePoints()
+		wait := make([]float64, len(homes))
+		for i, h := range homes {
+			sum := 0.0
+			for _, y := range livePos {
+				sum += a.MSBSAt(geom.Dist(h, y), rt)
+			}
+			wait[i] = -1
+			if sum > 0 {
+				wait[i] = 1 / math.Min(1, sum)
+			}
+		}
+		var penalties []float64
+		if assoc != nil && nw.Faults() != nil && nw.NumLiveBS() < nw.NumBS() && assoc.ReassocPenalty() > 0 {
+			penalties = make([]float64, len(homes))
+			for i, h := range homes {
+				best, bestD := -1, math.Inf(1)
+				for j, y := range nw.BSPos {
+					if d2 := geom.Dist2(h, y); d2 < bestD {
+						best, bestD = j, d2
+					}
+				}
+				if !nw.BSIsLive(best) {
+					penalties[i] = assoc.ReassocPenalty()
+				}
+			}
+		}
+		unroutable := 0
+		for src, dst := range tr.DestOf {
+			if wait[src] < 0 || wait[dst] < 0 {
+				unroutable++
+				continue
+			}
+			b := delay.Breakdown{Uplink: wait[src], Backbone: backboneTransit(nw), Downlink: wait[dst]}
+			if penalties != nil {
+				b.Downlink += penalties[dst]
+			}
+			observe(b)
+		}
+		return unroutable, nil
+	}
+}
+
 // breakdowns runs a delay model and returns every observation.
 func breakdowns(t *testing.T, eval func(*network.Network, *traffic.Pattern, func(delay.Breakdown)) (int, error), nw *network.Network, tr *traffic.Pattern) ([]delay.Breakdown, int) {
 	t.Helper()
@@ -234,6 +324,21 @@ func sameBreakdown(got, want delay.Breakdown) bool {
 	return true
 }
 
+// sameBreakdowns fails t unless two delay runs observed the same
+// breakdowns, bit for bit, and the same unroutable count.
+func sameBreakdowns(t *testing.T, name string, got []delay.Breakdown, gotUnroutable int, want []delay.Breakdown, wantUnroutable int) {
+	t.Helper()
+	if gotUnroutable != wantUnroutable || len(got) != len(want) {
+		t.Fatalf("%s: %d observations, %d unroutable; want %d, %d",
+			name, len(got), gotUnroutable, len(want), wantUnroutable)
+	}
+	for i := range want {
+		if !sameBreakdown(got[i], want[i]) {
+			t.Fatalf("%s: observation %d = %+v, want %+v", name, i, got[i], want[i])
+		}
+	}
+}
+
 // The bulk neighborhood scan must reproduce the closure-based passes
 // bit for bit: where every MS meets every other (alpha = 0.04, reach
 // past the torus diameter) with node service both summed in full (at
@@ -249,6 +354,7 @@ func TestNeighborPassesMatchReference(t *testing.T) {
 	}
 	placements := []network.BSPlacement{network.Grid, network.Uniform}
 	bottlenecks := map[string]int{}
+	mixed := 0
 	for pi, p := range points {
 		for _, bs := range placements {
 			for _, seed := range []uint64{1, 7} {
@@ -289,17 +395,18 @@ func TestNeighborPassesMatchReference(t *testing.T) {
 					bottlenecks[want.Bottleneck]++
 				}
 
-				want, wantUnroutable := breakdowns(t, refDelayTwoHop, nw, tr)
-				got, gotUnroutable := breakdowns(t, delayTwoHop{}.EvaluateDelay, nw, tr)
-				if gotUnroutable != wantUnroutable || len(got) != len(want) {
-					t.Fatalf("%s/delay: %d observations, %d unroutable; want %d, %d",
-						name, len(got), gotUnroutable, len(want), wantUnroutable)
-				}
-				for i := range want {
-					if !sameBreakdown(got[i], want[i]) {
-						t.Fatalf("%s/delay: observation %d = %+v, want %+v", name, i, got[i], want[i])
+				// Node service node by node, at S* constants where the
+				// cap binds everywhere, nowhere and (0.6 at p2, 0.915 at
+				// p1) on some sampled nodes only.
+				for _, ct := range []float64{0, 0.1, 0.6, 0.915} {
+					if capped, below := checkNodeService(t, name, nw, ct); capped > 0 && below > 0 {
+						mixed++
 					}
 				}
+
+				want, wantUnroutable := breakdowns(t, refDelayTwoHop, nw, tr)
+				got, gotUnroutable := breakdowns(t, delayTwoHop{}.EvaluateDelay, nw, tr)
+				sameBreakdowns(t, name+"/delay", got, gotUnroutable, want, wantUnroutable)
 			}
 		}
 	}
@@ -308,6 +415,118 @@ func TestNeighborPassesMatchReference(t *testing.T) {
 			t.Errorf("no case binds on %q (bottlenecks: %v)", b, bottlenecks)
 		}
 	}
+	if mixed == 0 {
+		t.Error("no case has sampled nodes both at and below the service cap")
+	}
+
+	// Scheme B's reach-limited access sums and indexed nearest-BS search
+	// against the all-BS scans: every kernel, grid and matched BSs, both
+	// groupings, healthy and under a 30% outage with an association
+	// model. Under the outage a live BS is also moved onto a dead one,
+	// once with the lower id and once with the higher, so destinations
+	// near it tie on the least distance and the least id must win.
+	kernels := []mobility.Kernel{
+		mobility.UniformDisk{D: 1},
+		mobility.Cone{D: 1},
+		mobility.TruncGauss{Sigma: 0.3, D: 1},
+		mobility.PowerLaw{D0: 0.1, Beta: 2, D: 1},
+	}
+	assoc := &delay.AssocConfig{HandoverMargin: 0.02, Hysteresis: 0.01, TimeToTrigger: 8}
+	p := scaling.Params{N: 512, Alpha: 0.3, K: 0.8, Phi: 1, M: 1}
+	penalized := 0
+	for _, k := range kernels {
+		for _, bs := range []network.BSPlacement{network.Grid, network.Matched} {
+			for _, fault := range []string{"healthy", "outage", "outage/tie-low", "outage/tie-high"} {
+				cfg := network.Config{Params: p, Kernel: k, Seed: 3, BSPlacement: bs}
+				var ac *delay.AssocConfig
+				if fault != "healthy" {
+					plan, err := faults.New(faults.Config{Seed: 7, BSOutageFraction: 0.3, BSOutageStart: 100})
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Faults, ac = plan, assoc
+				}
+				nw, err := network.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fault == "outage/tie-low" || fault == "outage/tie-high" {
+					moveLiveOntoDead(t, nw, fault == "outage/tie-low")
+					if tiedHomes(nw) == 0 {
+						t.Fatalf("%s/%v/%s: no home ties on its nearest BS", k.Name(), bs, fault)
+					}
+				}
+				for _, v := range reassocPenalties(nw, ac) {
+					if v > 0 {
+						penalized++
+					}
+				}
+				tr, err := traffic.NewPermutation(p.N, rng.New(3).Derive("traffic").Rand())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, groupBy := range []GroupBy{BySquarelet, ByCluster} {
+					name := fmt.Sprintf("schemeB/%s/%v/%s/group=%d", k.Name(), bs, fault, groupBy)
+					want, wantUnroutable := breakdowns(t, refDelaySchemeB(groupBy, ac), nw, tr)
+					got, gotUnroutable := breakdowns(t, delaySchemeB{groupBy: groupBy, assoc: ac}.EvaluateDelay, nw, tr)
+					sameBreakdowns(t, name, got, gotUnroutable, want, wantUnroutable)
+				}
+			}
+		}
+	}
+	if penalized == 0 {
+		t.Error("no scheme B case charges a re-association penalty")
+	}
+}
+
+// moveLiveOntoDead puts a live BS at the position of the first dead
+// BS that is some home's nearest: a live BS of lower id when lower is
+// set, of higher id otherwise.
+func moveLiveOntoDead(t *testing.T, nw *network.Network, lower bool) {
+	t.Helper()
+	dead := -1
+	for _, h := range nw.HomePoints() {
+		best, bestD := -1, math.Inf(1)
+		for j, y := range nw.BSPos {
+			if d2 := geom.Dist2(h, y); d2 < bestD {
+				best, bestD = j, d2
+			}
+		}
+		if !nw.BSIsLive(best) {
+			dead = best
+			break
+		}
+	}
+	if dead < 0 {
+		t.Fatal("no home is nearest to a dead BS")
+	}
+	for j := range nw.BSPos {
+		if nw.BSIsLive(j) && (j < dead) == lower {
+			nw.BSPos[j] = nw.BSPos[dead]
+			return
+		}
+	}
+	t.Fatalf("no live BS on the requested side of dead BS %d", dead)
+}
+
+// tiedHomes counts the home-points whose least geom.Dist2 to a BS two
+// or more BSs attain.
+func tiedHomes(nw *network.Network) int {
+	tied := 0
+	for _, h := range nw.HomePoints() {
+		best, count := math.Inf(1), 0
+		for _, y := range nw.BSPos {
+			if d2 := geom.Dist2(h, y); d2 < best {
+				best, count = d2, 1
+			} else if d2 == best {
+				count++
+			}
+		}
+		if count > 1 {
+			tied++
+		}
+	}
+	return tied
 }
 
 // In the complete-graph regime the neighborhood passes must not grow a
@@ -365,6 +584,77 @@ func TestNeighborhoodsMatchQueries(t *testing.T) {
 			}
 			if pos < 0 || got[pos] != int32(i) {
 				t.Fatalf("alpha=%v node %d: position %d does not hold the node", p.Alpha, i, pos)
+			}
+		}
+	}
+}
+
+// The node-airtime pass, with its early stops, must reproduce the
+// reference evaluations bit for bit on fuzzed sizes, mobility
+// exponents, S* constants and seeds: summed in full and sampled, with
+// the cap binding and with node service below it.
+func FuzzNodeServiceMatchesReference(f *testing.F) {
+	f.Add(uint16(240), uint8(4), uint16(980), uint64(1))
+	f.Add(uint16(484), uint8(4), uint16(890), uint64(1))
+	f.Add(uint16(1008), uint8(4), uint16(980), uint64(2))
+	f.Add(uint16(1008), uint8(4), uint16(895), uint64(1))
+	f.Add(uint16(1000), uint8(4), uint16(80), uint64(3))
+	f.Add(uint16(584), uint8(15), uint16(580), uint64(1))
+	f.Add(uint16(700), uint8(30), uint16(2400), uint64(5))
+	f.Fuzz(func(t *testing.T, nRaw uint16, alphaRaw uint8, ctRaw uint16, seed uint64) {
+		p := scaling.Params{N: 16 + int(nRaw%1100), Alpha: float64(alphaRaw%50) / 100, K: -1, M: 1}
+		ct := 0.02 + float64(ctRaw%4000)/1000
+		nw, tr := buildNetPlaced(t, p, seed, network.Grid)
+		checkNodeService(t, fmt.Sprintf("n=%d alpha=%v seed=%d", p.N, p.Alpha, seed), nw, ct)
+		cases := []struct {
+			what      string
+			got, want func() (*Evaluation, error)
+		}{
+			{"twoHop", func() (*Evaluation, error) { return TwoHopRelay{CT: ct}.Evaluate(nw, tr) },
+				func() (*Evaluation, error) { return refTwoHop(TwoHopRelay{CT: ct}, nw, tr) }},
+			{"d2d", func() (*Evaluation, error) { return D2D{CT: ct}.Evaluate(nw, tr) },
+				func() (*Evaluation, error) { return refD2D(D2D{CT: ct}, nw, tr) }},
+		}
+		for _, c := range cases {
+			want, werr := c.want()
+			got, gerr := c.got()
+			if (werr != nil) != (gerr != nil) {
+				t.Fatalf("n=%d alpha=%v ct=%v seed=%d %s: err = %v, want %v", p.N, p.Alpha, ct, seed, c.what, gerr, werr)
+			}
+			if werr != nil {
+				continue
+			}
+			if err := sameEvaluation(got, want); err != nil {
+				t.Errorf("n=%d alpha=%v ct=%v seed=%d %s: %v", p.N, p.Alpha, ct, seed, c.what, err)
+			}
+		}
+	})
+}
+
+// nearestLeastID must pick what a scan of every point picks: the least
+// geom.Dist2, the least id among ties. Points and queries on coarse
+// dyadic lattices make exact ties common, between duplicates and
+// between distinct points in different cells of the index.
+func TestNearestLeastIDMatchesScan(t *testing.T) {
+	rnd := rng.New(11).Rand()
+	var buf []int32
+	for trial := 0; trial < 200; trial++ {
+		pts := make([]geom.Point, 1+rnd.Intn(300))
+		for i := range pts {
+			pts[i] = geom.Point{X: float64(rnd.Intn(16)) / 16, Y: float64(rnd.Intn(16)) / 16}
+		}
+		ix := spatial.New(pts, 0)
+		for q := 0; q < 64; q++ {
+			h := geom.Point{X: float64(rnd.Intn(64)) / 64, Y: float64(rnd.Intn(64)) / 64}
+			want, wantD := -1, math.Inf(1)
+			for j, y := range pts {
+				if d2 := geom.Dist2(h, y); d2 < wantD {
+					want, wantD = j, d2
+				}
+			}
+			var got int
+			if got, buf = nearestLeastID(ix, h, buf); got != want {
+				t.Fatalf("trial %d, %d points, query %v: nearest = %d, want %d", trial, len(pts), h, got, want)
 			}
 		}
 	}

@@ -117,25 +117,7 @@ func (s TwoHopRelay) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evalua
 		}
 	}
 
-	// Node service: expected fraction of time a node is usefully
-	// scheduled, estimated as its aggregate link capacity, capped at 1
-	// (Lemma 3 lower-bounds it by a constant in uniformly dense
-	// networks).
-	lambdaNodes := math.Inf(1)
-	for i := 0; i < nw.NumMS(); i++ {
-		if nodeLoad[i] == 0 {
-			continue
-		}
-		nbrs, p := nb.of(i)
-		service := nodeServiceRate(a, homes, i, nbrs, p, rnd)
-		if service <= 0 {
-			ev.Failures++
-			continue
-		}
-		if r := service / nodeLoad[i]; r < lambdaNodes {
-			lambdaNodes = r
-		}
-	}
+	lambdaNodes := nodeLambda(ev, a, homes, &nb, nodeLoad, rnd)
 
 	ev.Detail["lambdaPairs"] = lambdaPairs
 	ev.Detail["lambdaNodes"] = lambdaNodes
@@ -206,11 +188,47 @@ func (s *relaySample) draw(out, all []int32, p, q int, rnd *rand.Rand) []int32 {
 	return out
 }
 
+// nodeLambda is the node-airtime bound both baselines share: the least
+// ratio of a loaded node's service to its load. A node's service, the
+// expected fraction of time it is usefully scheduled, is estimated as
+// its aggregate link capacity capped at 1 (Lemma 3 lower-bounds it by a
+// constant in uniformly dense networks); a loaded node with none counts
+// as a failure.
+func nodeLambda(ev *Evaluation, a *linkcap.Analytic, homes []geom.Point, nb *neighborhoods, nodeLoad []float64, rnd interface{ Intn(int) int }) float64 {
+	floor := a.MSMSFloor(math.Min(a.Reach(), geom.MaxDist))
+	lambdaNodes := math.Inf(1)
+	for i, load := range nodeLoad {
+		if load == 0 {
+			continue
+		}
+		nbrs, p := nb.of(i)
+		service := nodeServiceRate(a, homes, i, nbrs, p, floor, rnd)
+		if service <= 0 {
+			ev.Failures++
+			continue
+		}
+		if r := service / load; r < lambdaNodes {
+			lambdaNodes = r
+		}
+	}
+	return lambdaNodes
+}
+
 // nodeServiceRate estimates sum_j mu(i, j) over node i's neighbors,
 // sampling beyond a cap, clipped to the unit channel bandwidth. nbrs is
 // i's neighborhood as neighborhoods.of gives it, with i itself at
-// position p; the sums and draws skip that position.
-func nodeServiceRate(a *linkcap.Analytic, homes []geom.Point, i int, nbrs []int32, p int, rnd interface{ Intn(int) int }) float64 {
+// position p; the sums and draws skip that position. floor is a lower
+// bound on every term (linkcap.MSMSFloor over the neighbors' reach).
+//
+// Both branches stop adding terms once the clip is certain, and return
+// the 1 the full sum would clip to. Every term is non-negative, so a
+// running sum never decreases: the full sum reaches 1 once a prefix
+// does. The sampled estimate sum/maxProbe*m clips once sum reaches
+// maxProbe/m; the terms still to draw add at least floor each, and the
+// relative rounding of up to maxProbe additions, of the test and of the
+// estimate stays below 1e-13, far inside the test's 1e-9 margin. The
+// remaining draws are still made, so later nodes see the same stream.
+func nodeServiceRate(a *linkcap.Analytic, homes []geom.Point, i int, nbrs []int32, p int, floor float64, rnd interface{ Intn(int) int }) float64 {
 	m := len(nbrs) - 1
 	if m <= 0 {
 		return 0
@@ -219,16 +237,30 @@ func nodeServiceRate(a *linkcap.Analytic, homes []geom.Point, i int, nbrs []int3
 	hi := homes[i]
 	sum := 0.0
 	if m <= maxProbe {
-		sum = a.MSMSSum(hi, homes, nbrs, p)
-	} else {
-		for s := 0; s < maxProbe; s++ {
-			k := rnd.Intn(m)
-			if k >= p {
-				k++
+		for k, id := range nbrs {
+			if k == p {
+				continue
 			}
-			sum += a.MSMSBetween(hi, homes[nbrs[k]])
+			if sum += a.MSMS(math.Sqrt(geom.Dist2Unit(hi, homes[id]))); sum >= 1 {
+				return 1
+			}
 		}
-		sum = sum / maxProbe * float64(m)
+		return sum
 	}
+	clip := maxProbe / float64(m) * (1 + 1e-9)
+	for s := 0; s < maxProbe; s++ {
+		k := rnd.Intn(m)
+		if k >= p {
+			k++
+		}
+		sum += a.MSMSBetween(hi, homes[nbrs[k]])
+		if sum+float64(maxProbe-1-s)*floor >= clip {
+			for s++; s < maxProbe; s++ {
+				rnd.Intn(m)
+			}
+			return 1
+		}
+	}
+	sum = sum / maxProbe * float64(m)
 	return math.Min(1, sum)
 }

@@ -10,6 +10,7 @@
 package hybridcap_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -18,12 +19,15 @@ import (
 	"hybridcap/internal/experiments"
 	"hybridcap/internal/faults"
 	"hybridcap/internal/geom"
+	"hybridcap/internal/interference"
 	"hybridcap/internal/linkcap"
 	"hybridcap/internal/network"
 	"hybridcap/internal/rng"
 	"hybridcap/internal/routing"
 	"hybridcap/internal/scaling"
+	"hybridcap/internal/scheduler"
 	"hybridcap/internal/sim"
+	"hybridcap/internal/spatial"
 	"hybridcap/internal/traffic"
 )
 
@@ -280,6 +284,31 @@ func BenchmarkPacketSim(b *testing.B) {
 		}
 	}
 	b.ReportMetric(rep.DeliveredRate, "deliveredRate")
+}
+
+// BenchmarkSStar times one S* scheduling pass, SStarPairsInto over an
+// index of the MS positions, at packet-sim's point (n=256, RT =
+// DefaultSimCT/sqrt(n), Delta 1) and at n=4096. Index and pair buffer
+// are warmed outside the timer, so a pass should allocate nothing.
+func BenchmarkSStar(b *testing.B) {
+	for _, n := range []int{256, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p := scaling.Params{N: n, Alpha: 0.15, K: -1, M: 1}
+			nw, err := network.New(network.Config{Params: p, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := interference.NewModel(sim.DefaultSimCT/math.Sqrt(float64(n)), 1)
+			ix := spatial.New(nw.MSPositions(nil), m.GuardRadius())
+			pairs := scheduler.SStarPairsInto(m, ix, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pairs = scheduler.SStarPairsInto(m, ix, pairs)
+			}
+			b.ReportMetric(float64(len(pairs)), "pairs")
+		})
+	}
 }
 
 // BenchmarkTwoHopBaselines times the two-hop relay and D2D evaluations

@@ -4,12 +4,7 @@
 // transmitter is at least (1+Delta)*RT away from j.
 package interference
 
-import (
-	"fmt"
-
-	"hybridcap/internal/geom"
-	"hybridcap/internal/spatial"
-)
+import "hybridcap/internal/geom"
 
 // DefaultDelta is the guard-zone factor used by experiments unless
 // overridden.
@@ -45,70 +40,4 @@ func (m Model) InRange(tx, rx geom.Point) bool {
 // indices (into whatever position array the caller uses).
 type Transmission struct {
 	From, To int
-}
-
-// SetFeasible verifies that a set of simultaneous transmissions is
-// conflict-free under the protocol model given node positions:
-// every receiver is in range of its transmitter, every other active
-// transmitter is outside its guard zone, and no node appears in two
-// transmissions.
-func (m Model) SetFeasible(txs []Transmission, pos []geom.Point) error {
-	busy := make(map[int]int, 2*len(txs))
-	for idx, t := range txs {
-		if t.From == t.To {
-			return fmt.Errorf("interference: transmission %d is a self-loop (%d)", idx, t.From)
-		}
-		for _, node := range []int{t.From, t.To} {
-			if node < 0 || node >= len(pos) {
-				return fmt.Errorf("interference: transmission %d references node %d outside positions", idx, node)
-			}
-			if other, ok := busy[node]; ok {
-				return fmt.Errorf("interference: node %d in transmissions %d and %d", node, other, idx)
-			}
-			busy[node] = idx
-		}
-		if !m.InRange(pos[t.From], pos[t.To]) {
-			return fmt.Errorf("interference: transmission %d out of range (%v)", idx,
-				geom.Dist(pos[t.From], pos[t.To]))
-		}
-	}
-	guard2 := m.GuardRadius() * m.GuardRadius()
-	for i, t := range txs {
-		for j, u := range txs {
-			if i == j {
-				continue
-			}
-			if geom.Dist2(pos[u.From], pos[t.To]) < guard2 {
-				return fmt.Errorf("interference: transmitter of %d inside guard zone of receiver of %d", j, i)
-			}
-		}
-	}
-	return nil
-}
-
-// SStarAdmissible implements the admission test of scheduling policy S*
-// (Definition 10): nodes i and j may communicate iff d_ij < RT and every
-// other node in the network — active or not — is farther than
-// (1+Delta)*RT from both i and j. ix must index the positions of all
-// n+k nodes.
-func (m Model) SStarAdmissible(ix *spatial.Index, i, j int) bool {
-	pi, pj := ix.Point(i), ix.Point(j)
-	if geom.Dist2(pi, pj) >= m.RT*m.RT {
-		return false
-	}
-	clear := true
-	check := func(center geom.Point) {
-		ix.ForEachWithin(center, m.GuardRadius(), func(id int) bool {
-			if id != i && id != j {
-				clear = false
-				return false
-			}
-			return true
-		})
-	}
-	check(pi)
-	if clear {
-		check(pj)
-	}
-	return clear
 }

@@ -1,11 +1,9 @@
 package interference
 
 import (
-	"math/rand"
 	"testing"
 
 	"hybridcap/internal/geom"
-	"hybridcap/internal/spatial"
 )
 
 func TestNewModelDefaults(t *testing.T) {
@@ -29,128 +27,5 @@ func TestInRange(t *testing.T) {
 	// Wrap-around.
 	if !m.InRange(geom.Point{X: 0.99, Y: 0.5}, geom.Point{X: 0.04, Y: 0.5}) {
 		t.Error("wrapped 0.05 should be in range")
-	}
-}
-
-func TestSetFeasibleOK(t *testing.T) {
-	m := NewModel(0.05, 1)
-	pos := []geom.Point{
-		{X: 0.1, Y: 0.1}, {X: 0.13, Y: 0.1}, // pair 0-1
-		{X: 0.6, Y: 0.6}, {X: 0.63, Y: 0.6}, // pair 2-3, far away
-	}
-	txs := []Transmission{{From: 0, To: 1}, {From: 2, To: 3}}
-	if err := m.SetFeasible(txs, pos); err != nil {
-		t.Errorf("feasible set rejected: %v", err)
-	}
-}
-
-func TestSetFeasibleOutOfRange(t *testing.T) {
-	m := NewModel(0.05, 1)
-	pos := []geom.Point{{X: 0.1, Y: 0.1}, {X: 0.3, Y: 0.1}}
-	if err := m.SetFeasible([]Transmission{{From: 0, To: 1}}, pos); err == nil {
-		t.Error("out-of-range transmission accepted")
-	}
-}
-
-func TestSetFeasibleGuardZoneViolation(t *testing.T) {
-	m := NewModel(0.05, 1) // guard radius 0.1
-	pos := []geom.Point{
-		{X: 0.1, Y: 0.1}, {X: 0.14, Y: 0.1},
-		{X: 0.2, Y: 0.1}, {X: 0.24, Y: 0.1}, // transmitter 2 only 0.06 from receiver 1
-	}
-	txs := []Transmission{{From: 0, To: 1}, {From: 2, To: 3}}
-	if err := m.SetFeasible(txs, pos); err == nil {
-		t.Error("guard zone violation accepted")
-	}
-}
-
-func TestSetFeasibleDuplicateNode(t *testing.T) {
-	m := NewModel(0.05, 1)
-	pos := []geom.Point{{X: 0.1, Y: 0.1}, {X: 0.13, Y: 0.1}, {X: 0.16, Y: 0.1}}
-	txs := []Transmission{{From: 0, To: 1}, {From: 1, To: 2}}
-	if err := m.SetFeasible(txs, pos); err == nil {
-		t.Error("node used twice accepted")
-	}
-}
-
-func TestSetFeasibleSelfLoop(t *testing.T) {
-	m := NewModel(0.05, 1)
-	pos := []geom.Point{{X: 0.1, Y: 0.1}}
-	if err := m.SetFeasible([]Transmission{{From: 0, To: 0}}, pos); err == nil {
-		t.Error("self-loop accepted")
-	}
-}
-
-func TestSetFeasibleBadIndex(t *testing.T) {
-	m := NewModel(0.05, 1)
-	pos := []geom.Point{{X: 0.1, Y: 0.1}}
-	if err := m.SetFeasible([]Transmission{{From: 0, To: 5}}, pos); err == nil {
-		t.Error("out-of-bounds node accepted")
-	}
-}
-
-func TestSStarAdmissible(t *testing.T) {
-	m := NewModel(0.1, 1) // guard radius 0.2
-	pos := []geom.Point{
-		{X: 0.5, Y: 0.5},
-		{X: 0.55, Y: 0.5}, // within RT of node 0
-		{X: 0.9, Y: 0.9},  // far away
-	}
-	ix := spatial.New(pos, 0.05)
-	if !m.SStarAdmissible(ix, 0, 1) {
-		t.Error("isolated close pair should be admissible")
-	}
-	if m.SStarAdmissible(ix, 0, 2) {
-		t.Error("distant pair should not be admissible")
-	}
-}
-
-func TestSStarGuardZoneBlocked(t *testing.T) {
-	m := NewModel(0.1, 1)
-	pos := []geom.Point{
-		{X: 0.5, Y: 0.5},
-		{X: 0.55, Y: 0.5},
-		{X: 0.6, Y: 0.5}, // inside guard zone of node 1 (0.05 < 0.2)
-	}
-	ix := spatial.New(pos, 0.05)
-	if m.SStarAdmissible(ix, 0, 1) {
-		t.Error("pair with intruder in guard zone should be inadmissible")
-	}
-}
-
-// Every pair admitted by S* must form a protocol-feasible set, even
-// when all admitted pairs transmit simultaneously (Definition 10 is
-// stricter than the protocol model).
-func TestSStarImpliesProtocolFeasible(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	pos := make([]geom.Point, 400)
-	for i := range pos {
-		pos[i] = geom.Point{X: rng.Float64(), Y: rng.Float64()}
-	}
-	m := NewModel(0.03, 1)
-	ix := spatial.New(pos, m.GuardRadius())
-	used := make([]bool, len(pos))
-	var txs []Transmission
-	for i := range pos {
-		if used[i] {
-			continue
-		}
-		ix.ForEachWithin(pos[i], m.RT, func(j int) bool {
-			if j == i || used[j] || used[i] {
-				return true
-			}
-			if m.SStarAdmissible(ix, i, j) {
-				txs = append(txs, Transmission{From: i, To: j})
-				used[i], used[j] = true, true
-				return false
-			}
-			return true
-		})
-	}
-	if len(txs) == 0 {
-		t.Skip("no admissible pairs in this draw")
-	}
-	if err := m.SetFeasible(txs, pos); err != nil {
-		t.Errorf("S*-admitted set violates protocol model: %v", err)
 	}
 }

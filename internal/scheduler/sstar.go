@@ -21,31 +21,33 @@ import (
 // uniformly dense networks.
 //
 // ix must index all n+k node positions. The result lists each pair once
-// with From < To; Definition 10 shares the slot's bandwidth equally in
-// the two directions. It is appended into buf's backing storage
-// (truncated first; buf may be nil), so slot loops reuse one pair
-// buffer instead of allocating a fresh result every slot.
+// with From < To, in ascending From; Definition 10 shares the slot's
+// bandwidth equally in the two directions. It is appended into buf's
+// backing storage (truncated first; buf may be nil), so slot loops
+// reuse one pair buffer instead of allocating a fresh result every
+// slot.
+//
+// The test is one neighbour sweep of the index: node i pairs with j
+// when j is i's only neighbour within RT, each of the two has no
+// neighbour within the guard radius but the other, and d_ij < RT.
 func SStarPairsInto(m interference.Model, ix *spatial.Index, buf []interference.Transmission) []interference.Transmission {
 	out := buf[:0]
-	n := ix.Len()
-	for i := 0; i < n; i++ {
-		pi := ix.Point(i)
-		// Find the unique candidate within RT, if any.
-		partner := -1
-		count := 0
-		ix.ForEachWithin(pi, m.RT, func(j int) bool {
-			if j == i {
-				return true
-			}
-			count++
-			partner = j
-			return count <= 1 // a second neighbor within RT kills admission
-		})
-		if count != 1 || partner < i {
-			continue // no candidate, crowded, or already handled from the other side
+	near, guard := ix.SoleNeighbours(m.RT, m.GuardRadius())
+	rt2 := m.RT * m.RT
+	for i, j := range near {
+		// j < 0 is no candidate or a crowd; j < i was handled from
+		// the other side.
+		if int(j) <= i {
+			continue
 		}
-		if m.SStarAdmissible(ix, i, partner) {
-			out = append(out, interference.Transmission{From: i, To: partner})
+		if g := guard[i]; g != -1 && g != j {
+			continue
+		}
+		if g := guard[j]; g != -1 && g != int32(i) {
+			continue
+		}
+		if geom.Dist2(ix.Point(i), ix.Point(int(j))) < rt2 {
+			out = append(out, interference.Transmission{From: i, To: int(j)})
 		}
 	}
 	return out

@@ -26,6 +26,20 @@ import (
 // small at finite n, cT = 0.3 makes it a few percent and observable.
 const DefaultSimCT = 0.3
 
+// checkModel rejects a transmission range or guard factor that is NaN
+// or infinite. The defaults replace only a range <= 0 and a factor
+// < 0, and a NaN fails both comparisons, so it would reach the
+// scheduler as a range that admits nothing.
+func checkModel(rt, delta float64) error {
+	if math.IsNaN(rt) || math.IsInf(rt, 0) {
+		return fmt.Errorf("sim: transmission range %g is not finite", rt)
+	}
+	if math.IsNaN(delta) || math.IsInf(delta, 0) {
+		return fmt.Errorf("sim: guard factor %g is not finite", delta)
+	}
+	return nil
+}
+
 // ContactConfig parameterizes a contact measurement run.
 type ContactConfig struct {
 	// RT is the transmission range; zero selects DefaultSimCT/sqrt(n).
@@ -63,6 +77,9 @@ func MeasureContacts(nw *network.Network, cfg ContactConfig) (*ContactReport, er
 	}
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("sim: need positive slot count, got %d", cfg.Slots)
+	}
+	if err := checkModel(cfg.RT, cfg.Delta); err != nil {
+		return nil, err
 	}
 	rt := cfg.RT
 	if rt <= 0 {

@@ -120,8 +120,11 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("sim: need positive slot count")
 	}
-	if cfg.Lambda < 0 || cfg.Lambda > 1 {
+	if !(cfg.Lambda >= 0 && cfg.Lambda <= 1) {
 		return nil, fmt.Errorf("sim: lambda %g outside [0, 1]", cfg.Lambda)
+	}
+	if err := checkModel(cfg.RT, 0); err != nil {
+		return nil, err
 	}
 	n := nw.NumMS()
 	rt := cfg.RT

@@ -60,8 +60,11 @@ func RunMultihop(nw *network.Network, tr *traffic.Pattern, cfg MultihopConfig) (
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("sim: need positive slot count")
 	}
-	if cfg.Lambda < 0 || cfg.Lambda > 1 {
+	if !(cfg.Lambda >= 0 && cfg.Lambda <= 1) {
 		return nil, fmt.Errorf("sim: lambda %g outside [0, 1]", cfg.Lambda)
+	}
+	if err := checkModel(cfg.RT, cfg.Delta); err != nil {
+		return nil, err
 	}
 	n := nw.NumMS()
 	rt := cfg.RT

@@ -63,8 +63,11 @@ func RunTwoHop(nw *network.Network, tr *traffic.Pattern, cfg PacketConfig) (*Pac
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("sim: need positive slot count")
 	}
-	if cfg.Lambda < 0 || cfg.Lambda > 1 {
+	if !(cfg.Lambda >= 0 && cfg.Lambda <= 1) {
 		return nil, fmt.Errorf("sim: lambda %g outside [0, 1]", cfg.Lambda)
+	}
+	if err := checkModel(cfg.RT, cfg.Delta); err != nil {
+		return nil, err
 	}
 	n := nw.NumMS()
 	rt := cfg.RT
@@ -177,6 +180,9 @@ func LinkPersistence(nw *network.Network, rt float64, slots int) (float64, error
 	}
 	if rt <= 0 {
 		return 0, fmt.Errorf("sim: need positive transmission range")
+	}
+	if err := checkModel(rt, 0); err != nil {
+		return 0, err
 	}
 	model := interference.NewModel(rt, -1)
 	pos := nw.MSPositions(nil)

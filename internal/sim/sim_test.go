@@ -217,3 +217,53 @@ func TestLinkPersistenceErrors(t *testing.T) {
 		t.Error("zero slots accepted")
 	}
 }
+
+// Every simulator rejects a NaN or infinite range or guard factor, and
+// a NaN injection rate, instead of running with them; so does the
+// link-persistence probe a non-finite range.
+func TestRejectsNonFiniteModel(t *testing.T) {
+	p := infraParams(64)
+	nw := simNet(t, p, 8, network.IID)
+	tr, _ := traffic.NewPermutation(p.N, rng.New(8).Rand())
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name             string
+		lambda, rt, dlta float64
+		infra            bool
+	}{
+		{"RT NaN", 0.1, nan, 1, true},
+		{"RT +Inf", 0.1, inf, 1, true},
+		{"RT -Inf", 0.1, -inf, 1, true},
+		{"Delta NaN", 0.1, 0, nan, false},
+		{"Delta +Inf", 0.1, 0, inf, false},
+		{"Delta -Inf", 0.1, 0, -inf, false},
+		{"lambda NaN", nan, 0, 1, true},
+	} {
+		type run struct {
+			name string
+			err  error
+		}
+		var runs []run
+		_, err := RunTwoHop(nw, tr, PacketConfig{Lambda: c.lambda, Slots: 1, RT: c.rt, Delta: c.dlta})
+		runs = append(runs, run{"RunTwoHop", err})
+		_, err = RunMultihop(nw, tr, MultihopConfig{Lambda: c.lambda, Slots: 1, RT: c.rt, Delta: c.dlta})
+		runs = append(runs, run{"RunMultihop", err})
+		if !math.IsNaN(c.lambda) {
+			_, err = MeasureContacts(nw, ContactConfig{Slots: 1, RT: c.rt, Delta: c.dlta})
+			runs = append(runs, run{"MeasureContacts", err})
+		}
+		if c.infra {
+			_, err = RunInfrastructure(nw, tr, InfraConfig{Lambda: c.lambda, Slots: 1, RT: c.rt})
+			runs = append(runs, run{"RunInfrastructure", err})
+		}
+		if c.rt != 0 {
+			_, err = LinkPersistence(nw, c.rt, 1)
+			runs = append(runs, run{"LinkPersistence", err})
+		}
+		for _, r := range runs {
+			if r.err == nil {
+				t.Errorf("%s: %s accepted", c.name, r.name)
+			}
+		}
+	}
+}

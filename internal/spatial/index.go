@@ -8,6 +8,11 @@
 // first such query after New or Rebuild; a skip function, or an exact
 // tie on the best distance, falls back to the doubling range scan that
 // defines Nearest's answer.
+//
+// SoleNeighbours finds, for every point at once, the other point
+// within a radius where there is exactly one, from one sweep over the
+// nearby cell pairs; a range query per point would recompute its cell
+// window each time.
 package spatial
 
 import (
@@ -27,7 +32,8 @@ import (
 // order and report a cell's hits in ascending id order; a cell the
 // query disk cannot reach is left out of the window or skipped, which
 // drops no hit and so leaves the reported sequence, and where a
-// callback stops it, unchanged.
+// callback stops it, unchanged. SoleNeighbours writes scratch the
+// index owns, so it is not a read-only query.
 type Index struct {
 	grid geom.Grid
 	// start[c]..start[c+1] is cell c's run of ids and cpts.
@@ -40,6 +46,13 @@ type Index struct {
 	// nearOnce guards the lazy build of near, which Rebuild drops.
 	nearOnce sync.Once
 	near     nearTable
+	// sole is SoleNeighbours' result storage, one entry per point for
+	// each of its two radii, and stencil its half-stencil for the
+	// sweep radius stencilR; the grid never changes, so Rebuild keeps
+	// both.
+	sole     []int32
+	stencil  []stencilRun
+	stencilR float64
 }
 
 // nearTable is Nearest's per-cell candidate table:
@@ -485,4 +498,222 @@ func axisRange(v, a, w float64) (lo, hi float64) {
 		hi = 0.5
 	}
 	return lo, hi
+}
+
+// SoleNeighbours reports, for each point id and each of two radii, the
+// point's sole neighbour within that radius: the id of the one other
+// point within torus distance ra (na) or rb (nb) of it, inclusive, -1
+// if there is none and -2 if there are two or more. A point at the
+// same location as another is its neighbour at every radius; a
+// negative or NaN radius reports no neighbours. Neighbourhood is the
+// exact test ForEachWithin makes, Dist2Unit(p, q) <= r*r, which is
+// symmetric to the bit, so na[i] is what counting ForEachWithin(
+// Point(i), ra) hits other than i gives, and likewise nb.
+//
+// It sweeps every unordered pair of points within the larger radius
+// once: each nonempty cell against itself and against a half-stencil
+// of neighbour cells, built once per radius and walked as runs of
+// adjacent cells, whose points lie contiguous in the index. The
+// returned slices are the index's storage, valid until the next call;
+// once the index has answered for as many points at the same larger
+// radius, a call allocates nothing.
+func (ix *Index) SoleNeighbours(ra, rb float64) (na, nb []int32) {
+	n := len(ix.pts)
+	if cap(ix.sole) < 2*n {
+		ix.sole = make([]int32, 2*n)
+	}
+	na, nb = ix.sole[:n], ix.sole[n:2*n]
+	for i := range na {
+		na[i], nb[i] = -1, -1
+	}
+	// A radius that reports nothing gets a limit no squared distance
+	// meets; the sweep runs at the larger radius that reports at all.
+	sw := sweep{cpts: ix.cpts, ids: ix.ids, na: na, nb: nb, a2: -1, b2: -1}
+	r := -1.0
+	if ra >= 0 {
+		sw.a2, r = ra*ra, ra
+	}
+	if rb >= 0 {
+		sw.b2, r = rb*rb, max(r, rb)
+	}
+	if r < 0 {
+		return na, nb
+	}
+	sw.r2 = max(sw.a2, sw.b2)
+	st := ix.halfStencil(r)
+	start := ix.start
+	cols, rows := ix.grid.Cols, ix.grid.Rows
+	c := 0
+	for row := 0; row < rows; row++ {
+		for col := 0; col < cols; col, c = col+1, c+1 {
+			lo, hi := start[c], start[c+1]
+			if lo == hi {
+				continue
+			}
+			sw.self(lo, hi)
+			for _, run := range st {
+				rr := row + run.dr
+				if rr >= rows {
+					if run.clipRow {
+						continue
+					}
+					rr -= rows
+				}
+				base, a := rr*cols, col+run.dc
+				if run.clipCol {
+					sw.cross(lo, hi, start[base+a], start[base+cols])
+					continue
+				}
+				if a < 0 {
+					a += cols
+				} else if a >= cols {
+					a -= cols
+				}
+				if end := a + run.cells; end <= cols {
+					sw.cross(lo, hi, start[base+a], start[base+end])
+				} else {
+					sw.cross(lo, hi, start[base+a], start[base+cols])
+					sw.cross(lo, hi, start[base], start[base+end-cols])
+				}
+			}
+		}
+	}
+	return na, nb
+}
+
+// sweep is SoleNeighbours' pass state: the index's flat runs, the two
+// results, their squared radii (-1 for one that reports nothing) and
+// the larger of them.
+type sweep struct {
+	cpts       []geom.Point
+	ids        []int32
+	na, nb     []int32
+	a2, b2, r2 float64
+}
+
+// self records the pairs within the positions lo..hi-1.
+func (sw *sweep) self(lo, hi int32) {
+	for k := lo; k < hi; k++ {
+		p, id := sw.cpts[k], sw.ids[k]
+		for l := k + 1; l < hi; l++ {
+			if d := geom.Dist2Unit(p, sw.cpts[l]); d <= sw.r2 {
+				sw.pair(d, id, sw.ids[l])
+			}
+		}
+	}
+}
+
+// cross records the pairs between positions k0..k1-1 and l0..l1-1.
+func (sw *sweep) cross(k0, k1, l0, l1 int32) {
+	for k := k0; k < k1; k++ {
+		p, id := sw.cpts[k], sw.ids[k]
+		for l := l0; l < l1; l++ {
+			if d := geom.Dist2Unit(p, sw.cpts[l]); d <= sw.r2 {
+				sw.pair(d, id, sw.ids[l])
+			}
+		}
+	}
+}
+
+// pair records points i and j, at squared distance d within the sweep
+// radius, as neighbours in each result whose radius reaches d.
+func (sw *sweep) pair(d float64, i, j int32) {
+	if d <= sw.a2 {
+		note(sw.na, i, j)
+		note(sw.na, j, i)
+	}
+	if d <= sw.b2 {
+		note(sw.nb, i, j)
+		note(sw.nb, j, i)
+	}
+}
+
+// note records j as a neighbour of i in a SoleNeighbours result.
+func note(s []int32, i, j int32) {
+	if s[i] == -1 {
+		s[i] = j
+	} else {
+		s[i] = -2
+	}
+}
+
+// stencilRun is one entry of SoleNeighbours' half-stencil: the cells
+// dr rows below a cell (modulo the grid) and dc to dc+cells-1 columns
+// across, wrapping at the row's end. clipRow drops the run where the
+// row offset wraps, and clipCol the part of the run that wraps.
+type stencilRun struct {
+	dr, dc, cells    int
+	clipRow, clipCol bool
+}
+
+// halfStencil returns the half-stencil of sweep radius r, building it
+// on the first call at that radius. Cells a whole offset apart, taken
+// modulo the grid, are neighbours when their lower-bound gap, squared,
+// is within r*r+insideMargin; the half-stencil reaches each unordered
+// pair of distinct neighbour cells from exactly one of them:
+//
+//   - a row offset dr in (0, rows/2) reaches the neighbours dr rows
+//     below from the upper cell, and rows-dr rows below is never
+//     visited;
+//   - an even grid's row offset rows/2 leads both ways, so only rows
+//     above the middle take it (clipRow);
+//   - within a row a cell takes the neighbours 1..m columns on, where
+//     2m < cols keeps a column offset and its negation apart, or,
+//     when the row's every column is a neighbour, the cells to its
+//     right up to the row's end (clipCol).
+//
+// Offsets are residues, so a grid narrower than the stencil, where two
+// offsets of a window would name the same cell, still visits each cell
+// pair once.
+func (ix *Index) halfStencil(r float64) []stencilRun {
+	// Past 1 every offset is in; the cap keeps the key finite.
+	r = min(r, 1)
+	if ix.stencil != nil && ix.stencilR == r {
+		return ix.stencil
+	}
+	lim := r*r + insideMargin
+	g := ix.grid
+	// Along one axis, cells m apart (m at most half the axis) lie at
+	// least m-1 cell sides apart on the torus.
+	gap := func(m int, side float64) float64 {
+		if m <= 1 {
+			return 0
+		}
+		return float64(m-1) * side
+	}
+	st := ix.stencil[:0]
+	if cap(st) < g.Rows/2+1 {
+		st = make([]stencilRun, 0, g.Rows/2+1)
+	}
+	for dr := 0; 2*dr <= g.Rows; dr++ {
+		gy := gap(dr, g.CellH())
+		if gy*gy > lim {
+			break
+		}
+		// m is the widest column offset of row dr.
+		m := 0
+		for 2*(m+1) <= g.Cols {
+			if gx := gap(m+1, g.CellW()); gx*gx+gy*gy > lim {
+				break
+			}
+			m++
+		}
+		full := 2*m+1 >= g.Cols
+		run := stencilRun{dr: dr, clipRow: dr > 0 && 2*dr == g.Rows}
+		switch {
+		case dr == 0 && full:
+			run.dc, run.cells, run.clipCol = 1, g.Cols-1, true
+		case dr == 0:
+			run.dc, run.cells = 1, m
+		case full:
+			run.cells = g.Cols
+		default:
+			run.dc, run.cells = -m, 2*m+1
+		}
+		if run.cells > 0 {
+			st = append(st, run)
+		}
+	}
+	ix.stencil, ix.stencilR = st, r
+	return st
 }

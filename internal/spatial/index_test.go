@@ -266,3 +266,53 @@ func TestNearestConcurrentFirstCalls(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// soleWithin is SoleNeighbours' answer for one point and radius, read
+// off ForEachWithin: the one other id within r, -1 or -2.
+func soleWithin(ix *Index, i int, r float64) int32 {
+	sole := int32(-1)
+	ix.ForEachWithin(ix.Point(i), r, func(j int) bool {
+		if j == i {
+			return true
+		}
+		if sole == -1 {
+			sole = int32(j)
+			return true
+		}
+		sole = -2
+		return false
+	})
+	return sole
+}
+
+// SoleNeighbours must agree with ForEachWithin at both radii, whichever
+// is larger, on grids from one cell across (narrower than any
+// stencil) to finer than the radius, with repeated points and after a
+// rebuild to another point count.
+func TestSoleNeighboursMatchesQueries(t *testing.T) {
+	radii := [][2]float64{{0.05, 0.1}, {0.1, 0.05}, {0.3, 0.6}, {0.02, -1}, {math.NaN(), 0.07}, {0, 0.04}, {0.8, math.Inf(1)}}
+	for _, side := range []float64{1, 0.5, 0.34, 0.25, 0.2, 0.1, 0.03} {
+		for _, n := range []int{1, 2, 7, 40, 300} {
+			pts := randomPoints(n, int64(n))
+			for i := 3; i < n; i += 5 {
+				pts[i] = pts[i-3]
+			}
+			ix := New(pts, side)
+			for _, rebuild := range []int{0, n/2 + 1} {
+				if rebuild > 0 {
+					pts = randomPoints(rebuild, int64(n+1))
+					ix.Rebuild(pts)
+				}
+				for _, r := range radii {
+					na, nb := ix.SoleNeighbours(r[0], r[1])
+					for i := range pts {
+						if a, b := soleWithin(ix, i, r[0]), soleWithin(ix, i, r[1]); na[i] != a || nb[i] != b {
+							t.Fatalf("side %v n %d radii %v point %d: SoleNeighbours %d, %d; ForEachWithin %d, %d",
+								side, len(pts), r, i, na[i], nb[i], a, b)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -260,30 +260,74 @@ func BenchmarkSchemeA(b *testing.B) {
 	b.ReportMetric(ev.Lambda, "lambda")
 }
 
-// BenchmarkPacketSim times one two-hop relay run at perfbench's
-// packet-sim size (n=256, 3000 slots), whose CPU profile guides the
-// slot-loop cost work: mobility, spatial index rebuild and S*
-// scheduling. Each run gets a freshly built network, outside the timer.
+// BenchmarkPacketSim times one run of each packet simulator at
+// perfbench's packet-sim point (n=256, lambda 0.002, 3000 slots, seed
+// 1), so a CPU profile covers every consumer of the slot driver:
+// two-hop relaying and scheme-A multihop on the ad hoc population,
+// infrastructure on grid-placed BSs, and infrastructure with
+// association dynamics under a 30% BS outage from mid-run. Each run
+// gets a freshly built network, outside the timer.
 func BenchmarkPacketSim(b *testing.B) {
-	p := scaling.Params{N: 256, Alpha: 0.15, K: -1, M: 1}
-	tr, err := traffic.NewPermutation(p.N, rng.New(1).Derive("traffic").Rand())
+	const slots = 3000
+	adhoc := scaling.Params{N: 256, Alpha: 0.15, K: -1, M: 1}
+	infra := adhoc
+	infra.K, infra.Phi = 0.8, 1
+	tr, err := traffic.NewPermutation(adhoc.N, rng.New(1).Derive("traffic").Rand())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	var rep *sim.PacketReport
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		nw, err := network.New(network.Config{Params: p, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if rep, err = sim.RunTwoHop(nw, tr, sim.PacketConfig{Lambda: 0.002, Slots: 3000, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
+	outage, err := faults.New(faults.Config{Seed: 1, BSOutageFraction: 0.3, BSOutageStart: slots / 2})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(rep.DeliveredRate, "deliveredRate")
+	assoc := &delay.AssocConfig{HandoverMargin: 0.02, Hysteresis: 0.01, TimeToTrigger: 8}
+	for _, c := range []struct {
+		name string
+		cfg  network.Config
+		run  func(*network.Network) (*sim.PacketReport, error)
+	}{
+		{"twoHop", network.Config{Params: adhoc, Seed: 1}, func(nw *network.Network) (*sim.PacketReport, error) {
+			return sim.RunTwoHop(nw, tr, sim.PacketConfig{Lambda: 0.002, Slots: slots, Seed: 1})
+		}},
+		{"multihop", network.Config{Params: adhoc, Seed: 1}, func(nw *network.Network) (*sim.PacketReport, error) {
+			r, err := sim.RunMultihop(nw, tr, sim.MultihopConfig{Lambda: 0.002, Slots: slots, Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			return &r.PacketReport, nil
+		}},
+		{"infra", network.Config{Params: infra, Seed: 1, BSPlacement: network.Grid}, func(nw *network.Network) (*sim.PacketReport, error) {
+			r, err := sim.RunInfrastructure(nw, tr, sim.InfraConfig{Lambda: 0.002, Slots: slots, Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			return &r.PacketReport, nil
+		}},
+		{"infraAssoc", network.Config{Params: infra, Seed: 1, BSPlacement: network.Grid, Faults: outage}, func(nw *network.Network) (*sim.PacketReport, error) {
+			r, err := sim.RunInfrastructure(nw, tr, sim.InfraConfig{Lambda: 0.002, Slots: slots, Seed: 1, Assoc: assoc})
+			if err != nil {
+				return nil, err
+			}
+			return &r.PacketReport, nil
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var rep *sim.PacketReport
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				nw, err := network.New(c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if rep, err = c.run(nw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(rep.DeliveredRate, "deliveredRate")
+		})
+	}
 }
 
 // BenchmarkSStar times one S* scheduling pass, SStarPairsInto over an

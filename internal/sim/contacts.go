@@ -72,13 +72,8 @@ type ContactReport struct {
 // MeasureContacts runs the mobility and scheduling loop and reports
 // contact statistics. It mutates the network's mobility state.
 func MeasureContacts(nw *network.Network, cfg ContactConfig) (*ContactReport, error) {
-	if nw == nil {
-		return nil, fmt.Errorf("sim: nil network")
-	}
-	if cfg.Slots <= 0 {
-		return nil, fmt.Errorf("sim: need positive slot count, got %d", cfg.Slots)
-	}
-	if err := checkModel(cfg.RT, cfg.Delta); err != nil {
+	loop := slotLoop{nw: nw, slots: cfg.Slots, warmup: cfg.Warmup}
+	if err := loop.check(cfg.RT, cfg.Delta); err != nil {
 		return nil, err
 	}
 	rt := cfg.RT
@@ -88,26 +83,24 @@ func MeasureContacts(nw *network.Network, cfg ContactConfig) (*ContactReport, er
 	model := interference.NewModel(rt, cfg.Delta)
 
 	total := nw.NumMS() + nw.NumBS()
-	pos := make([]geom.Point, 0, total)
+	all := make([]geom.Point, 0, total)
 	rep := &ContactReport{}
 	// Slot-loop scratch, as in RunTwoHop: one index rebuilt in place
-	// and one pair buffer.
+	// over the MS positions followed by the BSs, and one pair buffer.
 	var ix *spatial.Index
 	var pairs []interference.Transmission
-	for slot := 0; slot < cfg.Warmup+cfg.Slots; slot++ {
-		nw.Step()
-		pos = nw.MSPositions(pos)
-		pos = append(pos, nw.BSPos...)
-		if slot < cfg.Warmup {
-			continue
+	_, err := loop.run(nil, func(_ int, measuring bool, pos []geom.Point) {
+		if !measuring {
+			return
 		}
+		all = append(append(all[:0], pos...), nw.BSPos...)
 		if ix == nil {
-			ix = spatial.New(pos, model.GuardRadius())
+			ix = spatial.New(all, model.GuardRadius())
 		} else {
-			ix.Rebuild(pos)
+			ix.Rebuild(all)
 		}
 		if cfg.Greedy {
-			pairs = scheduler.GreedyPairs(model, pos, scheduler.NearestNeighborWants(model, ix))
+			pairs = scheduler.GreedyPairs(model, all, scheduler.NearestNeighborWants(model, ix))
 		} else {
 			pairs = scheduler.SStarPairsInto(model, ix, pairs)
 		}
@@ -117,6 +110,9 @@ func MeasureContacts(nw *network.Network, cfg ContactConfig) (*ContactReport, er
 				rep.MSBSPairs++
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	slots := float64(cfg.Slots)
 	rep.PairsPerSlot /= slots

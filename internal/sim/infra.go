@@ -8,7 +8,6 @@ import (
 	"hybridcap/internal/delay"
 	"hybridcap/internal/geom"
 	"hybridcap/internal/network"
-	"hybridcap/internal/rng"
 	"hybridcap/internal/spatial"
 	"hybridcap/internal/traffic"
 )
@@ -104,11 +103,9 @@ type infraPacket struct {
 // erasures void transmission opportunities, and downlink packets that
 // wait out their backoff re-home to the next-nearest live BS.
 func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig) (*InfraReport, error) {
-	if nw == nil || tr == nil {
-		return nil, fmt.Errorf("sim: nil network or traffic")
-	}
-	if tr.Len() != nw.NumMS() {
-		return nil, fmt.Errorf("sim: traffic over %d nodes, network has %d", tr.Len(), nw.NumMS())
+	loop := slotLoop{nw: nw, slots: cfg.Slots, warmup: cfg.Warmup, tr: tr, lambda: cfg.Lambda, seed: cfg.Seed, stream: "inject-infra"}
+	if err := loop.check(cfg.RT, 0); err != nil {
+		return nil, err
 	}
 	if nw.NumBS() == 0 {
 		return nil, fmt.Errorf("sim: infrastructure run needs base stations")
@@ -116,15 +113,6 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 	livePos, liveIDs := nw.LiveBSPositions()
 	if len(liveIDs) == 0 {
 		return nil, fmt.Errorf("sim: all %d base stations are down", nw.NumBS())
-	}
-	if cfg.Slots <= 0 {
-		return nil, fmt.Errorf("sim: need positive slot count")
-	}
-	if !(cfg.Lambda >= 0 && cfg.Lambda <= 1) {
-		return nil, fmt.Errorf("sim: lambda %g outside [0, 1]", cfg.Lambda)
-	}
-	if err := checkModel(cfg.RT, 0); err != nil {
-		return nil, err
 	}
 	n := nw.NumMS()
 	rt := cfg.RT
@@ -162,7 +150,6 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 	if backoff <= 0 {
 		backoff = 64
 	}
-	injRand := rng.New(cfg.Seed).Derive("inject-infra").Rand()
 
 	// Precompute the serving (home) BS of every MS: the live BS nearest
 	// its home-point, where downlink packets wait.
@@ -251,11 +238,13 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		}
 		return true
 	}
-	pos := make([]geom.Point, 0, n)
 	// Slot-loop scratch: the MS index is rebuilt in place (grid geometry
 	// is constant over the run), and the drained transit buffer's
-	// backing is recycled for the next slot's handovers.
+	// backing is recycled for the next slot's handovers. BSs do not
+	// move, so each BS's uplink query is laid out once, on the index's
+	// first build, in disks.
 	var msIx *spatial.Index
+	var disks []spatial.Disk
 	// The uplink absorb closure is allocated once here and reads the
 	// current slot and BS budget through upSlot/upMeasuring/upBudget, so
 	// the per-BS loop inside the slot loop never re-creates it (hotalloc).
@@ -291,23 +280,13 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		assocMargin = cfg.Assoc.HandoverMargin + cfg.Assoc.Hysteresis
 		assocTTT = int32(cfg.Assoc.TimeToTrigger)
 	}
-	for slot := 0; slot < cfg.Warmup+cfg.Slots; slot++ {
-		measuring := slot >= cfg.Warmup
-		for i := 0; i < n; i++ {
-			if injRand.Float64() < cfg.Lambda {
-				target := homeBS[tr.DestOf[i]]
-				if dyn {
-					target = serving[tr.DestOf[i]]
-				}
-				srcQ[i] = append(srcQ[i], infraPacket{dst: int32(tr.DestOf[i]), born: int32(slot), bs: target})
-				if measuring {
-					rep.Injected++
-				}
-			}
+	injected, err := loop.run(func(i, slot int) {
+		target := homeBS[tr.DestOf[i]]
+		if dyn {
+			target = serving[tr.DestOf[i]]
 		}
-		nw.Step()
-		pos = nw.MSPositions(pos)
-
+		srcQ[i] = append(srcQ[i], infraPacket{dst: int32(tr.DestOf[i]), born: int32(slot), bs: target})
+	}, func(slot int, measuring bool, pos []geom.Point) {
 		// Backbone: packets handed over last slot arrive at their target
 		// BS queue now. Everything is copied out, so the buffer backing
 		// is reused for this slot's handovers and retries.
@@ -378,6 +357,7 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		// erased MS loses its opportunity for the slot.
 		if msIx == nil {
 			msIx = spatial.New(pos, rt)
+			disks = msIx.Disks(nw.BSPos, rt)
 		} else {
 			msIx.Rebuild(pos)
 		}
@@ -388,12 +368,12 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 					continue
 				}
 				upBudget = uplinks
-				msIx.ForEachWithin(nw.BSPos[b], rt, absorb)
+				msIx.ForEachInDisk(disks[b], absorb)
 			}
 		} else {
 			for _, b := range liveIDs {
 				upBudget = uplinks
-				msIx.ForEachWithin(nw.BSPos[b], rt, absorb)
+				msIx.ForEachInDisk(disks[b], absorb)
 			}
 		}
 
@@ -453,7 +433,7 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 				}
 				downQ[b] = rest
 			}
-			continue
+			return
 		}
 		for _, b := range liveIDs {
 			budget := uplinks
@@ -494,7 +474,11 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 			}
 			downQ[b] = rest
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
+	rep.Injected = injected
 	if rep.Delivered > 0 {
 		rep.MeanDelay = delaySum / float64(rep.Delivered)
 		rep.MeanBackboneHops = hopSum / float64(rep.Delivered)

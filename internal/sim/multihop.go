@@ -1,13 +1,11 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"hybridcap/internal/geom"
 	"hybridcap/internal/interference"
 	"hybridcap/internal/network"
-	"hybridcap/internal/rng"
 	"hybridcap/internal/scheduler"
 	"hybridcap/internal/spatial"
 	"hybridcap/internal/traffic"
@@ -51,19 +49,8 @@ type mhPacket struct {
 // destination is b's home cell (or that b itself is the destination).
 // It mutates the network's mobility state.
 func RunMultihop(nw *network.Network, tr *traffic.Pattern, cfg MultihopConfig) (*MultihopReport, error) {
-	if nw == nil || tr == nil {
-		return nil, fmt.Errorf("sim: nil network or traffic")
-	}
-	if tr.Len() != nw.NumMS() {
-		return nil, fmt.Errorf("sim: traffic over %d nodes, network has %d", tr.Len(), nw.NumMS())
-	}
-	if cfg.Slots <= 0 {
-		return nil, fmt.Errorf("sim: need positive slot count")
-	}
-	if !(cfg.Lambda >= 0 && cfg.Lambda <= 1) {
-		return nil, fmt.Errorf("sim: lambda %g outside [0, 1]", cfg.Lambda)
-	}
-	if err := checkModel(cfg.RT, cfg.Delta); err != nil {
+	loop := slotLoop{nw: nw, slots: cfg.Slots, warmup: cfg.Warmup, tr: tr, lambda: cfg.Lambda, seed: cfg.Seed, stream: "inject-mh"}
+	if err := loop.check(cfg.RT, cfg.Delta); err != nil {
 		return nil, err
 	}
 	n := nw.NumMS()
@@ -76,7 +63,6 @@ func RunMultihop(nw *network.Network, tr *traffic.Pattern, cfg MultihopConfig) (
 		frac = 0.8
 	}
 	model := interference.NewModel(rt, cfg.Delta)
-	injRand := rng.New(cfg.Seed).Derive("inject-mh").Rand()
 
 	// Squarelet tessellation over home-points (static routing geometry).
 	side := frac * nw.Sampler.Kernel().Support() / nw.F()
@@ -116,23 +102,13 @@ func RunMultihop(nw *network.Network, tr *traffic.Pattern, cfg MultihopConfig) (
 	rep := &MultihopReport{}
 	var delaySum, hopSum float64
 
-	pos := make([]geom.Point, 0, n)
 	// Slot-loop scratch: grid geometry is constant over the run, so the
 	// index is rebuilt in place and the pair buffer reused.
 	var ix *spatial.Index
 	var pairs []interference.Transmission
-	for slot := 0; slot < cfg.Warmup+cfg.Slots; slot++ {
-		measuring := slot >= cfg.Warmup
-		for i := 0; i < n; i++ {
-			if injRand.Float64() < cfg.Lambda {
-				queues[i] = append(queues[i], mhPacket{dst: int32(tr.DestOf[i]), born: int32(slot)})
-				if measuring {
-					rep.Injected++
-				}
-			}
-		}
-		nw.Step()
-		pos = nw.MSPositions(pos)
+	injected, err := loop.run(func(i, slot int) {
+		queues[i] = append(queues[i], mhPacket{dst: int32(tr.DestOf[i]), born: int32(slot)})
+	}, func(slot int, measuring bool, pos []geom.Point) {
 		if ix == nil {
 			ix = spatial.New(pos, model.GuardRadius())
 		} else {
@@ -143,7 +119,11 @@ func RunMultihop(nw *network.Network, tr *traffic.Pattern, cfg MultihopConfig) (
 			forwardMultihop(pr.From, pr.To, queues, homeCell, nextCell, slot, measuring, rep, &delaySum, &hopSum)
 			forwardMultihop(pr.To, pr.From, queues, homeCell, nextCell, slot, measuring, rep, &delaySum, &hopSum)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
+	rep.Injected = injected
 	if rep.Delivered > 0 {
 		rep.MeanDelay = delaySum / float64(rep.Delivered)
 		rep.MeanHops = hopSum / float64(rep.Delivered)

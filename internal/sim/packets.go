@@ -7,7 +7,6 @@ import (
 	"hybridcap/internal/geom"
 	"hybridcap/internal/interference"
 	"hybridcap/internal/network"
-	"hybridcap/internal/rng"
 	"hybridcap/internal/scheduler"
 	"hybridcap/internal/spatial"
 	"hybridcap/internal/traffic"
@@ -54,19 +53,8 @@ type packet struct {
 // (its own or relayed), otherwise hands over its oldest source packet
 // for the partner to relay. It mutates the network's mobility state.
 func RunTwoHop(nw *network.Network, tr *traffic.Pattern, cfg PacketConfig) (*PacketReport, error) {
-	if nw == nil || tr == nil {
-		return nil, fmt.Errorf("sim: nil network or traffic")
-	}
-	if tr.Len() != nw.NumMS() {
-		return nil, fmt.Errorf("sim: traffic over %d nodes, network has %d", tr.Len(), nw.NumMS())
-	}
-	if cfg.Slots <= 0 {
-		return nil, fmt.Errorf("sim: need positive slot count")
-	}
-	if !(cfg.Lambda >= 0 && cfg.Lambda <= 1) {
-		return nil, fmt.Errorf("sim: lambda %g outside [0, 1]", cfg.Lambda)
-	}
-	if err := checkModel(cfg.RT, cfg.Delta); err != nil {
+	loop := slotLoop{nw: nw, slots: cfg.Slots, warmup: cfg.Warmup, tr: tr, lambda: cfg.Lambda, seed: cfg.Seed, stream: "inject"}
+	if err := loop.check(cfg.RT, cfg.Delta); err != nil {
 		return nil, err
 	}
 	n := nw.NumMS()
@@ -75,7 +63,6 @@ func RunTwoHop(nw *network.Network, tr *traffic.Pattern, cfg PacketConfig) (*Pac
 		rt = DefaultSimCT / math.Sqrt(float64(n))
 	}
 	model := interference.NewModel(rt, cfg.Delta)
-	injRand := rng.New(cfg.Seed).Derive("inject").Rand()
 
 	// Per-node queues: own source packets and relayed packets.
 	srcQ := make([][]packet, n)
@@ -83,29 +70,17 @@ func RunTwoHop(nw *network.Network, tr *traffic.Pattern, cfg PacketConfig) (*Pac
 	rep := &PacketReport{}
 	var delaySum float64
 
-	pos := make([]geom.Point, 0, n)
 	// The spatial index and pair list are slot-loop scratch: the grid
 	// geometry depends only on the guard radius and node count, both
 	// constant over the run, so rebuilding in place fills the same
-	// cells New would. Allocations inside the slot loop below show in
+	// cells New would. Allocations inside the slot loop show in
 	// perfbench's allocs_per_op; the hotalloc analyzer
 	// (internal/analysis/hotalloc.go) flags new ones at lint time.
 	var ix *spatial.Index
 	var pairs []interference.Transmission
-	for slot := 0; slot < cfg.Warmup+cfg.Slots; slot++ {
-		measuring := slot >= cfg.Warmup
-		// Injection.
-		for i := 0; i < n; i++ {
-			if injRand.Float64() < cfg.Lambda {
-				srcQ[i] = append(srcQ[i], packet{dst: int32(tr.DestOf[i]), born: int32(slot)})
-				if measuring {
-					rep.Injected++
-				}
-			}
-		}
-		// Mobility and scheduling.
-		nw.Step()
-		pos = nw.MSPositions(pos)
+	injected, err := loop.run(func(i, slot int) {
+		srcQ[i] = append(srcQ[i], packet{dst: int32(tr.DestOf[i]), born: int32(slot)})
+	}, func(slot int, measuring bool, pos []geom.Point) {
 		if ix == nil {
 			ix = spatial.New(pos, model.GuardRadius())
 		} else {
@@ -118,7 +93,11 @@ func RunTwoHop(nw *network.Network, tr *traffic.Pattern, cfg PacketConfig) (*Pac
 			transferPacket(pr.From, pr.To, srcQ, relayQ, slot, measuring, rep, &delaySum)
 			transferPacket(pr.To, pr.From, srcQ, relayQ, slot, measuring, rep, &delaySum)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
+	rep.Injected = injected
 	if rep.Delivered > 0 {
 		rep.MeanDelay = delaySum / float64(rep.Delivered)
 	}

@@ -12,7 +12,8 @@
 // SoleNeighbours finds, for every point at once, the other point
 // within a radius where there is exactly one, from one sweep over the
 // nearby cell pairs; a range query per point would recompute its cell
-// window each time.
+// window each time. Disks lays out range queries around fixed centres
+// once, so a query repeated after every Rebuild keeps its window.
 package spatial
 
 import (
@@ -246,6 +247,76 @@ func (ix *Index) ForEachWithin(q geom.Point, radius float64, fn func(id int) boo
 		}
 		if row++; row == gridR {
 			row = 0
+		}
+	}
+}
+
+// Disk is a ForEachWithin query laid out once: its centre, its squared
+// radius and the cells its window visits, in the same order. The cells
+// depend only on the grid, which Rebuild keeps, so a Disk stays valid
+// across rebuilds of the index it came from.
+type Disk struct {
+	q     geom.Point
+	r2    float64
+	cells []int32
+}
+
+// Disks lays out the query ForEachWithin(q, radius, ·) for each q of
+// qs, for repeated use with ForEachInDisk; the disks share one cell
+// list. A negative or NaN radius visits no cell.
+func (ix *Index) Disks(qs []geom.Point, radius float64) []Disk {
+	r2 := radius * radius
+	lim := r2 + insideMargin
+	ds := make([]Disk, len(qs))
+	ws := make([]window, len(qs))
+	size := 0
+	for k, q := range qs {
+		ds[k] = Disk{q: q, r2: r2}
+		if radius >= 0 {
+			ws[k] = ix.window(q, radius, lim)
+			size += ws[k].rows * ws[k].cols
+		}
+	}
+	// size bounds the cells kept, so cells never moves and each disk
+	// takes its run as it is filled.
+	cells := make([]int32, 0, size)
+	gridC, gridR := ix.grid.Cols, ix.grid.Rows
+	for k, w := range ws {
+		from := len(cells)
+		row := w.row
+		for ir := 0; ir < w.rows; ir++ {
+			gy := axisGap(w.dr+ir, w.sh, w.fy)
+			gy2 := gy * gy
+			base, col := row*gridC, w.col
+			for ic := 0; ic < w.cols; ic++ {
+				if gx := axisGap(w.dc+ic, w.sw, w.fx); gx*gx+gy2 <= lim {
+					cells = append(cells, int32(base+col))
+				}
+				if col++; col == gridC {
+					col = 0
+				}
+			}
+			if row++; row == gridR {
+				row = 0
+			}
+		}
+		ds[k].cells = cells[from:len(cells):len(cells)]
+	}
+	return ds
+}
+
+// ForEachInDisk calls fn for the ids ForEachWithin reports for d's
+// query, in the same order, and stops where fn returns false; d must
+// come from this index.
+func (ix *Index) ForEachInDisk(d Disk, fn func(id int) bool) {
+	start, ids, cpts := ix.start, ix.ids, ix.cpts
+	for _, c := range d.cells {
+		for k := start[c]; k < start[c+1]; k++ {
+			if geom.Dist2Unit(d.q, cpts[k]) <= d.r2 {
+				if !fn(int(ids[k])) {
+					return
+				}
+			}
 		}
 	}
 }

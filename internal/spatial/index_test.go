@@ -316,3 +316,53 @@ func TestSoleNeighboursMatchesQueries(t *testing.T) {
 		}
 	}
 }
+
+// A Disk reports ForEachWithin's hits in its order, stopping where the
+// callback does, for any radius, index side and point count, and stays
+// valid after Rebuild moves the points.
+func TestDiskMatchesForEachWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	// collect records the hits of one query up to the stop-th, where
+	// the callback returns false.
+	collect := func(each func(fn func(id int) bool), stop int) []int {
+		var out []int
+		each(func(id int) bool {
+			out = append(out, id)
+			return len(out) != stop
+		})
+		return out
+	}
+	radii := []float64{0, 0.003, 0.04, 0.1, 0.35, 0.5, 0.71, 2, math.Inf(1), -1, math.NaN()}
+	for _, n := range []int{1, 37, 500} {
+		for _, side := range []float64{0, 0.05, 0.3} {
+			ix := New(randomPoints(n, int64(n)), side)
+			var disks []Disk
+			var qs []geom.Point
+			var rs []float64
+			for k := 0; k < 40; k++ {
+				q := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+				if k%5 == 0 {
+					q = ix.Point(rng.Intn(n)) // a query on an indexed point
+				}
+				r := radii[k%len(radii)]
+				qs, rs = append(qs, q), append(rs, r)
+				disks = append(disks, ix.Disks([]geom.Point{q}, r)[0])
+			}
+			for pass := 0; pass < 2; pass++ {
+				if pass == 1 {
+					ix.Rebuild(randomPoints(n+pass*13, int64(n)+99))
+				}
+				for k, d := range disks {
+					for _, stop := range []int{1, 3, -1} {
+						want := collect(func(fn func(int) bool) { ix.ForEachWithin(qs[k], rs[k], fn) }, stop)
+						got := collect(func(fn func(int) bool) { ix.ForEachInDisk(d, fn) }, stop)
+						if !slices.Equal(got, want) {
+							t.Fatalf("n=%d side=%g pass %d q=%v r=%g stop %d: disk %v, ForEachWithin %v",
+								n, side, pass, qs[k], rs[k], stop, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -77,49 +76,6 @@ func FitPowerLaw(xs, ys []float64) (*Fit, error) {
 	return fit, nil
 }
 
-// Summary is a mean with spread over repeated measurements.
-type Summary struct {
-	Mean, StdDev, Min, Max float64
-	N                      int
-}
-
-// Summarize aggregates a sample.
-func Summarize(vals []float64) (Summary, error) {
-	if len(vals) == 0 {
-		return Summary{}, fmt.Errorf("measure: empty sample")
-	}
-	s := Summary{Min: math.Inf(1), Max: math.Inf(-1), N: len(vals)}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-		s.Min = math.Min(s.Min, v)
-		s.Max = math.Max(s.Max, v)
-	}
-	s.Mean = sum / float64(len(vals))
-	if len(vals) > 1 {
-		ss := 0.0
-		for _, v := range vals {
-			ss += (v - s.Mean) * (v - s.Mean)
-		}
-		s.StdDev = math.Sqrt(ss / float64(len(vals)-1))
-	}
-	return s, nil
-}
-
-// Median returns the sample median.
-func Median(vals []float64) (float64, error) {
-	if len(vals) == 0 {
-		return 0, fmt.Errorf("measure: empty sample")
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid], nil
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2, nil
-}
-
 // Series is a named sequence of (x, y) points, the unit the figure
 // generators emit.
 type Series struct {
@@ -143,14 +99,6 @@ func (s *Series) AddCounted(x, y float64, ok, attempts int) {
 	s.Y = append(s.Y, y)
 	s.OK = append(s.OK, ok)
 	s.Attempts = append(s.Attempts, attempts)
-}
-
-// ErrorRate returns the fraction of failed evaluations behind point i.
-func (s *Series) ErrorRate(i int) float64 {
-	if i < 0 || i >= len(s.Attempts) || s.Attempts[i] == 0 {
-		return 0
-	}
-	return 1 - float64(s.OK[i])/float64(s.Attempts[i])
 }
 
 // Len returns the number of points.

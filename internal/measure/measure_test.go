@@ -79,41 +79,6 @@ func TestFitPowerLawErrors(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean != 2.5 || s.Min != 1 || s.Max != 4 || s.N != 4 {
-		t.Errorf("Summary = %+v", s)
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.StdDev-want) > 1e-12 {
-		t.Errorf("StdDev = %v, want %v", s.StdDev, want)
-	}
-	if _, err := Summarize(nil); err == nil {
-		t.Error("empty sample accepted")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m, _ := Median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("odd median = %v", m)
-	}
-	if m, _ := Median([]float64{4, 1, 2, 3}); m != 2.5 {
-		t.Errorf("even median = %v", m)
-	}
-	if _, err := Median(nil); err == nil {
-		t.Error("empty sample accepted")
-	}
-	// Median must not reorder its input.
-	in := []float64{3, 1, 2}
-	_, _ = Median(in)
-	if in[0] != 3 {
-		t.Error("Median mutated input")
-	}
-}
-
 func TestSeriesAndCSV(t *testing.T) {
 	a := &Series{Name: "lambda"}
 	b := &Series{Name: "theory,funny"}

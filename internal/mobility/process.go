@@ -1,7 +1,6 @@
 package mobility
 
 import (
-	"math"
 	"math/rand"
 
 	"hybridcap/internal/geom"
@@ -144,21 +143,3 @@ var (
 	_ Process = (*WalkProcess)(nil)
 	_ Process = (*StaticProcess)(nil)
 )
-
-// MaxExcursion returns the largest distance a process with the given
-// sampler and extension can stray from its home-point: D/f(n). The
-// upper-bound argument of Lemma 4 relies on this being Theta(1/f).
-func MaxExcursion(s *Sampler, f float64) float64 {
-	return s.Kernel().Support() / f
-}
-
-// MixingEstimate returns a crude estimate of the number of steps a walk
-// needs to forget its starting point: (D / step)^2 for a random walk
-// covering support D with steps of the given size.
-func MixingEstimate(s *Sampler, stepFrac float64) int {
-	if stepFrac <= 0 {
-		stepFrac = DefaultStepFrac
-	}
-	t := 1 / (stepFrac * stepFrac)
-	return int(math.Ceil(t))
-}

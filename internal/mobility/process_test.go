@@ -56,8 +56,9 @@ func TestWalkStationaryMatchesKernel(t *testing.T) {
 	home := geom.Point{X: 0.5, Y: 0.5}
 	f := 4.0
 	p := NewWalk(home, s, f, 0.3, r)
-	// Warm up beyond the mixing estimate.
-	warm := 20 * MixingEstimate(s, 0.3)
+	// Warm up for 20 times the walk's mixing time, (D/step)^2 = 1/0.3^2
+	// rounded up to 12 steps.
+	const warm = 240
 	for i := 0; i < warm; i++ {
 		p.Step(r)
 	}
@@ -122,22 +123,5 @@ func TestResetRedraws(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Error("Reset should redraw positions")
-	}
-}
-
-func TestMaxExcursion(t *testing.T) {
-	s := mustSampler(t, UniformDisk{D: 2})
-	if got := MaxExcursion(s, 4); got != 0.5 {
-		t.Errorf("MaxExcursion = %v, want 0.5", got)
-	}
-}
-
-func TestMixingEstimate(t *testing.T) {
-	s := mustSampler(t, UniformDisk{D: 1})
-	if got := MixingEstimate(s, 0.1); got != 100 {
-		t.Errorf("MixingEstimate(0.1) = %d, want 100", got)
-	}
-	if got := MixingEstimate(s, 0); got != MixingEstimate(s, DefaultStepFrac) {
-		t.Errorf("default step frac not applied")
 	}
 }

@@ -89,8 +89,8 @@ func MeasureContacts(nw *network.Network, cfg ContactConfig) (*ContactReport, er
 	// over the MS positions followed by the BSs, and one pair buffer.
 	var ix *spatial.Index
 	var pairs []interference.Transmission
-	_, err := loop.run(nil, func(_ int, measuring bool, pos []geom.Point) {
-		if !measuring {
+	err := loop.run(nil, func(pos []geom.Point) {
+		if !loop.measuring {
 			return
 		}
 		all = append(append(all[:0], pos...), nw.BSPos...)

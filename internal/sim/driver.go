@@ -21,9 +21,9 @@ const (
 
 // slotLoop is the slot driver the packet simulators and the contact
 // loop share. It owns the argument checks, the slot counter, the
-// measuring window, the per-node Bernoulli injection draw and the
-// positions of each slot; a simulator keeps its forwarding rule and
-// its report.
+// measuring window, the per-node Bernoulli injection draw, the
+// positions of each slot and the packet accounts (injected, delivered,
+// delay); a simulator keeps its forwarding rule and its own extras.
 //
 // Mobility runs on a second goroutine, the only code that calls the
 // network's Step and MSPositions during a run. Positions depend only on
@@ -42,6 +42,14 @@ type slotLoop struct {
 	lambda float64
 	seed   uint64
 	stream string
+
+	// slot and measuring describe the slot being driven; the inject and
+	// forward steps read them. The accounts cover measured slots only:
+	// delaySum sums the slots from injection to delivery.
+	slot                int
+	measuring           bool
+	injected, delivered int
+	delaySum            int
 }
 
 // check is the argument check every run shares; rt and delta are the
@@ -67,13 +75,12 @@ func (l *slotLoop) check(rt, delta float64) error {
 }
 
 // run drives Warmup+Slots slots. Each slot it first draws injections,
-// calling inject(i, slot) for every node i that drew a packet, then
-// calls forward with the slot's MS positions, which stay valid until
-// forward has returned for the last slot of their block. It returns
-// the number of packets injected in measured slots. A panic in the
-// mobility stage comes back as an error; the network's mobility state
-// is then undefined.
-func (l *slotLoop) run(inject func(i, slot int), forward func(slot int, measuring bool, pos []geom.Point)) (injected int, err error) {
+// calling inject(i) for every node i that drew a packet, then calls
+// forward with the slot's MS positions, which stay valid until forward
+// has returned for the last slot of their block; both read the slot
+// from l.slot and l.measuring. A panic in the mobility stage comes back
+// as an error; the network's mobility state is then undefined.
+func (l *slotLoop) run(inject func(i int), forward func(pos []geom.Point)) error {
 	nw := l.nw
 	n, total := nw.NumMS(), l.warmup+l.slots
 	var injRand *rand.Rand
@@ -132,24 +139,52 @@ func (l *slotLoop) run(inject func(i, slot int), forward func(slot int, measurin
 		blk, ok := <-full
 		if !ok {
 			// The stage ended early: it recorded why before closing full.
-			return 0, stageErr
+			return stageErr
 		}
 		for s := 0; s < min(blockSlots, total-base); s++ {
-			slot := base + s
-			measuring := slot >= l.warmup
+			l.slot = base + s
+			l.measuring = l.slot >= l.warmup
 			if injRand != nil {
 				for i := 0; i < n; i++ {
 					if injRand.Float64() < l.lambda {
-						inject(i, slot)
-						if measuring {
-							injected++
+						inject(i)
+						if l.measuring {
+							l.injected++
 						}
 					}
 				}
 			}
-			forward(slot, measuring, blk[s*n:(s+1)*n:(s+1)*n])
+			forward(blk[s*n : (s+1)*n : (s+1)*n])
 		}
 		free <- blk
 	}
-	return injected, nil
+	return nil
+}
+
+// deliver accounts a packet born in slot born as delivered now. It
+// counts only in a measured slot, and reports whether it did, so a
+// simulator can add its own per-delivery sums alongside.
+func (l *slotLoop) deliver(born int32) bool {
+	if !l.measuring {
+		return false
+	}
+	l.delivered++
+	l.delaySum += l.slot - int(born)
+	return true
+}
+
+// report returns the run's packet metrics, given the packets still
+// queued at its end.
+func (l *slotLoop) report(backlog int) PacketReport {
+	n := float64(l.nw.NumMS())
+	rep := PacketReport{
+		Injected:       l.injected,
+		Delivered:      l.delivered,
+		DeliveredRate:  float64(l.delivered) / n / float64(l.slots),
+		BacklogPerNode: float64(backlog) / n,
+	}
+	if l.delivered > 0 {
+		rep.MeanDelay = float64(l.delaySum) / float64(l.delivered)
+	}
+	return rep
 }

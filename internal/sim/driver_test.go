@@ -35,12 +35,12 @@ func TestStageMatchesSerialSteps(t *testing.T) {
 				if err := loop.check(0, -1); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := loop.run(nil, func(slot int, measuring bool, pos []geom.Point) {
-					if slot != len(got) {
-						t.Fatalf("slot %d handed over after %d slots", slot, len(got))
+				if err := loop.run(nil, func(pos []geom.Point) {
+					if loop.slot != len(got) {
+						t.Fatalf("slot %d handed over after %d slots", loop.slot, len(got))
 					}
 					got = append(got, slices.Clone(pos))
-					measured = append(measured, measuring)
+					measured = append(measured, loop.measuring)
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -153,8 +153,8 @@ func TestStageLeavesNoGoroutine(t *testing.T) {
 			}
 		}()
 		loop := slotLoop{nw: simNet(t, infraParams(64), 13, network.IID), slots: 100}
-		loop.run(nil, func(slot int, _ bool, _ []geom.Point) {
-			if slot == blockSlots+2 {
+		loop.run(nil, func([]geom.Point) {
+			if loop.slot == blockSlots+2 {
 				panic("forwarding failed")
 			}
 		})

@@ -151,23 +151,14 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		backoff = 64
 	}
 
-	// Precompute the serving (home) BS of every MS: the live BS nearest
-	// its home-point, where downlink packets wait.
+	// The alive-at-slot view applies the outage mask only from the onset
+	// on. Without Assoc the onset is 0, so liveNow is BSIsLive and
+	// nearestNow finds the nearest live BS.
 	bsIx := spatial.New(livePos, rt)
-	homes := nw.HomePoints()
-	homeBS := make([]int32, n)
-	for i, h := range homes {
-		j, _ := bsIx.Nearest(h, nil)
-		homeBS[i] = int32(liveIDs[j])
+	var allIx *spatial.Index
+	if onset > 0 {
+		allIx = spatial.New(nw.BSPos, rt)
 	}
-	// Association-dynamics state: the serving BS per MS, the
-	// time-to-trigger clock, and the alive-at-slot view that applies the
-	// outage mask only from the onset on.
-	var (
-		serving []int32
-		tttHeld []int32
-		allIx   *spatial.Index
-	)
 	liveNow := func(slot, b int) bool {
 		if slot < onset {
 			return true
@@ -182,13 +173,17 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		j, _ := bsIx.Nearest(pt, nil)
 		return int32(liveIDs[j])
 	}
+	// serving holds each MS's serving BS, where its downlink packets
+	// wait: at first the BS nearest its home-point, alive at slot 0.
+	// Only association dynamics change it.
+	homes := nw.HomePoints()
+	serving := make([]int32, n)
+	for i, h := range homes {
+		serving[i] = nearestNow(h, 0)
+	}
+	var tttHeld []int32 // association dynamics' time-to-trigger clocks
 	if dyn {
-		allIx = spatial.New(nw.BSPos, rt)
-		serving = make([]int32, n)
 		tttHeld = make([]int32, n)
-		for i, h := range homes {
-			serving[i] = nearestNow(h, 0)
-		}
 	}
 	// bsOrder lazily ranks the live BSs by distance from a destination's
 	// home-point; entry r is the packet's target after r re-homes.
@@ -210,30 +205,19 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 	}
 
 	srcQ := make([][]infraPacket, n)           // at the source MS, waiting for uplink
-	transitQ := make([][]infraPacket, 0)       // one backbone slot of latency
+	var transitQ []infraPacket                 // one backbone slot of latency
 	downQ := make([][]infraPacket, nw.NumBS()) // waiting at the destination's BS
-	transitQ = append(transitQ, nil)
 
 	rep := &InfraReport{}
-	var delaySum, hopSum, srcSum, downSum float64
-	// account records one delivery's delay decomposition: total since
-	// birth, source queueing until uplink, one slot per backbone
-	// transit, and the remainder as downlink wait.
-	account := func(p infraPacket, slot int) {
-		rep.Delivered++
-		total := float64(slot - int(p.born))
-		delaySum += total
-		hops := float64(1 + int(p.retries))
-		hopSum += hops
-		srcW := float64(int(p.up) - int(p.born))
-		srcSum += srcW
-		downSum += total - srcW - hops
-	}
-	expired := func(p infraPacket, slot int, measuring bool) bool {
-		if cfg.TTL <= 0 || slot-int(p.born) <= cfg.TTL {
+	// Per-delivery decomposition sums over measured deliveries: backbone
+	// transits, and source queueing until uplink; the rest of the delay
+	// is downlink wait.
+	var hopSum, srcSum, downSum int
+	expired := func(p infraPacket) bool {
+		if cfg.TTL <= 0 || loop.slot-int(p.born) <= cfg.TTL {
 			return false
 		}
-		if measuring {
+		if loop.measuring {
 			rep.Dropped++
 		}
 		return true
@@ -245,17 +229,13 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 	// first build, in disks.
 	var msIx *spatial.Index
 	var disks []spatial.Disk
-	// The uplink absorb closure is allocated once here and reads the
-	// current slot and BS budget through upSlot/upMeasuring/upBudget, so
-	// the per-BS loop inside the slot loop never re-creates it (hotalloc).
-	var (
-		upBudget    int
-		upSlot      int
-		upMeasuring bool
-	)
+	// The uplink absorb closure is allocated once here and reads the BS
+	// budget through upBudget, so the per-BS loop inside the slot loop
+	// never re-creates it (hotalloc).
+	var upBudget int
 	absorb := func(i int) bool {
-		if len(srcQ[i]) > 0 && plan != nil && plan.Erased(upSlot, i) {
-			if upMeasuring {
+		if len(srcQ[i]) > 0 && plan != nil && plan.Erased(loop.slot, i) {
+			if loop.measuring {
 				rep.Erasures++
 			}
 			return upBudget > 0
@@ -263,9 +243,9 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		for upBudget > 0 && len(srcQ[i]) > 0 {
 			p := srcQ[i][0]
 			srcQ[i] = srcQ[i][1:]
-			if !expired(p, upSlot, upMeasuring) {
-				p.up = int32(upSlot)
-				transitQ[0] = append(transitQ[0], p)
+			if !expired(p) {
+				p.up = int32(loop.slot)
+				transitQ = append(transitQ, p)
 			}
 			upBudget--
 		}
@@ -280,25 +260,22 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		assocMargin = cfg.Assoc.HandoverMargin + cfg.Assoc.Hysteresis
 		assocTTT = int32(cfg.Assoc.TimeToTrigger)
 	}
-	injected, err := loop.run(func(i, slot int) {
-		target := homeBS[tr.DestOf[i]]
-		if dyn {
-			target = serving[tr.DestOf[i]]
-		}
-		srcQ[i] = append(srcQ[i], infraPacket{dst: int32(tr.DestOf[i]), born: int32(slot), bs: target})
-	}, func(slot int, measuring bool, pos []geom.Point) {
+	err := loop.run(func(i int) {
+		dst := tr.DestOf[i]
+		srcQ[i] = append(srcQ[i], infraPacket{dst: int32(dst), born: int32(loop.slot), bs: serving[dst]})
+	}, func(pos []geom.Point) {
+		slot, measuring := loop.slot, loop.measuring
 		// Backbone: packets handed over last slot arrive at their target
 		// BS queue now. Everything is copied out, so the buffer backing
 		// is reused for this slot's handovers and retries.
-		arriving := transitQ[0]
-		for _, p := range arriving {
-			if expired(p, slot, measuring) {
+		for _, p := range transitQ {
+			if expired(p) {
 				continue
 			}
 			p.moved = int32(slot)
 			downQ[p.bs] = append(downQ[p.bs], p)
 		}
-		transitQ[0] = arriving[:0]
+		transitQ = transitQ[:0]
 
 		// Association dynamics: each MS compares the nearest
 		// alive-at-slot BS against its serving BS; the candidate must
@@ -346,7 +323,7 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 					if measuring {
 						rep.Transferred++
 					}
-					transitQ[0] = append(transitQ[0], p)
+					transitQ = append(transitQ, p)
 				}
 				downQ[old] = rest
 			}
@@ -361,89 +338,46 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		} else {
 			msIx.Rebuild(pos)
 		}
-		upSlot, upMeasuring = slot, measuring
-		if dyn {
-			for b := 0; b < nw.NumBS(); b++ {
-				if !liveNow(slot, b) {
-					continue
-				}
-				upBudget = uplinks
-				msIx.ForEachInDisk(disks[b], absorb)
+		for b := range disks {
+			if !liveNow(slot, b) {
+				continue
 			}
-		} else {
-			for _, b := range liveIDs {
-				upBudget = uplinks
-				msIx.ForEachInDisk(disks[b], absorb)
-			}
+			upBudget = uplinks
+			msIx.ForEachInDisk(disks[b], absorb)
 		}
 
 		// Downlink: each live BS delivers up to uplinks packets to
 		// destinations currently in range. A waiting packet whose backoff
-		// ran out re-homes to the next-nearest live BS over the backbone.
+		// ran out re-homes to the next-nearest live BS over the backbone
+		// (never under association dynamics, where maxRetries is 0).
 		// Survivors are compacted in place, reusing the queue's backing.
-		// Under association dynamics a dead BS cannot transmit; packets
-		// stranded there flush to the destination's current serving BS
-		// over the backbone once the handover has gone through.
-		if dyn {
-			for b := 0; b < nw.NumBS(); b++ {
-				q := downQ[b]
-				if len(q) == 0 {
-					continue
-				}
-				rest := q[:0]
-				if !liveNow(slot, b) {
-					for _, p := range q {
-						if expired(p, slot, measuring) {
-							continue
-						}
-						if tgt := serving[p.dst]; tgt != int32(b) {
-							p.retries++
-							p.bs = tgt
-							if measuring {
-								rep.Transferred++
-							}
-							transitQ[0] = append(transitQ[0], p)
-							continue
-						}
-						rest = append(rest, p)
-					}
-					downQ[b] = rest
-					continue
-				}
-				budget := uplinks
-				for _, p := range q {
-					if expired(p, slot, measuring) {
-						continue
-					}
-					if budget > 0 && geom.Dist(pos[p.dst], nw.BSPos[b]) <= rt {
-						if plan != nil && plan.Erased(slot, int(p.dst)) {
-							if measuring {
-								rep.Erasures++
-							}
-							rest = append(rest, p)
-							continue
-						}
-						budget--
-						if measuring {
-							account(p, slot)
-						}
-						continue
-					}
-					rest = append(rest, p)
-				}
-				downQ[b] = rest
+		// A dead BS cannot transmit; packets stranded there flush to the
+		// destination's current serving BS over the backbone once the
+		// handover has gone through. Only association dynamics strand
+		// packets: legacy targets and re-homes are all live BSs.
+		for b, q := range downQ {
+			if len(q) == 0 {
+				continue
 			}
-			return
-		}
-		for _, b := range liveIDs {
+			live := liveNow(slot, b)
 			budget := uplinks
-			q := downQ[b]
 			rest := q[:0]
 			for _, p := range q {
-				if expired(p, slot, measuring) {
+				if expired(p) {
 					continue
 				}
-				if budget > 0 && geom.Dist(pos[p.dst], nw.BSPos[b]) <= rt {
+				switch {
+				case !live:
+					if tgt := serving[p.dst]; tgt != int32(b) {
+						p.retries++
+						p.bs = tgt
+						if measuring {
+							rep.Transferred++
+						}
+						transitQ = append(transitQ, p)
+						continue
+					}
+				case budget > 0 && geom.Dist(pos[p.dst], nw.BSPos[b]) <= rt:
 					if plan != nil && plan.Erased(slot, int(p.dst)) {
 						if measuring {
 							rep.Erasures++
@@ -452,13 +386,16 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 						continue
 					}
 					budget--
-					if measuring {
-						account(p, slot)
+					if loop.deliver(p.born) {
+						hops := 1 + int(p.retries)
+						hopSum += hops
+						srcW := int(p.up) - int(p.born)
+						srcSum += srcW
+						downSum += slot - int(p.born) - srcW - hops
 					}
 					continue
-				}
-				if maxRetries > 0 && int(p.retries) < maxRetries &&
-					slot-int(p.moved) >= backoff<<uint(p.retries) {
+				case maxRetries > 0 && int(p.retries) < maxRetries &&
+					slot-int(p.moved) >= backoff<<uint(p.retries):
 					if ord := bsOrder(p.dst); int(p.retries)+1 < len(ord) {
 						p.retries++
 						p.bs = ord[p.retries]
@@ -466,7 +403,7 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 						if measuring {
 							rep.Retries++
 						}
-						transitQ[0] = append(transitQ[0], p)
+						transitQ = append(transitQ, p)
 						continue
 					}
 				}
@@ -478,15 +415,6 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 	if err != nil {
 		return nil, err
 	}
-	rep.Injected = injected
-	if rep.Delivered > 0 {
-		rep.MeanDelay = delaySum / float64(rep.Delivered)
-		rep.MeanBackboneHops = hopSum / float64(rep.Delivered)
-		rep.MeanUplinkWait = srcSum / float64(rep.Delivered)
-		rep.MeanBackboneWait = rep.MeanBackboneHops // one slot per wired transit
-		rep.MeanDownlinkWait = downSum / float64(rep.Delivered)
-	}
-	rep.DeliveredRate = float64(rep.Delivered) / float64(n) / float64(cfg.Slots)
 	backlog := 0
 	for i := range srcQ {
 		backlog += len(srcQ[i])
@@ -494,6 +422,12 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 	for b := range downQ {
 		backlog += len(downQ[b])
 	}
-	rep.BacklogPerNode = float64(backlog) / float64(n)
+	rep.PacketReport = loop.report(backlog)
+	if d := float64(rep.Delivered); d > 0 {
+		rep.MeanBackboneHops = float64(hopSum) / d
+		rep.MeanUplinkWait = float64(srcSum) / d
+		rep.MeanBackboneWait = rep.MeanBackboneHops // one slot per wired transit
+		rep.MeanDownlinkWait = float64(downSum) / d
+	}
 	return rep, nil
 }

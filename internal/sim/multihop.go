@@ -6,6 +6,7 @@ import (
 	"hybridcap/internal/geom"
 	"hybridcap/internal/interference"
 	"hybridcap/internal/network"
+	"hybridcap/internal/routing"
 	"hybridcap/internal/scheduler"
 	"hybridcap/internal/spatial"
 	"hybridcap/internal/traffic"
@@ -60,7 +61,7 @@ func RunMultihop(nw *network.Network, tr *traffic.Pattern, cfg MultihopConfig) (
 	}
 	frac := cfg.CellFrac
 	if frac <= 0 {
-		frac = 0.8
+		frac = routing.DefaultCellFrac
 	}
 	model := interference.NewModel(rt, cfg.Delta)
 
@@ -99,16 +100,15 @@ func RunMultihop(nw *network.Network, tr *traffic.Pattern, cfg MultihopConfig) (
 	}
 
 	queues := make([][]mhPacket, n)
-	rep := &MultihopReport{}
-	var delaySum, hopSum float64
+	hopSum := 0
 
 	// Slot-loop scratch: grid geometry is constant over the run, so the
 	// index is rebuilt in place and the pair buffer reused.
 	var ix *spatial.Index
 	var pairs []interference.Transmission
-	injected, err := loop.run(func(i, slot int) {
-		queues[i] = append(queues[i], mhPacket{dst: int32(tr.DestOf[i]), born: int32(slot)})
-	}, func(slot int, measuring bool, pos []geom.Point) {
+	err := loop.run(func(i int) {
+		queues[i] = append(queues[i], mhPacket{dst: int32(tr.DestOf[i]), born: int32(loop.slot)})
+	}, func(pos []geom.Point) {
 		if ix == nil {
 			ix = spatial.New(pos, model.GuardRadius())
 		} else {
@@ -116,42 +116,36 @@ func RunMultihop(nw *network.Network, tr *traffic.Pattern, cfg MultihopConfig) (
 		}
 		pairs = scheduler.SStarPairsInto(model, ix, pairs)
 		for _, pr := range pairs {
-			forwardMultihop(pr.From, pr.To, queues, homeCell, nextCell, slot, measuring, rep, &delaySum, &hopSum)
-			forwardMultihop(pr.To, pr.From, queues, homeCell, nextCell, slot, measuring, rep, &delaySum, &hopSum)
+			forwardMultihop(&loop, pr.From, pr.To, queues, homeCell, nextCell, &hopSum)
+			forwardMultihop(&loop, pr.To, pr.From, queues, homeCell, nextCell, &hopSum)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep.Injected = injected
-	if rep.Delivered > 0 {
-		rep.MeanDelay = delaySum / float64(rep.Delivered)
-		rep.MeanHops = hopSum / float64(rep.Delivered)
-	}
-	rep.DeliveredRate = float64(rep.Delivered) / float64(n) / float64(cfg.Slots)
 	backlog := 0
 	for i := range queues {
 		backlog += len(queues[i])
 	}
-	rep.BacklogPerNode = float64(backlog) / float64(n)
+	rep := &MultihopReport{PacketReport: loop.report(backlog)}
+	if rep.Delivered > 0 {
+		rep.MeanHops = float64(hopSum) / float64(rep.Delivered)
+	}
 	return rep, nil
 }
 
 // forwardMultihop transmits at most one packet from a to b: preferring
 // final delivery, then any packet whose next squarelet is b's home
-// cell.
-func forwardMultihop(a, b int, queues [][]mhPacket, homeCell []int32,
-	nextCell func(cur, dst int32) int32, slot int, measuring bool,
-	rep *MultihopReport, delaySum, hopSum *float64) {
+// cell. hopSum sums the wireless hops of measured deliveries.
+func forwardMultihop(l *slotLoop, a, b int, queues [][]mhPacket, homeCell []int32,
+	nextCell func(cur, dst int32) int32, hopSum *int) {
 	q := queues[a]
 	for idx := range q {
 		p := q[idx]
 		if int(p.dst) == b {
 			// Final delivery.
-			if measuring {
-				rep.Delivered++
-				*delaySum += float64(slot - int(p.born))
-				*hopSum = *hopSum + float64(p.hops) + 1
+			if l.deliver(p.born) {
+				*hopSum += int(p.hops) + 1
 			}
 			queues[a] = append(q[:idx], q[idx+1:]...)
 			return

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"hybridcap/internal/network"
@@ -78,23 +79,41 @@ func TestRunMultihopErrors(t *testing.T) {
 	}
 }
 
-// Multi-hop forwarding must conserve packets: injected = delivered +
-// still queued.
+// Two-hop relaying and multi-hop forwarding must conserve packets:
+// with no warmup every injection and delivery is counted, so injected =
+// delivered + still queued, exactly.
 func TestRunMultihopConservation(t *testing.T) {
 	p := scaling.Params{N: 256, Alpha: 0.2, K: -1, M: 1}
-	nw := simNet(t, p, 23, network.IID)
 	tr, err := traffic.NewPermutation(p.N, rng.New(23).Derive("traffic").Rand())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunMultihop(nw, tr, MultihopConfig{Lambda: 0.005, Slots: 1500, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued := rep.BacklogPerNode * float64(p.N)
-	total := float64(rep.Delivered) + queued
-	if total < float64(rep.Injected)-0.5 || total > float64(rep.Injected)+0.5 {
-		t.Errorf("conservation violated: injected %d, delivered %d, queued %.1f",
-			rep.Injected, rep.Delivered, queued)
+	for _, c := range []struct {
+		name string
+		run  func(nw *network.Network) (*PacketReport, error)
+	}{
+		{"twohop", func(nw *network.Network) (*PacketReport, error) {
+			return RunTwoHop(nw, tr, PacketConfig{Lambda: 0.01, Slots: 1500, Seed: 23})
+		}},
+		{"multihop", func(nw *network.Network) (*PacketReport, error) {
+			rep, err := RunMultihop(nw, tr, MultihopConfig{Lambda: 0.005, Slots: 1500, Seed: 23})
+			if err != nil {
+				return nil, err
+			}
+			return &rep.PacketReport, nil
+		}},
+	} {
+		rep, err := c.run(simNet(t, p, 23, network.IID))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rep.Delivered == 0 {
+			t.Fatalf("%s: nothing delivered: %+v", c.name, rep)
+		}
+		queued := int(math.Round(rep.BacklogPerNode * float64(p.N)))
+		if rep.Delivered+queued != rep.Injected {
+			t.Errorf("%s: conservation violated: injected %d, delivered %d, queued %d",
+				c.name, rep.Injected, rep.Delivered, queued)
+		}
 	}
 }

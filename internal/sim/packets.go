@@ -67,8 +67,6 @@ func RunTwoHop(nw *network.Network, tr *traffic.Pattern, cfg PacketConfig) (*Pac
 	// Per-node queues: own source packets and relayed packets.
 	srcQ := make([][]packet, n)
 	relayQ := make([][]packet, n)
-	rep := &PacketReport{}
-	var delaySum float64
 
 	// The spatial index and pair list are slot-loop scratch: the grid
 	// geometry depends only on the guard radius and node count, both
@@ -78,9 +76,9 @@ func RunTwoHop(nw *network.Network, tr *traffic.Pattern, cfg PacketConfig) (*Pac
 	// (internal/analysis/hotalloc.go) flags new ones at lint time.
 	var ix *spatial.Index
 	var pairs []interference.Transmission
-	injected, err := loop.run(func(i, slot int) {
-		srcQ[i] = append(srcQ[i], packet{dst: int32(tr.DestOf[i]), born: int32(slot)})
-	}, func(slot int, measuring bool, pos []geom.Point) {
+	err := loop.run(func(i int) {
+		srcQ[i] = append(srcQ[i], packet{dst: int32(tr.DestOf[i]), born: int32(loop.slot)})
+	}, func(pos []geom.Point) {
 		if ix == nil {
 			ix = spatial.New(pos, model.GuardRadius())
 		} else {
@@ -90,35 +88,30 @@ func RunTwoHop(nw *network.Network, tr *traffic.Pattern, cfg PacketConfig) (*Pac
 		// Definition 10 splits the slot between the two directions: both
 		// endpoints get to transmit one packet.
 		for _, pr := range pairs {
-			transferPacket(pr.From, pr.To, srcQ, relayQ, slot, measuring, rep, &delaySum)
-			transferPacket(pr.To, pr.From, srcQ, relayQ, slot, measuring, rep, &delaySum)
+			transferPacket(&loop, pr.From, pr.To, srcQ, relayQ)
+			transferPacket(&loop, pr.To, pr.From, srcQ, relayQ)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep.Injected = injected
-	if rep.Delivered > 0 {
-		rep.MeanDelay = delaySum / float64(rep.Delivered)
-	}
-	rep.DeliveredRate = float64(rep.Delivered) / float64(n) / float64(cfg.Slots)
 	backlog := 0
 	for i := 0; i < n; i++ {
 		backlog += len(srcQ[i]) + len(relayQ[i])
 	}
-	rep.BacklogPerNode = float64(backlog) / float64(n)
-	return rep, nil
+	rep := loop.report(backlog)
+	return &rep, nil
 }
 
 // transferPacket moves one packet from node a to node b: preferring
 // delivery (a packet destined to b), then relay handoff of a's own
 // oldest source packet.
-func transferPacket(a, b int, srcQ, relayQ [][]packet, slot int, measuring bool, rep *PacketReport, delaySum *float64) {
+func transferPacket(l *slotLoop, a, b int, srcQ, relayQ [][]packet) {
 	var done bool
-	if relayQ[a], done = deliverTo(relayQ[a], b, slot, measuring, rep, delaySum); done {
+	if relayQ[a], done = deliverTo(l, relayQ[a], b); done {
 		return
 	}
-	if srcQ[a], done = deliverTo(srcQ[a], b, slot, measuring, rep, delaySum); done {
+	if srcQ[a], done = deliverTo(l, srcQ[a], b); done {
 		return
 	}
 	// Relay handoff: give b the oldest source packet.
@@ -130,13 +123,10 @@ func transferPacket(a, b int, srcQ, relayQ [][]packet, slot int, measuring bool,
 
 // deliverTo removes and accounts the first packet in q destined to b,
 // reporting whether one was delivered.
-func deliverTo(q []packet, b, slot int, measuring bool, rep *PacketReport, delaySum *float64) ([]packet, bool) {
+func deliverTo(l *slotLoop, q []packet, b int) ([]packet, bool) {
 	for idx, p := range q {
 		if int(p.dst) == b {
-			if measuring {
-				rep.Delivered++
-				*delaySum += float64(slot - int(p.born))
-			}
+			l.deliver(p.born)
 			return append(q[:idx], q[idx+1:]...), true
 		}
 	}

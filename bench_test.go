@@ -332,26 +332,62 @@ func BenchmarkPacketSim(b *testing.B) {
 
 // BenchmarkSStar times one S* scheduling pass, SStarPairsInto over an
 // index of the MS positions, at packet-sim's point (n=256, RT =
-// DefaultSimCT/sqrt(n), Delta 1) and at n=4096. Index and pair buffer
-// are warmed outside the timer, so a pass should allocate nothing.
+// DefaultSimCT/sqrt(n)) and at n=4096, for the sims' zero-value guard
+// factor (Delta 0) and the default (Delta 1). Like the slot loop, each
+// pass sees fresh positions: it cycles through the indexes of
+// sstarSlots consecutive mobility slots, built and warmed outside the
+// timer, so the branch predictor cannot learn one slot's layout and a
+// pass should allocate nothing.
 func BenchmarkSStar(b *testing.B) {
+	const sstarSlots = 64
 	for _, n := range []int{256, 4096} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			p := scaling.Params{N: n, Alpha: 0.15, K: -1, M: 1}
-			nw, err := network.New(network.Config{Params: p, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := interference.NewModel(sim.DefaultSimCT/math.Sqrt(float64(n)), 1)
-			ix := spatial.New(nw.MSPositions(nil), m.GuardRadius())
-			pairs := scheduler.SStarPairsInto(m, ix, nil)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pairs = scheduler.SStarPairsInto(m, ix, pairs)
-			}
-			b.ReportMetric(float64(len(pairs)), "pairs")
-		})
+		p := scaling.Params{N: n, Alpha: 0.15, K: -1, M: 1}
+		nw, err := network.New(network.Config{Params: p, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		slots := make([][]geom.Point, sstarSlots)
+		for t := range slots {
+			nw.Step()
+			slots[t] = nw.MSPositions(nil)
+		}
+		for _, delta := range []float64{0, 1} {
+			b.Run(fmt.Sprintf("n=%d/delta=%g", n, delta), func(b *testing.B) {
+				m := interference.NewModel(sim.DefaultSimCT/math.Sqrt(float64(n)), delta)
+				ixs := make([]*spatial.Index, len(slots))
+				var pairs []interference.Transmission
+				for t, pos := range slots {
+					ixs[t] = spatial.New(pos, m.GuardRadius())
+					pairs = scheduler.SStarPairsInto(m, ixs[t], pairs)
+				}
+				total := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pairs = scheduler.SStarPairsInto(m, ixs[i%len(ixs)], pairs)
+					total += len(pairs)
+				}
+				b.ReportMetric(float64(total)/float64(b.N), "pairs")
+			})
+		}
+	}
+}
+
+// BenchmarkMobilityStep times the mobility stage of one slot, Step and
+// MSPositions, at packet-sim's point (n=256, alpha 0.15, no BSs, i.i.d.
+// mobility): what the slot driver's mobility goroutine does per slot.
+func BenchmarkMobilityStep(b *testing.B) {
+	p := scaling.Params{N: 256, Alpha: 0.15, K: -1, M: 1}
+	nw, err := network.New(network.Config{Params: p, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pos := nw.MSPositions(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.Step()
+		pos = nw.MSPositions(pos)
 	}
 }
 

@@ -105,3 +105,17 @@ func FuzzHexCellOf(f *testing.F) {
 		}
 	})
 }
+
+func FuzzUnitCircle(f *testing.F) {
+	for _, seed := range []float64{0, 0.125, 0.25, 0.5, 0.75, 0.875, 0.9999999999999999, 1.0 / 3} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, u float64) {
+		if math.IsNaN(u) || math.IsInf(u, 0) {
+			t.Skip()
+		}
+		// Fold into [0,1): Mod keeps |u| < 1 and its sign.
+		u = math.Abs(math.Mod(u, 1))
+		checkUnitCircle(t, u)
+	})
+}

@@ -10,6 +10,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"hybridcap/internal/geom"
 )
 
 // Kernel is the shape function s(d) of Definition 2: non-negative,
@@ -204,22 +206,7 @@ func (s *Sampler) NormDensity(d float64) float64 {
 // SampleRadius draws a radius from the radial marginal.
 func (s *Sampler) SampleRadius(rng *rand.Rand) float64 {
 	u := rng.Float64()
-	// The guide table brackets the search to the few entries around u's
-	// bucket. The bracket is validated with two O(1) comparisons and the
-	// search falls back to the full table when float rounding at a
-	// bucket boundary invalidates it, so the index found is always
-	// exactly the full-table SearchFloat64s result.
-	var i int
-	g := int(u * samplerGuideSize)
-	if g >= samplerGuideSize {
-		g = samplerGuideSize - 1
-	}
-	lo, hi := int(s.guide[g]), int(s.guide[g+1])
-	if (lo > 0 && s.cdf[lo-1] >= u) || s.cdf[hi] < u {
-		i = sort.SearchFloat64s(s.cdf, u)
-	} else {
-		i = lo + sort.SearchFloat64s(s.cdf[lo:hi+1], u)
-	}
+	i := s.index(u)
 	if i == 0 {
 		return 0
 	}
@@ -235,10 +222,30 @@ func (s *Sampler) SampleRadius(rng *rand.Rand) float64 {
 	return s.radii[i-1] + t*(s.radii[i]-s.radii[i-1])
 }
 
+// index returns the first cdf entry at or above u in [0,1), the index
+// sort.SearchFloat64s(s.cdf, u) returns. The guide table brackets the
+// search to the few entries around u's bucket. The bracket is
+// validated with two O(1) comparisons and the search falls back to the
+// full table when float rounding at a bucket boundary invalidates it.
+// The brackets partition the table, so a scan of one from its start,
+// which cdf[hi] >= u stops, takes a few steps on average.
+func (s *Sampler) index(u float64) int {
+	g := min(int(u*samplerGuideSize), samplerGuideSize-1)
+	lo, hi := int(s.guide[g]), int(s.guide[g+1])
+	if (lo > 0 && s.cdf[lo-1] >= u) || s.cdf[hi] < u {
+		return sort.SearchFloat64s(s.cdf, u)
+	}
+	i := lo
+	for s.cdf[i] < u {
+		i++
+	}
+	return i
+}
+
 // Sample draws a displacement (dx, dy) from the normalized density
 // proportional to s(|x|).
 func (s *Sampler) Sample(rng *rand.Rand) (dx, dy float64) {
 	rho := s.SampleRadius(rng)
-	sin, cos := math.Sincos(rng.Float64() * 2 * math.Pi)
+	sin, cos := geom.UnitCircle(rng.Float64())
 	return rho * cos, rho * sin
 }

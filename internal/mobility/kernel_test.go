@@ -180,9 +180,9 @@ func TestDefaultKernel(t *testing.T) {
 
 // The guide table is a pure accelerator: for every u the bracketed
 // search in SampleRadius must land on exactly the index a full
-// sort.SearchFloat64s over the cdf would return. This drives the same
-// index computation as SampleRadius over random draws plus every guide
-// bucket boundary, where float rounding makes the bracket most fragile.
+// sort.SearchFloat64s over the cdf would return. This drives
+// SampleRadius's index over random draws plus every guide bucket
+// boundary, where float rounding makes the bracket most fragile.
 func TestSamplerGuideMatchesFullSearch(t *testing.T) {
 	for _, k := range kernels() {
 		s, err := NewSampler(k)
@@ -193,19 +193,7 @@ func TestSamplerGuideMatchesFullSearch(t *testing.T) {
 			if u < 0 || u >= 1 {
 				return
 			}
-			want := sort.SearchFloat64s(s.cdf, u)
-			g := int(u * samplerGuideSize)
-			if g >= samplerGuideSize {
-				g = samplerGuideSize - 1
-			}
-			lo, hi := int(s.guide[g]), int(s.guide[g+1])
-			var got int
-			if (lo > 0 && s.cdf[lo-1] >= u) || s.cdf[hi] < u {
-				got = sort.SearchFloat64s(s.cdf, u)
-			} else {
-				got = lo + sort.SearchFloat64s(s.cdf[lo:hi+1], u)
-			}
-			if got != want {
+			if got, want := s.index(u), sort.SearchFloat64s(s.cdf, u); got != want {
 				t.Fatalf("%s: guide search at u=%v: got index %d, full search %d", k.Name(), u, got, want)
 			}
 		}
@@ -222,8 +210,9 @@ func TestSamplerGuideMatchesFullSearch(t *testing.T) {
 	}
 }
 
-// Sample and the disk placements draw an angle and take math.Sincos of
-// it, where they once took math.Cos and math.Sin; the bits must agree
+// Sample and the disk placements take a drawn direction from
+// geom.UnitCircle, which is math.Sincos bit for bit (geom's tests),
+// where they once took math.Cos and math.Sin; the bits must agree
 // for every angle a draw can produce, and for large arguments, which
 // take the other range reduction, or seeded runs would move.
 func TestSincosMatchesSinCos(t *testing.T) {

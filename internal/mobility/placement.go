@@ -94,7 +94,7 @@ func uniformInDisk(center geom.Point, radius float64, rng *rand.Rand) geom.Point
 		return center
 	}
 	rho := radius * math.Sqrt(rng.Float64())
-	sin, cos := math.Sincos(rng.Float64() * 2 * math.Pi)
+	sin, cos := geom.UnitCircle(rng.Float64())
 	return geom.Add(center, rho*cos, rho*sin)
 }
 

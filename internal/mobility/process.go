@@ -32,13 +32,17 @@ type IIDProcess struct {
 	f       float64
 }
 
-// NewIID builds an i.i.d.-around-home process. f is the network
-// extension f(n); displacements are kernel samples scaled by 1/f per the
-// normalization of Definition 1.
-func NewIID(home geom.Point, s *Sampler, f float64, rng *rand.Rand) *IIDProcess {
-	p := &IIDProcess{home: home, sampler: s, f: f}
-	p.Reset(rng)
-	return p
+// NewIIDs builds one i.i.d.-around-home process per home-point, in a
+// single slice, drawing each initial position in home-point order. f is
+// the network extension f(n); displacements are kernel samples scaled
+// by 1/f per the normalization of Definition 1.
+func NewIIDs(homes []geom.Point, s *Sampler, f float64, rng *rand.Rand) []IIDProcess {
+	ps := make([]IIDProcess, len(homes))
+	for i, home := range homes {
+		ps[i] = IIDProcess{home: home, sampler: s, f: f}
+		ps[i].Reset(rng)
+	}
+	return ps
 }
 
 // Home implements Process.

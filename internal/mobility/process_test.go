@@ -13,7 +13,7 @@ func TestIIDStationaryRadius(t *testing.T) {
 	r := rng.New(1).Rand()
 	home := geom.Point{X: 0.3, Y: 0.3}
 	f := 8.0
-	p := NewIID(home, s, f, r)
+	p := &NewIIDs([]geom.Point{home}, s, f, r)[0]
 	const n = 20000
 	within := 0
 	for i := 0; i < n; i++ {
@@ -115,7 +115,7 @@ func TestStaticNeverMoves(t *testing.T) {
 func TestResetRedraws(t *testing.T) {
 	s := mustSampler(t, UniformDisk{D: 1})
 	r := rng.New(6).Rand()
-	p := NewIID(geom.Point{X: 0.5, Y: 0.5}, s, 2, r)
+	p := &NewIIDs([]geom.Point{{X: 0.5, Y: 0.5}}, s, 2, r)[0]
 	seen := map[geom.Point]bool{}
 	for i := 0; i < 10; i++ {
 		p.Reset(r)

@@ -156,17 +156,24 @@ func New(cfg Config) (*Network, error) {
 
 	nw.stepRNG = root.Derive("mobility").Rand()
 	nw.MSProcs = make([]mobility.Process, p.N)
-	for i, home := range nw.Placement.HomePoints {
-		switch cfg.Mobility {
-		case IID:
-			nw.MSProcs[i] = mobility.NewIID(home, nw.Sampler, nw.f, nw.stepRNG)
-		case Walk:
-			nw.MSProcs[i] = mobility.NewWalk(home, nw.Sampler, nw.f, cfg.WalkStep, nw.stepRNG)
-		case Static:
-			nw.MSProcs[i] = mobility.NewStatic(home)
-		default:
-			return nil, fmt.Errorf("network: unknown mobility kind %v", cfg.Mobility)
+	homes := nw.Placement.HomePoints
+	switch cfg.Mobility {
+	case IID:
+		// One allocation for every process, not one each.
+		iids := mobility.NewIIDs(homes, nw.Sampler, nw.f, nw.stepRNG)
+		for i := range iids {
+			nw.MSProcs[i] = &iids[i]
 		}
+	case Walk:
+		for i, home := range homes {
+			nw.MSProcs[i] = mobility.NewWalk(home, nw.Sampler, nw.f, cfg.WalkStep, nw.stepRNG)
+		}
+	case Static:
+		for i, home := range homes {
+			nw.MSProcs[i] = mobility.NewStatic(home)
+		}
+	default:
+		return nil, fmt.Errorf("network: unknown mobility kind %v", cfg.Mobility)
 	}
 
 	if p.HasInfrastructure() {
@@ -278,7 +285,7 @@ func randomInDisk(center geom.Point, radius float64, r *rand.Rand) geom.Point {
 		return center
 	}
 	rho := radius * math.Sqrt(r.Float64())
-	sin, cos := math.Sincos(r.Float64() * 2 * math.Pi)
+	sin, cos := geom.UnitCircle(r.Float64())
 	return geom.Add(center, rho*cos, rho*sin)
 }
 

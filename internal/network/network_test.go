@@ -472,3 +472,19 @@ func TestCenterBucketsLatticeTies(t *testing.T) {
 		}
 	}
 }
+
+// An i.i.d. network's processes share one allocation: building one
+// costs a fixed number of allocations, not one or more per MS.
+func TestNewAllocationsDoNotGrowWithN(t *testing.T) {
+	allocs := func(n int) float64 {
+		cfg := Config{Params: scaling.Params{N: n, Alpha: 0.2, K: -1, M: 1}, Seed: 3}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(256), allocs(4096); large > small {
+		t.Errorf("New makes %v allocations at n=4096 and %v at n=256", large, small)
+	}
+}

@@ -33,6 +33,7 @@ func torusCellGraph(g geom.Grid, occupied func(c int) bool, weight func() float6
 			cg.edgeWeight[c] = append(cg.edgeWeight[c], weight())
 		}
 	}
+	cg.parallel = hasParallelEdges(cg.nbr)
 	cg.fixWeights()
 	return cg
 }
@@ -108,10 +109,13 @@ func checkDijkstra(t testing.TB, name string, cg *cellGraph) int {
 	}
 	ties := 0
 	for src := range cg.nbr {
-		parent := cg.dijkstra(src)
+		parent, edge := cg.dijkstra(src)
 		wantDist, wantParent, n := refShortestTree(cg, src)
 		ties += n
 		for c := range wantDist {
+			if p := parent[c]; p >= 0 && c != src && cg.nbr[p][edge[c]] != int32(c) {
+				t.Fatalf("%s: src %d: edge[%d] = %d names %d->%d, not the tree edge from %d", name, src, c, edge[c], p, cg.nbr[p][edge[c]], p)
+			}
 			if math.Float64bits(cg.distScratch[c]) != math.Float64bits(wantDist[c]) {
 				t.Fatalf("%s: src %d: dist[%d] = %v, want %v", name, src, c, cg.distScratch[c], wantDist[c])
 			}
@@ -222,4 +226,57 @@ func FuzzDijkstraMatchesReference(f *testing.F) {
 		name := []string{"few", "decades", "ring"}[spread%3]
 		checkDijkstra(t, fmt.Sprintf("%s/%dx%d", name, g.Cols, g.Rows), torusCellGraph(g, occupied, spreadWeight(name, rnd)))
 	})
+}
+
+// routeAll loads, at each hop of a sink's path, the first edge of the
+// parent's list that leads to the cell. On a grid two cells wide a
+// cell reaches one neighbour by two parallel edges, here of different
+// capacity, so the shortest path may have relaxed through the second.
+func TestRouteAllLoadsFirstMatchingEdge(t *testing.T) {
+	rnd := rand.New(rand.NewSource(4))
+	for _, g := range []geom.Grid{{Cols: 2, Rows: 2}, {Cols: 2, Rows: 5}, {Cols: 5, Rows: 2}, {Cols: 4, Rows: 4}} {
+		cg := torusCellGraph(g, func(int) bool { return true }, func() float64 { return 1 })
+		n := len(cg.nbr)
+		cg.nbrCap, cg.nbrLoad = make([][]float64, n), make([][]float64, n)
+		cg.selfCap, cg.selfLoad = make([]float64, n), make([]float64, n)
+		for c := range cg.nbr {
+			for range cg.nbr[c] {
+				cg.nbrCap[c] = append(cg.nbrCap[c], float64(1+rnd.Intn(4)))
+				cg.nbrLoad[c] = append(cg.nbrLoad[c], 0)
+			}
+		}
+		demands := map[cellEdge]float64{}
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				demands[cellEdge{from: src, to: dst}] = float64(1 + rnd.Intn(3))
+			}
+		}
+		// One pass weighs each edge by its inverse capacity alone.
+		if failed := cg.routeAll(demands, 1); failed != 0 {
+			t.Fatalf("%dx%d: %d demand units unroutable", g.Cols, g.Rows, failed)
+		}
+		want := make([][]float64, n)
+		for c := range want {
+			want[c] = make([]float64, len(cg.nbr[c]))
+		}
+		for e, d := range demands {
+			_, parent, _ := refShortestTree(cg, e.from)
+			for c := e.to; c != e.from; c = int(parent[c]) {
+				p := parent[c]
+				for i, nb := range cg.nbr[p] {
+					if int(nb) == c {
+						want[p][i] += d
+						break
+					}
+				}
+			}
+		}
+		for c := range want {
+			for i := range want[c] {
+				if cg.nbrLoad[c][i] != want[c][i] {
+					t.Fatalf("%dx%d: edge %d of cell %d carries %v, want %v", g.Cols, g.Rows, i, c, cg.nbrLoad[c][i], want[c][i])
+				}
+			}
+		}
+	}
 }

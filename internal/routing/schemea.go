@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hybridcap/internal/geom"
@@ -138,10 +139,14 @@ type cellGraph struct {
 	// shortest-path passes allocate nothing after the first call.
 	distScratch    []float64
 	parentScratch  []int32
+	edgeScratch    []int32
 	settledScratch []bool
-	queue          bucketQueue
-	prevLoad       [][]float64
-	edgeWeight     [][]float64
+	// parallel marks a graph where some cell has two edges to one
+	// neighbour, which only grids two cells wide give.
+	parallel   bool
+	queue      bucketQueue
+	prevLoad   [][]float64
+	edgeWeight [][]float64
 }
 
 // cellDirs are the 4-adjacency steps in edge order. Each forward step
@@ -214,7 +219,21 @@ func newCellGraph(g geom.Grid, members [][]int, caps *squareletCaps) (*cellGraph
 			cg.selfCap[c] = caps.self(members[c]) / 2
 		}
 	}
+	cg.parallel = hasParallelEdges(cg.nbr)
 	return cg, nil
+}
+
+// hasParallelEdges reports whether some cell's neighbour list names
+// one neighbour twice.
+func hasParallelEdges(nbr [][]int32) bool {
+	for _, list := range nbr {
+		for i, nb := range list {
+			if slices.Index(list, nb) < i {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (cg *cellGraph) resetLoads() {
@@ -301,7 +320,7 @@ func (cg *cellGraph) routeAll(demands map[cellEdge]float64, iters int) int {
 		cg.resetLoads()
 		failures = 0
 		for si, src := range srcs {
-			parent := cg.dijkstra(int(src))
+			parent, edge := cg.dijkstra(int(src))
 			for _, sink := range sinks[si] {
 				dst, demand := int(sink.dst), sink.demand
 				if int(src) == dst {
@@ -313,13 +332,12 @@ func (cg *cellGraph) routeAll(demands map[cellEdge]float64, iters int) int {
 					continue
 				}
 				for c := dst; c != int(src); {
-					p := int(parent[c])
-					for i, nb := range cg.nbr[p] {
-						if int(nb) == c {
-							cg.nbrLoad[p][i] += demand
-							break
-						}
+					p, e := int(parent[c]), int(edge[c])
+					if cg.parallel {
+						// Of two parallel edges, the first is loaded.
+						e = slices.Index(cg.nbr[p], int32(c))
 					}
+					cg.nbrLoad[p][e] += demand
 					c = p
 				}
 			}
@@ -346,8 +364,10 @@ func (cg *cellGraph) fixWeights() {
 }
 
 // dijkstra returns the shortest-path parent array from src under the
-// edgeWeight table fixed by fixWeights (-1 = unreachable). The returned
-// slice is scratch owned by the graph: it is valid until the next call.
+// edgeWeight table fixed by fixWeights (-1 = unreachable), and for each
+// reached cell but src the index, in its parent's neighbour list, of
+// the edge the path takes. The returned slices are scratch owned by the
+// graph: they are valid until the next call.
 //
 // Every entry of the bucket being drained is final, so the bucket is
 // settled in whatever order it holds. Parents do not depend on that
@@ -355,11 +375,12 @@ func (cg *cellGraph) fixWeights() {
 // the predecessor with the least (dist, id) wins. A binary heap gives
 // the same tree wherever no two tied predecessors also share their
 // own distance, since it settles them in order of dist.
-func (cg *cellGraph) dijkstra(src int) []int32 {
+func (cg *cellGraph) dijkstra(src int) (parent, edge []int32) {
 	n := len(cg.nbr)
 	if cg.distScratch == nil {
 		cg.distScratch = make([]float64, n)
 		cg.parentScratch = make([]int32, n)
+		cg.edgeScratch = make([]int32, n)
 		cg.settledScratch = make([]bool, n)
 		edges := 0
 		for c := range cg.nbr {
@@ -367,14 +388,15 @@ func (cg *cellGraph) dijkstra(src int) []int32 {
 		}
 		cg.queue.init(edges + 1)
 	}
-	dist, parent, settled := cg.distScratch, cg.parentScratch, cg.settledScratch
+	dist, settled := cg.distScratch, cg.settledScratch
+	parent, edge = cg.parentScratch, cg.edgeScratch
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parent[i] = -1
 		settled[i] = false
 	}
 	if !cg.occupied[src] {
-		return parent
+		return parent, edge
 	}
 	dist[src] = 0
 	parent[src] = int32(src)
@@ -396,18 +418,18 @@ func (cg *cellGraph) dijkstra(src int) []int32 {
 			nd := d + w[i]
 			if nd < dist[nb] {
 				dist[nb] = nd
-				parent[nb] = c
+				parent[nb], edge[nb] = c, int32(i)
 				q.push(nb, nd)
 			} else if nd == dist[nb] {
 				// p < 0 only where an infinite weight meets a cell
 				// not yet reached.
 				if p := parent[nb]; p >= 0 && (d < dist[p] || d == dist[p] && c < p) {
-					parent[nb] = c
+					parent[nb], edge[nb] = c, int32(i)
 				}
 			}
 		}
 	}
-	return parent
+	return parent, edge
 }
 
 // bottleneck returns the 2%-tail and strict-minimum sustainable rates

@@ -30,10 +30,22 @@ import (
 // The test is one neighbour sweep of the index: node i pairs with j
 // when j is i's only neighbour within RT, each of the two has no
 // neighbour within the guard radius but the other, and d_ij < RT.
+// With Delta >= 0 the guard radius is at least RT, so that reduces to
+// i and j being each other's sole neighbour within the guard radius at
+// d_ij < RT, and the sweep tracks the guard radius alone.
 func SStarPairsInto(m interference.Model, ix *spatial.Index, buf []interference.Transmission) []interference.Transmission {
 	out := buf[:0]
-	near, guard := ix.SoleNeighbours(m.RT, m.GuardRadius())
 	rt2 := m.RT * m.RT
+	if m.Delta >= 0 {
+		_, guard := ix.SoleNeighbours(-1, m.GuardRadius())
+		for i, j := range guard {
+			if int(j) > i && guard[j] == int32(i) && geom.Dist2(ix.Point(i), ix.Point(int(j))) < rt2 {
+				out = append(out, interference.Transmission{From: i, To: int(j)})
+			}
+		}
+		return out
+	}
+	near, guard := ix.SoleNeighbours(m.RT, m.GuardRadius())
 	for i, j := range near {
 		// j < 0 is no candidate or a crowd; j < i was handled from
 		// the other side.

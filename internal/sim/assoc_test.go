@@ -115,3 +115,30 @@ func TestAssocValidation(t *testing.T) {
 		t.Error("negative time-to-trigger accepted")
 	}
 }
+
+// A fault plan that injects nothing runs as no plan, on the legacy path
+// (whose backoff re-homing answers injected faults only) and under
+// association dynamics.
+func TestInactivePlanMatchesNoPlan(t *testing.T) {
+	p := infraParams(256)
+	tr, err := traffic.NewPermutation(p.N, rng.New(42).Derive("traffic").Rand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, assoc := range []*delay.AssocConfig{nil, {HandoverMargin: 0.02, Hysteresis: 0.01, TimeToTrigger: 8}} {
+		cfg := InfraConfig{Lambda: 0.01, Slots: 600, Warmup: 37, Seed: 42, RetryBackoff: 16, Assoc: assoc}
+		want, err := RunInfrastructure(simNet(t, p, 42, network.IID), tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fc := range []faults.Config{{}, {Seed: 9}} {
+			got, err := RunInfrastructure(faultedNet(t, p, 42, fc), tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("assoc=%v plan %+v: report %+v, no plan %+v", assoc != nil, fc, *got, *want)
+			}
+		}
+	}
+}

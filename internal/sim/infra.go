@@ -39,7 +39,8 @@ type InfraConfig struct {
 	// MaxRetries bounds how many times a waiting downlink packet may
 	// re-home to the next-nearest live BS after its backoff runs out.
 	// Zero selects 2; negative disables re-homing. Re-homing only
-	// activates when the network carries a fault plan.
+	// activates when the network carries a fault plan that injects a
+	// fault (faults.Config.Active).
 	MaxRetries int
 	// RetryBackoff is the wait in slots before the first re-home,
 	// doubling on each retry (bounded exponential backoff); zero
@@ -142,8 +143,9 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 	if maxRetries == 0 {
 		maxRetries = 2
 	}
-	if maxRetries < 0 || plan == nil || dyn {
-		// Association dynamics replace backoff re-homing.
+	if maxRetries < 0 || plan == nil || !plan.Config().Active() || dyn {
+		// Re-homing answers injected faults, so a plan that injects
+		// none runs as no plan; association dynamics replace it.
 		maxRetries = 0
 	}
 	backoff := cfg.RetryBackoff
@@ -264,6 +266,8 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		dst := tr.DestOf[i]
 		srcQ[i] = append(srcQ[i], infraPacket{dst: int32(dst), born: int32(loop.slot), bs: serving[dst]})
 	}, func(pos []geom.Point) {
+		// The network keeps MS and BS positions in [0,1)², where
+		// geom.Dist2Unit gives geom.Dist2's bits without its rounding.
 		slot, measuring := loop.slot, loop.measuring
 		// Backbone: packets handed over last slot arrive at their target
 		// BS queue now. Everything is copied out, so the buffer backing
@@ -293,8 +297,8 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 				}
 				trigger := !liveNow(slot, int(serving[i]))
 				if !trigger {
-					dc := geom.Dist(pos[i], nw.BSPos[cand])
-					ds := geom.Dist(pos[i], nw.BSPos[serving[i]])
+					dc := math.Sqrt(geom.Dist2Unit(pos[i], nw.BSPos[cand]))
+					ds := math.Sqrt(geom.Dist2Unit(pos[i], nw.BSPos[serving[i]]))
 					trigger = dc+assocMargin <= ds
 				}
 				if !trigger {
@@ -377,7 +381,7 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 						transitQ = append(transitQ, p)
 						continue
 					}
-				case budget > 0 && geom.Dist(pos[p.dst], nw.BSPos[b]) <= rt:
+				case budget > 0 && math.Sqrt(geom.Dist2Unit(pos[p.dst], nw.BSPos[b])) <= rt:
 					if plan != nil && plan.Erased(slot, int(p.dst)) {
 						if measuring {
 							rep.Erasures++

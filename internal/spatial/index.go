@@ -110,16 +110,28 @@ func (ix *Index) Rebuild(pts []geom.Point) {
 	ids, cpts, cell := ix.ids[:n], ix.cpts[:n], ix.cell[:n]
 	ix.ids, ix.cpts, ix.cell = ids, cpts, cell
 	start := ix.start
+	g := ix.grid
+	fc, fr := float64(g.Cols), float64(g.Rows)
 	for i, p := range pts {
-		c := int32(ix.grid.CellIndexOf(p))
+		// A point in [0,1)² is its own wrap, so its cell is
+		// CellIndexOf's without the wrap's floors.
+		var c int32
+		if p.X >= 0 && p.X < 1 && p.Y >= 0 && p.Y < 1 {
+			c = int32(min(int(p.Y*fr), g.Rows-1)*g.Cols + min(int(p.X*fc), g.Cols-1))
+		} else {
+			c = int32(g.CellIndexOf(p))
+		}
 		cell[i] = c
 		start[c]++
 	}
 	// start[c] becomes the end of cell c's run; filling each run back to
 	// front, in descending id order, then leaves start[c] at its
-	// beginning and the run in ascending order.
-	for c := 1; c < len(start)-1; c++ {
-		start[c] += start[c-1]
+	// beginning and the run in ascending order. The running sum stays
+	// in a register rather than being read back from the cell before.
+	sum := int32(0)
+	for c := range start[:len(start)-1] {
+		sum += start[c]
+		start[c] = sum
 	}
 	for i := n - 1; i >= 0; i-- {
 		c := cell[i]
@@ -414,23 +426,36 @@ func (ix *Index) Nearest(q geom.Point, skip func(id int) bool) (id int, dist flo
 		ix.nearOnce.Do(ix.buildNear)
 		if t := &ix.near; t.ok {
 			c := ix.grid.CellIndexOf(q)
-			id, best, tie := -1, math.Inf(1), false
-			for k := t.start[c]; k < t.start[c+1]; k++ {
-				if d := geom.Dist2(q, t.pts[k]); d < best {
-					id, best, tie = int(t.ids[k]), d, false
-				} else if d == best {
-					tie = true
-				}
+			id, best, tie := t.nearest(q, t.start[c], t.start[c+1])
+			if id < 0 {
+				return -1, math.Inf(1)
 			}
 			if !tie {
-				if id < 0 {
-					return -1, math.Inf(1)
-				}
 				return id, math.Sqrt(best)
 			}
 		}
 	}
 	return ix.nearestScan(q, skip)
+}
+
+// nearest returns the candidate at positions lo..hi-1 of least
+// distance to q (-1 for none), that squared distance, and whether
+// another candidate ties it. Both q and the candidates lie in [0,1)²,
+// so geom.Dist2Unit gives geom.Dist2's bits; being non-negative, the
+// distances order as their bit patterns do, so the scan keeps the
+// least and the second least as integers, without a branch on the
+// data.
+func (t *nearTable) nearest(q geom.Point, lo, hi int32) (id int, best float64, tie bool) {
+	bestB, secondB, bestID := uint64(math.MaxUint64), uint64(math.MaxUint64), int32(-1)
+	for k := lo; k < hi; k++ {
+		d, cand := math.Float64bits(geom.Dist2Unit(q, t.pts[k])), t.ids[k]
+		secondB = min(secondB, max(bestB, d))
+		if d < bestB {
+			bestID = cand
+		}
+		bestB = min(bestB, d)
+	}
+	return int(bestID), math.Float64frombits(bestB), secondB == bestB
 }
 
 // nearestScan is Nearest's doubling search.
@@ -487,6 +512,13 @@ func (ix *Index) buildNear() {
 	// its shorter way round the torus.
 	loC, hiC, loR, hiR := (g.Cols-1)/2, g.Cols/2, (g.Rows-1)/2, g.Rows/2
 	budget := nearBudget * (nc + len(ix.pts))
+	// The table's scan measures with geom.Dist2Unit, which needs every
+	// point in [0,1)²; any other point set keeps the doubling search.
+	for _, p := range ix.pts {
+		if !(p.X >= 0 && p.X < 1 && p.Y >= 0 && p.Y < 1) {
+			budget = -1
+		}
+	}
 	// A candidate is a position in the index's flat runs and its least
 	// squared distance to the cell.
 	type cand struct {
@@ -611,6 +643,12 @@ func (ix *Index) SoleNeighbours(ra, rb float64) (na, nb []int32) {
 		return na, nb
 	}
 	sw.r2 = max(sw.a2, sw.b2)
+	switch {
+	case sw.a2 < 0:
+		sw.one = nb
+	case sw.b2 < 0:
+		sw.one = na
+	}
 	st := ix.halfStencil(r)
 	start := ix.start
 	cols, rows := ix.grid.Cols, ix.grid.Rows
@@ -621,8 +659,20 @@ func (ix *Index) SoleNeighbours(ra, rb float64) (na, nb []int32) {
 			if lo == hi {
 				continue
 			}
-			sw.self(lo, hi)
-			for _, run := range st {
+			// Where the row's own run does not wrap, its points follow
+			// the cell's own, and one triangular pass covers both.
+			runs, end := st, hi
+			if len(st) > 0 && st[0].dr == 0 {
+				e := col + 1 + st[0].cells
+				if st[0].clipCol {
+					e = min(e, cols)
+				}
+				if e <= cols {
+					runs, end = st[1:], start[c-col+e]
+				}
+			}
+			sw.self(lo, hi, end)
+			for _, run := range runs {
 				rr := row + run.dr
 				if rr >= rows {
 					if run.clipRow {
@@ -654,19 +704,26 @@ func (ix *Index) SoleNeighbours(ra, rb float64) (na, nb []int32) {
 
 // sweep is SoleNeighbours' pass state: the index's flat runs, the two
 // results, their squared radii (-1 for one that reports nothing) and
-// the larger of them.
+// the larger of them. Where only one radius reports, one is its result
+// and the pass records pairs in it alone.
 type sweep struct {
 	cpts       []geom.Point
 	ids        []int32
 	na, nb     []int32
 	a2, b2, r2 float64
+	one        []int32
 }
 
-// self records the pairs within the positions lo..hi-1.
-func (sw *sweep) self(lo, hi int32) {
+// self records the pairs within the positions lo..hi-1 and between
+// them and the positions hi..end-1.
+func (sw *sweep) self(lo, hi, end int32) {
+	if sw.one != nil {
+		sw.crossOne(lo, hi, lo, end, true)
+		return
+	}
 	for k := lo; k < hi; k++ {
 		p, id := sw.cpts[k], sw.ids[k]
-		for l := k + 1; l < hi; l++ {
+		for l := k + 1; l < end; l++ {
 			if d := geom.Dist2Unit(p, sw.cpts[l]); d <= sw.r2 {
 				sw.pair(d, id, sw.ids[l])
 			}
@@ -676,6 +733,10 @@ func (sw *sweep) self(lo, hi int32) {
 
 // cross records the pairs between positions k0..k1-1 and l0..l1-1.
 func (sw *sweep) cross(k0, k1, l0, l1 int32) {
+	if sw.one != nil {
+		sw.crossOne(k0, k1, l0, l1, false)
+		return
+	}
 	for k := k0; k < k1; k++ {
 		p, id := sw.cpts[k], sw.ids[k]
 		for l := l0; l < l1; l++ {
@@ -684,6 +745,36 @@ func (sw *sweep) cross(k0, k1, l0, l1 int32) {
 			}
 		}
 	}
+}
+
+// crossOne is cross, or with tri self, for a pass at one radius.
+func (sw *sweep) crossOne(k0, k1, l0, l1 int32, tri bool) {
+	s, cpts, ids, r2 := sw.one, sw.cpts, sw.ids, sw.r2
+	for k := k0; k < k1; k++ {
+		p, i := cpts[k], ids[k]
+		if tri {
+			l0 = k + 1
+		}
+		for l := l0; l < l1; l++ {
+			j := ids[l]
+			in := geom.Dist2Unit(p, cpts[l]) <= r2
+			s[i] = noteIf(s[i], j, in)
+			s[j] = noteIf(s[j], i, in)
+		}
+	}
+}
+
+// noteIf returns a SoleNeighbours entry v after noting j where in
+// holds, and v itself where it does not, without a branch on either.
+func noteIf(v, j int32, in bool) int32 {
+	w := int32(-2)
+	if v == -1 {
+		w = j
+	}
+	if !in {
+		w = v
+	}
+	return w
 }
 
 // pair records points i and j, at squared distance d within the sweep

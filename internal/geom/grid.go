@@ -63,7 +63,10 @@ func (g Grid) CellArea() float64 { return g.CellW() * g.CellH() }
 
 // CellOf returns the (col, row) of the cell containing p.
 func (g Grid) CellOf(p Point) (col, row int) {
-	p = p.Wrapped()
+	// A point in [0,1)² is its own wrap; only others pay Wrap's floors.
+	if !(p.X >= 0 && p.X < 1 && p.Y >= 0 && p.Y < 1) {
+		p = p.Wrapped()
+	}
 	col = int(p.X * float64(g.Cols))
 	row = int(p.Y * float64(g.Rows))
 	// Guard against p.X or p.Y being rounded up to 1.0 by float error.

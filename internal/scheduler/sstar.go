@@ -27,12 +27,12 @@ import (
 // reuse one pair buffer instead of allocating a fresh result every
 // slot.
 //
-// The test is one neighbour sweep of the index: node i pairs with j
+// The test reads sole neighbours off the index: node i pairs with j
 // when j is i's only neighbour within RT, each of the two has no
 // neighbour within the guard radius but the other, and d_ij < RT.
 // With Delta >= 0 the guard radius is at least RT, so that reduces to
 // i and j being each other's sole neighbour within the guard radius at
-// d_ij < RT, and the sweep tracks the guard radius alone.
+// d_ij < RT, and one sweep at the guard radius answers it.
 func SStarPairsInto(m interference.Model, ix *spatial.Index, buf []interference.Transmission) []interference.Transmission {
 	out := buf[:0]
 	rt2 := m.RT * m.RT

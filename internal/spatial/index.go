@@ -48,7 +48,7 @@ type Index struct {
 	nearOnce sync.Once
 	near     nearTable
 	// sole is SoleNeighbours' result storage, one entry per point for
-	// each of its two radii, and stencil its half-stencil for the
+	// each of its two radii, and stencil the half-stencil of its last
 	// sweep radius stencilR; the grid never changes, so Rebuild keeps
 	// both.
 	sole     []int32
@@ -110,17 +110,8 @@ func (ix *Index) Rebuild(pts []geom.Point) {
 	ids, cpts, cell := ix.ids[:n], ix.cpts[:n], ix.cell[:n]
 	ix.ids, ix.cpts, ix.cell = ids, cpts, cell
 	start := ix.start
-	g := ix.grid
-	fc, fr := float64(g.Cols), float64(g.Rows)
 	for i, p := range pts {
-		// A point in [0,1)² is its own wrap, so its cell is
-		// CellIndexOf's without the wrap's floors.
-		var c int32
-		if p.X >= 0 && p.X < 1 && p.Y >= 0 && p.Y < 1 {
-			c = int32(min(int(p.Y*fr), g.Rows-1)*g.Cols + min(int(p.X*fc), g.Cols-1))
-		} else {
-			c = int32(g.CellIndexOf(p))
-		}
+		c := int32(ix.grid.CellIndexOf(p))
 		cell[i] = c
 		start[c]++
 	}
@@ -613,13 +604,13 @@ func axisRange(v, a, w float64) (lo, hi float64) {
 // symmetric to the bit, so na[i] is what counting ForEachWithin(
 // Point(i), ra) hits other than i gives, and likewise nb.
 //
-// It sweeps every unordered pair of points within the larger radius
-// once: each nonempty cell against itself and against a half-stencil
-// of neighbour cells, built once per radius and walked as runs of
-// adjacent cells, whose points lie contiguous in the index. The
+// Each radius that reports is one sweep over every unordered pair of
+// points within it: each nonempty cell against itself and against a
+// half-stencil of neighbour cells, built once per radius and walked as
+// runs of adjacent cells, whose points lie contiguous in the index. The
 // returned slices are the index's storage, valid until the next call;
-// once the index has answered for as many points at the same larger
-// radius, a call allocates nothing.
+// once the index has answered for as many points, a call allocates
+// nothing.
 func (ix *Index) SoleNeighbours(ra, rb float64) (na, nb []int32) {
 	n := len(ix.pts)
 	if cap(ix.sole) < 2*n {
@@ -629,26 +620,18 @@ func (ix *Index) SoleNeighbours(ra, rb float64) (na, nb []int32) {
 	for i := range na {
 		na[i], nb[i] = -1, -1
 	}
-	// A radius that reports nothing gets a limit no squared distance
-	// meets; the sweep runs at the larger radius that reports at all.
-	sw := sweep{cpts: ix.cpts, ids: ix.ids, na: na, nb: nb, a2: -1, b2: -1}
-	r := -1.0
-	if ra >= 0 {
-		sw.a2, r = ra*ra, ra
+	ix.sweep(ra, na)
+	ix.sweep(rb, nb)
+	return na, nb
+}
+
+// sweep records in s, whose entries start at -1, each point's sole
+// neighbour within radius r.
+func (ix *Index) sweep(r float64, s []int32) {
+	if !(r >= 0) {
+		return
 	}
-	if rb >= 0 {
-		sw.b2, r = rb*rb, max(r, rb)
-	}
-	if r < 0 {
-		return na, nb
-	}
-	sw.r2 = max(sw.a2, sw.b2)
-	switch {
-	case sw.a2 < 0:
-		sw.one = nb
-	case sw.b2 < 0:
-		sw.one = na
-	}
+	sw := sweep{cpts: ix.cpts, ids: ix.ids, s: s, r2: r * r}
 	st := ix.halfStencil(r)
 	start := ix.start
 	cols, rows := ix.grid.Cols, ix.grid.Rows
@@ -671,7 +654,7 @@ func (ix *Index) SoleNeighbours(ra, rb float64) (na, nb []int32) {
 					runs, end = st[1:], start[c-col+e]
 				}
 			}
-			sw.self(lo, hi, end)
+			sw.pairs(lo, hi, lo, end, true)
 			for _, run := range runs {
 				rr := row + run.dr
 				if rr >= rows {
@@ -682,7 +665,7 @@ func (ix *Index) SoleNeighbours(ra, rb float64) (na, nb []int32) {
 				}
 				base, a := rr*cols, col+run.dc
 				if run.clipCol {
-					sw.cross(lo, hi, start[base+a], start[base+cols])
+					sw.pairs(lo, hi, start[base+a], start[base+cols], false)
 					continue
 				}
 				if a < 0 {
@@ -691,65 +674,30 @@ func (ix *Index) SoleNeighbours(ra, rb float64) (na, nb []int32) {
 					a -= cols
 				}
 				if end := a + run.cells; end <= cols {
-					sw.cross(lo, hi, start[base+a], start[base+end])
+					sw.pairs(lo, hi, start[base+a], start[base+end], false)
 				} else {
-					sw.cross(lo, hi, start[base+a], start[base+cols])
-					sw.cross(lo, hi, start[base], start[base+end-cols])
+					sw.pairs(lo, hi, start[base+a], start[base+cols], false)
+					sw.pairs(lo, hi, start[base], start[base+end-cols], false)
 				}
 			}
 		}
 	}
-	return na, nb
 }
 
-// sweep is SoleNeighbours' pass state: the index's flat runs, the two
-// results, their squared radii (-1 for one that reports nothing) and
-// the larger of them. Where only one radius reports, one is its result
-// and the pass records pairs in it alone.
+// sweep is one SoleNeighbours pass: the index's flat runs, the result
+// it records into and its squared radius.
 type sweep struct {
-	cpts       []geom.Point
-	ids        []int32
-	na, nb     []int32
-	a2, b2, r2 float64
-	one        []int32
+	cpts []geom.Point
+	ids  []int32
+	s    []int32
+	r2   float64
 }
 
-// self records the pairs within the positions lo..hi-1 and between
-// them and the positions hi..end-1.
-func (sw *sweep) self(lo, hi, end int32) {
-	if sw.one != nil {
-		sw.crossOne(lo, hi, lo, end, true)
-		return
-	}
-	for k := lo; k < hi; k++ {
-		p, id := sw.cpts[k], sw.ids[k]
-		for l := k + 1; l < end; l++ {
-			if d := geom.Dist2Unit(p, sw.cpts[l]); d <= sw.r2 {
-				sw.pair(d, id, sw.ids[l])
-			}
-		}
-	}
-}
-
-// cross records the pairs between positions k0..k1-1 and l0..l1-1.
-func (sw *sweep) cross(k0, k1, l0, l1 int32) {
-	if sw.one != nil {
-		sw.crossOne(k0, k1, l0, l1, false)
-		return
-	}
-	for k := k0; k < k1; k++ {
-		p, id := sw.cpts[k], sw.ids[k]
-		for l := l0; l < l1; l++ {
-			if d := geom.Dist2Unit(p, sw.cpts[l]); d <= sw.r2 {
-				sw.pair(d, id, sw.ids[l])
-			}
-		}
-	}
-}
-
-// crossOne is cross, or with tri self, for a pass at one radius.
-func (sw *sweep) crossOne(k0, k1, l0, l1 int32, tri bool) {
-	s, cpts, ids, r2 := sw.one, sw.cpts, sw.ids, sw.r2
+// pairs records the pairs within r between positions k0..k1-1 and
+// l0..l1-1, or with tri those within k0..k1-1 and between them and
+// k1..l1-1, each pair once.
+func (sw *sweep) pairs(k0, k1, l0, l1 int32, tri bool) {
+	s, cpts, ids, r2 := sw.s, sw.cpts, sw.ids, sw.r2
 	for k := k0; k < k1; k++ {
 		p, i := cpts[k], ids[k]
 		if tri {
@@ -775,28 +723,6 @@ func noteIf(v, j int32, in bool) int32 {
 		w = v
 	}
 	return w
-}
-
-// pair records points i and j, at squared distance d within the sweep
-// radius, as neighbours in each result whose radius reaches d.
-func (sw *sweep) pair(d float64, i, j int32) {
-	if d <= sw.a2 {
-		note(sw.na, i, j)
-		note(sw.na, j, i)
-	}
-	if d <= sw.b2 {
-		note(sw.nb, i, j)
-		note(sw.nb, j, i)
-	}
-}
-
-// note records j as a neighbour of i in a SoleNeighbours result.
-func note(s []int32, i, j int32) {
-	if s[i] == -1 {
-		s[i] = j
-	} else {
-		s[i] = -2
-	}
 }
 
 // stencilRun is one entry of SoleNeighbours' half-stencil: the cells
